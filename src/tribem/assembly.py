@@ -11,6 +11,21 @@ and integrated either by centroid subdivision with the collapsed vertex
 on the singular point, or by direct brute-force quadrature over the
 whole element.
 
+Off-diagonal blocks use the moment form of the kernels (see
+:mod:`tribem.kernels`). Elements are flat, so for collocation point
+c_i and field element j with centroid C_j, D = C_j - c_i gives
+d.n_j = D.n_j at every quadrature point. A table of centred features
+w [1, rho, rho rho^T], rho = y - C_j, is built once per assembly;
+each collocation row then needs only 1/r, 1/r^3 and 1/r^5 at the
+quadrature points and one contraction against that table, after which
+every block follows from D, n_j and ten moments per weight. Subdivided
+self-terms go through the same evaluator with D = 0 (features taken
+about the collocation point); paper-faithful self-terms are the row's
+own entry, which is exactly that D = 0 quadrature over the element.
+
+integrate_pair and integrate_self_g evaluate the point kernels directly
+and serve as the per-block reference.
+
 DOF ordering is element-major: DOF d = 3 * element + axis.
 """
 
@@ -28,12 +43,16 @@ from .errors import (
     SolvabilityWarning,
 )
 from .kernels import (
+    N_FEATURES,
     Material,
     QuadratureRule,
     collapsed_map,
+    kelvin_blocks,
     kelvin_t_points,
     kelvin_u_points,
+    kernel_moments,
     map_rule_to_triangle,
+    moment_features,
 )
 from .mesh import SurfaceMesh
 
@@ -102,26 +121,29 @@ class LinearSystem:
     swapped: np.ndarray  # (3N,) bool
 
 
-def _quadrature_cache(mesh: SurfaceMesh, rule: QuadratureRule):
-    """Mapped quadrature points/weights for every element, vectorised.
+@dataclass(frozen=True)
+class QuadratureTable:
+    """The mesh's mapped quadrature in moment form, read-only.
 
-    Same collapsed-square map as :func:`kernels.map_rule_to_triangle`,
-    evaluated for all elements at once: points (N, Q, 3), weights (N, Q).
+    ``points`` (3, N, Q) holds the physical points component-major;
+    ``features`` (N, N_FEATURES, Q) holds w [1, rho, rho rho^T] with rho
+    measured from each element's centroid. Built once per assembly and
+    shared by every worker.
     """
-    v0 = mesh.vertices[:, 0]
-    v1 = mesh.vertices[:, 1]
-    v2 = mesh.vertices[:, 2]
-    a = 0.5 * (rule.points[:, 0] + 1.0)
-    b = 0.5 * (rule.points[:, 1] + 1.0)
-    u = a
-    v = a * b
-    pts = (
-        v0[:, None, :]
-        + u[None, :, None] * (v1 - v0)[:, None, :]
-        + v[None, :, None] * (v2 - v1)[:, None, :]
-    )
-    weights = rule.weights[None, :] * a[None, :] * (0.5 * mesh.areas[:, None])
-    return pts, weights
+
+    points: np.ndarray
+    features: np.ndarray
+
+
+def quadrature_table(mesh: SurfaceMesh, rule: QuadratureRule) -> QuadratureTable:
+    """Map ``rule`` onto every element and tabulate its centred features."""
+    v = mesh.vertices
+    pts, w = collapsed_map(rule, v[:, 0], v[:, 1], v[:, 2])
+    features = moment_features(pts, w, mesh.centroids[:, None, :])
+    points = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
+    points.setflags(write=False)
+    features.setflags(write=False)
+    return QuadratureTable(points, features)
 
 
 def integrate_pair(i, j, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule):
@@ -180,40 +202,28 @@ def rigid_body_diagonal(off_diagonal_blocks):
     return -np.sum(blocks, axis=0)
 
 
-_EYE3 = np.eye(3)
+_SELF_STRATEGIES = ("subdivide", "paper-faithful")
+# Collocation rows per contraction. Each row holds 3 N Q doubles of work
+# space per worker; 4 rows ran ~15% faster than 2 on the 96-element box
+# but raised peak memory by ~3 MB, 2 rows kept it at the old level.
+_ROW_BATCH = 2
 
 
-def _row_blocks(c, pts_all, w_all, normals, mat: Material):
-    """Quadrature-weighted kernel blocks from collocation point ``c`` to
-    every element at once: (H_blocks, G_blocks), each (N, 3, 3).
-
-    Fused evaluation of both kernels sharing the distance geometry;
-    entry values agree with per-pair integration to roundoff. The
-    batched contractions are deterministic for fixed shapes, which
-    keeps assembly bit-reproducible. The caller overwrites the
-    self-element block, so the meaningless values computed against the
-    collocation point's own element are never used.
-    """
-    nu = mat.nu
-    d = pts_all - c  # (N, Q, 3)
-    r2 = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
-    invr = 1.0 / np.sqrt(r2)
-    rd = d * invr[..., None]
-    rd_t = rd.transpose(0, 2, 1)  # (N, 3, Q), view for batched matmul
-
-    wu = (w_all * invr) * (1.0 / (16.0 * np.pi * mat.mu * (1.0 - nu)))
-    g = rd_t @ (rd * wu[..., None])
-    g += ((3.0 - 4.0 * nu) * wu.sum(axis=1))[:, None, None] * _EYE3
-
-    drdn = (rd @ normals[:, :, None])[..., 0]
-    wt = (w_all / r2) * (-1.0 / (8.0 * np.pi * (1.0 - nu)))
-    a1 = wt * drdn
-    k = 1.0 - 2.0 * nu
-    h = 3.0 * (rd_t @ (rd * a1[..., None]))
-    h += (k * a1.sum(axis=1))[:, None, None] * _EYE3
-    s = (wt[:, None, :] @ rd)[:, 0, :]
-    h -= k * (s[:, :, None] * normals[:, None, :] - normals[:, :, None] * s[:, None, :])
-    return h, g
+def _subdivided_self_g(mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, rows):
+    """G_ii for each element in ``rows``: the three sub-triangles meeting
+    at the centroid, each collapsed onto it, as one quadrature with D = 0."""
+    b = len(rows)
+    c = mesh.centroids[rows]
+    v = mesh.vertices[rows]
+    pts, w = collapsed_map(rule, c[:, None, :], v, v[:, [1, 2, 0]])
+    pts = pts.reshape(b, -1, 3)
+    features = moment_features(pts, w.reshape(b, -1), c[:, None, :])
+    points = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
+    moments = kernel_moments(
+        points, features, c.T[:, :, None], np.empty_like(points), np.empty((b, 3, N_FEATURES))
+    )
+    _, g = kelvin_blocks(moments, np.zeros((b, 3)), mesh.normals[rows], mat)
+    return g
 
 
 def assemble_rows(
@@ -224,31 +234,53 @@ def assemble_rows(
     h_out,
     g_out,
     strategy="subdivide",
-    cache=None,
+    table: QuadratureTable | None = None,
 ):
     """Fill the collocation rows ``rows`` of preallocated H and G.
 
-    Each row is computed independently (disjoint writes), so any
-    partition of rows across workers yields bit-identical matrices.
-    The whole row is evaluated at once, then the diagonal blocks are
-    replaced: H_ii by the rigid-body identity over the off-diagonal
-    blocks in ascending column order, G_ii by singular integration.
+    Rows are taken two at a time: the radial weights 1/r, 1/r^3, 1/r^5
+    from each row's collocation point to every quadrature point of the
+    mesh are contracted against ``table`` (built here when not given),
+    and the blocks follow from the moments, the centroid offsets D and
+    the element normals (flat elements: d.n_j = D.n_j). Every (row,
+    element) pair is its own fixed-shape contraction and writes are
+    disjoint, so any partition of rows across workers, and any grouping
+    of rows within one, yields bit-identical matrices. Then the diagonal
+    blocks are set: H_ii by the rigid-body identity over the
+    off-diagonal blocks in ascending column order, G_ii by singular
+    integration (``strategy``, as in :func:`integrate_self_g`).
     """
+    if strategy not in _SELF_STRATEGIES:
+        raise ValueError(f"unknown self-integration strategy {strategy!r}")
+    rows = np.asarray(rows, dtype=int)
+    degenerate = rows[mesh.areas[rows] <= 0.0]
+    if len(degenerate):
+        raise DegenerateElementError(f"elements {degenerate.tolist()} are degenerate")
     n = mesh.n_elements
-    if cache is None:
-        cache = _quadrature_cache(mesh, rule)
-    pts_all, w_all = cache
+    if table is None:
+        table = quadrature_table(mesh, rule)
+    work = np.empty((3, _ROW_BATCH) + table.points.shape[1:])
+    moments = np.empty((_ROW_BATCH, n, 3, N_FEATURES))
 
-    for i in rows:
-        row_h, row_g = _row_blocks(
-            mesh.centroids[i], pts_all, w_all, mesh.normals, mat
+    for start in range(0, len(rows), _ROW_BATCH):
+        batch = rows[start : start + _ROW_BATCH]
+        b = len(batch)
+        c = mesh.centroids[batch]
+        # The row's own element is evaluated too (D = 0): that is its
+        # paper-faithful G_ii. It stays finite because every supported
+        # order is even, so no Gauss point maps onto the centroid.
+        kernel_moments(
+            table.points, table.features, c.T[:, :, None, None], work[:, :b], moments[:b]
         )
-        others = np.concatenate([np.arange(0, i), np.arange(i + 1, n)])
-        row_h[i] = rigid_body_diagonal(row_h[others])
-        row_g[i] = integrate_self_g(i, mesh, mat, rule, strategy)
+        h, g = kelvin_blocks(moments[:b], mesh.centroids - c[:, None, :], mesh.normals, mat)
+        if strategy == "subdivide":
+            g[np.arange(b), batch] = _subdivided_self_g(mesh, mat, rule, batch)
 
-        h_out[3 * i : 3 * i + 3, :] = row_h.transpose(1, 0, 2).reshape(3, 3 * n)
-        g_out[3 * i : 3 * i + 3, :] = row_g.transpose(1, 0, 2).reshape(3, 3 * n)
+        for i, row_h, row_g in zip(batch, h, g):
+            others = np.concatenate([np.arange(0, i), np.arange(i + 1, n)])
+            row_h[i] = rigid_body_diagonal(row_h[others])
+            h_out[3 * i : 3 * i + 3, :] = row_h.transpose(1, 0, 2).reshape(3, 3 * n)
+            g_out[3 * i : 3 * i + 3, :] = row_g.transpose(1, 0, 2).reshape(3, 3 * n)
 
 
 def assemble(

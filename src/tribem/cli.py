@@ -92,11 +92,9 @@ def _load_problem(args) -> Problem:
 def _cmd_solve(args):
     prob = _load_problem(args)
     rule = gauss_rule(args.quad)
-    workers = args.workers[0] if args.workers else 1
-    block = args.block_sizes[0] if args.block_sizes else 32
     sol, tm = distributed_assemble_solve(
         prob.mesh, prob.material, prob.bc, rule,
-        workers=workers, block_size=block, strategy=args.self_quad,
+        workers=args.workers, block_size=args.block_size, strategy=args.self_quad,
     )
     residual = equilibrium_residual(sol, prob.mesh)
     verdict = bench.realtime_verdict(tm.total)
@@ -202,8 +200,9 @@ def build_parser():
 
     p = sub.add_parser("solve", parents=[], help="assemble and solve one problem")
     _add_problem_flags(p)
-    p.add_argument("--workers", type=_int_list, default=(1,), metavar="LIST")
-    p.add_argument("--block-sizes", type=_int_list, default=(32,), metavar="LIST")
+    p.add_argument("--workers", type=int, default=1, metavar="N")
+    p.add_argument("--block-sizes", dest="block_size", type=int, default=32, metavar="N",
+                   help="block-cyclic block size (sweep takes a list)")
     p.add_argument("--report", metavar="PATH", help="write solution CSV here")
     p.set_defaults(func=_cmd_solve)
 

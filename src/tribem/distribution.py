@@ -31,9 +31,9 @@ import numpy as np
 from .assembly import (
     BoundarySpec,
     InfluenceMatrices,
-    _quadrature_cache,
     apply_boundary_conditions,
     assemble_rows,
+    quadrature_table,
 )
 from .errors import DegenerateElementError
 from .kernels import Material, QuadratureRule
@@ -244,9 +244,9 @@ def distributed_assemble_solve(
     gate = threading.Barrier(len(active) + 1)
     finish_times = [0.0] * len(active)
 
-    def job(slot, rows, cache):
+    def job(slot, rows, table):
         try:
-            assemble_rows(mesh, mat, rule, rows, h, g, strategy, cache)
+            assemble_rows(mesh, mat, rule, rows, h, g, strategy, table)
             finish_times[slot] = time.perf_counter()
             gate.wait()
         except Exception:
@@ -254,10 +254,10 @@ def distributed_assemble_solve(
             raise
 
     t0 = time.perf_counter()
-    cache = _quadrature_cache(mesh, rule)
+    table = quadrature_table(mesh, rule)
     with ThreadPoolExecutor(max_workers=len(active)) as pool:
         futures = [
-            pool.submit(job, slot, rows, cache) for slot, rows in enumerate(active)
+            pool.submit(job, slot, rows, table) for slot, rows in enumerate(active)
         ]
         try:
             gate.wait()

@@ -16,6 +16,19 @@ Quadrature is a tensor-product Gauss-Legendre rule on [-1,1]^2 mapped
 onto triangles by collapsing one square edge to a vertex (Duffy-style),
 which clusters points towards that vertex and tames weakly singular
 integrands placed there.
+
+Moment form. Over a flat triangle with centre C and a source x, write
+d = y - x = D + rho with D = C - x and rho = y - C. Because rho lies in
+the triangle's plane, d.n = D.n is one number per (source, triangle),
+and every weighted sum the integrated kernels need,
+
+    sum w f(r) d d^T = D D^T m0 + D m1^T + m1 D^T + m2,
+
+follows from the moments m = sum w f(r) [1, rho, rho rho^T] of the
+three radial weights f = 1/r, 1/r^3, 1/r^5. The features
+w [1, rho, rho rho^T] depend on the triangle alone, so a table of them
+is built once and each source costs only the radial weights and one
+contraction (:func:`kernel_moments`, :func:`kelvin_blocks`).
 """
 
 from __future__ import annotations
@@ -163,18 +176,119 @@ def collapsed_map(rule: QuadratureRule, v0, v1, v2):
     The square edge xi = -1 degenerates to v0, so the Jacobian vanishes
     there and quadrature points cluster towards v0. Returns physical
     points (n^2, 3) and weights (n^2,) that sum to the triangle area.
+    The vertices may also be stacked (..., 3) arrays that broadcast
+    against each other, mapping many triangles at once into points
+    (..., n^2, 3) and weights (..., n^2).
     """
-    v0 = np.asarray(v0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
+    v0 = np.asarray(v0, dtype=float)[..., None, :]
+    v1 = np.asarray(v1, dtype=float)[..., None, :]
+    v2 = np.asarray(v2, dtype=float)[..., None, :]
     a = 0.5 * (rule.points[:, 0] + 1.0)
     b = 0.5 * (rule.points[:, 1] + 1.0)
     u = a
     v = a * b
     pts = v0 + u[:, None] * (v1 - v0) + v[:, None] * (v2 - v1)
-    area2 = np.linalg.norm(np.cross(v1 - v0, v2 - v0))
+    area2 = np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=-1)
     weights = rule.weights * a * (area2 / 4.0)
     return pts, weights
+
+
+N_FEATURES = 10  # w [1, rho (3), rho rho^T (6 distinct entries)]
+_OUTER_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_OUTER_INDEX = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])  # moment index of rho_a rho_b
+
+
+def moment_features(points, weights, centres):
+    """Quadrature features w [1, rho, rho rho^T] with rho = y - centre.
+
+    ``points`` (..., Q, 3) and ``weights`` (..., Q) as returned by
+    :func:`collapsed_map`; ``centres`` (..., 1, 3) is each triangle's
+    reference point. Returns (..., N_FEATURES, Q), feature-major so
+    that each feature is written, and later read, contiguously.
+    """
+    rho = np.moveaxis(points - centres, -1, -2)
+    out = np.empty(weights.shape[:-1] + (N_FEATURES,) + weights.shape[-1:])
+    out[..., 0, :] = weights
+    np.multiply(weights[..., None, :], rho, out=out[..., 1:4, :])
+    for row, (a, b) in enumerate(_OUTER_ENTRIES, start=4):
+        np.multiply(out[..., 1 + a, :], rho[..., b, :], out=out[..., row, :])
+    return out
+
+
+def kernel_moments(points, features, sources, work, out):
+    """Contract the radial weights 1/r, 1/r^3, 1/r^5 over tabulated quadrature.
+
+    ``points`` is component-major (3, ..., Q) and ``sources`` (3, ...)
+    broadcasts against ``points[k]``; ``work`` is a (3, ..., Q) buffer of
+    the broadcast shape and receives the three weights. ``out``
+    (..., 3, N_FEATURES) receives their moments against ``features``
+    (..., N_FEATURES, Q). Each (source, triangle) pair is one 3 x Q by
+    Q x N_FEATURES product, so a result does not depend on which other
+    sources share the call. No point may coincide with its source.
+    """
+    r2 = work[2]
+    np.subtract(points[0], sources[0], out=r2)
+    np.square(r2, out=r2)
+    for k in (1, 2):
+        np.subtract(points[k], sources[k], out=work[0])
+        np.square(work[0], out=work[0])
+        r2 += work[0]
+    invr = np.sqrt(r2, out=work[0])
+    np.divide(1.0, invr, out=invr)
+    np.divide(invr, r2, out=work[1])
+    np.divide(work[1], r2, out=work[2])
+    return np.matmul(np.moveaxis(work, 0, -2), features.swapaxes(-1, -2), out=out)
+
+
+def _weighted_outer(offsets, m):
+    """sum w f d d^T from the moments m (..., N_FEATURES) of one weight f:
+    m0 = m[..., 0], m1 = m[..., 1:4] and m2 the rho rho^T entries.
+
+    Written D s^T + s D^T + m2 with s = D m0 / 2 + m1, which equals
+    D D^T m0 + D m1^T + m1 D^T + m2 and is exactly symmetric.
+    """
+    s = offsets * (0.5 * m[..., :1]) + m[..., 1:4]
+    out = offsets[..., :, None] * s[..., None, :]
+    out += out.swapaxes(-1, -2).copy()
+    out += m[..., _OUTER_INDEX]
+    return out
+
+
+def kelvin_blocks(moments, offsets, normals, mat: Material):
+    """Integrated T* and U* blocks from :func:`kernel_moments` output.
+
+    ``moments`` (..., 3, N_FEATURES); ``offsets`` (..., 3) is D = C - x
+    from the source to the centre the features were taken about, and
+    ``normals`` (..., 3) the triangle's unit normal. The centre must lie
+    in the triangle's plane, so that d.n = D.n at every point. Returns
+    (H, G), each (..., 3, 3):
+
+        G = c_u [(3-4nu) sum w/r I + sum w d d^T / r^3]
+        H = c_t [k (D.n) sum w/r^3 I + 3 (D.n) sum w d d^T / r^5
+                 - k (v n^T - n v^T)],   v = sum w d / r^3, k = 1-2nu
+    """
+    nu = mat.nu
+    k = 1.0 - 2.0 * nu
+    m_r1, m_r3, m_r5 = moments[..., 0, :], moments[..., 1, :], moments[..., 2, :]
+
+    g = _weighted_outer(offsets, m_r3)
+    g += ((3.0 - 4.0 * nu) * m_r1[..., 0])[..., None, None] * _EYE3
+    g *= 1.0 / (16.0 * np.pi * mat.mu * (1.0 - nu))
+
+    dn = (
+        offsets[..., 0] * normals[..., 0]
+        + offsets[..., 1] * normals[..., 1]
+        + offsets[..., 2] * normals[..., 2]
+    )
+    h = _weighted_outer(offsets, m_r5)
+    h *= (3.0 * dn)[..., None, None]
+    h += (k * dn * m_r3[..., 0])[..., None, None] * _EYE3
+    v = offsets * m_r3[..., :1] + m_r3[..., 1:4]
+    skew = v[..., :, None] * normals[..., None, :]
+    skew -= skew.swapaxes(-1, -2).copy()
+    h -= k * skew
+    h *= -1.0 / (8.0 * np.pi * (1.0 - nu))
+    return h, g
 
 
 def map_rule_to_triangle(rule: QuadratureRule, element: Element):

@@ -26,6 +26,7 @@ covers default to zero prescribed traction (free surface).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,7 +169,10 @@ def parse_bc_file(text, mesh: SurfaceMesh) -> BoundarySpec:
                 kind = _KINDS.get(kind_token.lower())
                 if kind is None:
                     raise ValueError(f"unknown kind {kind_token!r}")
-                builder.set(ids, axes, kind, float(value_token))
+                value = float(value_token)
+                if not math.isfinite(value):
+                    raise ValueError(f"value must be finite, got {value_token!r}")
+                builder.set(ids, axes, kind, value)
         except ValueError as exc:
             raise BcFileError(f"line {lineno}: {exc}") from None
     return builder.build()

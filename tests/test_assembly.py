@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import random_triangle, singular_u_integral_reference
 from tribem.assembly import (
@@ -203,6 +205,74 @@ class TestAssemble:
         )
         with pytest.raises(DegenerateElementError):
             assemble(SurfaceMesh(tris), MAT, RULE)
+
+
+def _rotation(x, y, z, angle):
+    """Rotation by ``angle`` about the axis (x, y, z) (Rodrigues)."""
+    axis = np.array([x, y, z]) / np.linalg.norm([x, y, z])
+    k = np.array(
+        [[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]]
+    )
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def _blocks(m):
+    n = m.shape[0] // 3
+    return m.reshape(n, 3, n, 3).transpose(0, 2, 1, 3)
+
+
+def _moved_cube(k):
+    """generate_cube(4, k) turned and shifted off the axes, so that no
+    D.n_j vanishes by symmetry except between truly coplanar elements."""
+    rot = _rotation(0.3, -0.5, 0.8, 1.1)
+    return SurfaceMesh(generate_cube(4, k).vertices @ rot.T + np.array([3.0, -7.0, 11.0]))
+
+
+class TestMomentEvaluator:
+    """Every assembled block against the per-pair point-kernel oracles."""
+
+    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize(
+        "mesh", [generate_cube(4, 1), _moved_cube(2)], ids=["cube-k1", "moved-cube-k2"]
+    )
+    def test_every_block_matches_oracles(self, mesh, order):
+        rule = gauss_rule(order)
+        n = mesh.n_elements
+        for strategy in ("paper-faithful", "subdivide"):
+            hg = assemble(mesh, MAT, rule, strategy)
+            g = _blocks(hg.g)
+            for i in range(n):
+                ref = integrate_self_g(i, mesh, MAT, rule, strategy)
+                assert np.abs(g[i, i] - ref).max() <= 1e-13 * np.abs(ref).max()
+        # off-diagonal blocks do not depend on the self strategy
+        h = _blocks(hg.h)
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                h_ij, g_ij = integrate_pair(i, j, mesh, MAT, rule)
+                assert np.abs(h[i, j] - h_ij).max() <= 1e-13 * np.abs(h_ij).max()
+                assert np.abs(g[i, j] - g_ij).max() <= 1e-13 * np.abs(g_ij).max()
+
+    @settings(max_examples=15, deadline=None, database=None)
+    @given(
+        axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda a: np.linalg.norm(a) > 0.1
+        ),
+        angle=st.floats(0.0, 2.0 * np.pi),
+        shift=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+    )
+    def test_rigid_motion_rotates_every_block(self, axis, angle, shift):
+        # H and G of a moved body are the old blocks seen in the new frame:
+        # B' = Rot B Rot^T for every 3x3 block, diagonal blocks included
+        mesh = generate_cube(4, 1)
+        rot = _rotation(*axis, angle)
+        moved = SurfaceMesh(mesh.vertices @ rot.T + np.asarray(shift))
+        base = assemble(mesh, MAT, RULE)
+        turned = assemble(moved, MAT, RULE)
+        for before, after in ((base.h, turned.h), (base.g, turned.g)):
+            expected = rot @ _blocks(before) @ rot.T
+            assert np.abs(_blocks(after) - expected).max() <= 1e-12 * np.abs(before).max()
 
 
 @pytest.fixture(scope="module")

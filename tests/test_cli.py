@@ -37,6 +37,12 @@ class TestSolve:
     def test_mesh_without_bc_is_io_error(self, cube_stl):
         assert main(["solve", "--mesh", str(cube_stl)]) == 3
 
+    def test_non_finite_bc_value_is_input_error(self, capsys, cube_stl, tmp_path):
+        bc = tmp_path / "nan.bc"
+        bc.write_text("plane x 0 : xyz = displacement 0\nplane x 4: x = t nan\n")
+        assert main(["solve", "--mesh", str(cube_stl), "--bc", str(bc)]) == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self):
         assert main(["solve", "--mesh", "/no/such/file.stl", "--bc", "x"]) == 3
 
@@ -53,6 +59,12 @@ class TestUsageErrors:
 
     def test_bad_quad_order(self):
         assert main(["solve", "--cube", "4,1", "--quad", "7"]) == 1
+
+    @pytest.mark.parametrize("flag", ["--workers", "--block-sizes"])
+    def test_solve_takes_one_value_not_a_list(self, flag):
+        # sweep takes lists; solve runs one configuration and must not
+        # drop the rest of a list without a word
+        assert main(["solve", "--cube", "4,1", flag, "2,4"]) == 1
 
 
 class TestValidateCommand:

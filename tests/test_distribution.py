@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -169,11 +171,20 @@ class TestDistributedAssembleSolve:
     def test_bit_identical_across_workers(self, prob):
         rule = gauss_rule(16)
         hashes = set()
-        for workers in (1, 4, 16):
-            sol, _ = distributed_assemble_solve(
-                prob.mesh, prob.material, prob.bc, rule, workers=workers
-            )
-            hashes.add(solution_hash(sol))
+        # 96 rows: 3, 9 and 11 workers give odd range lengths that cut
+        # across the assembler's internal row batches. Workers share one
+        # read-only quadrature table; frequent thread switches (more
+        # workers than cores) would expose any write to shared state.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3, 4, 9, 11, 16):
+                sol, _ = distributed_assemble_solve(
+                    prob.mesh, prob.material, prob.bc, rule, workers=workers
+                )
+                hashes.add(solution_hash(sol))
+        finally:
+            sys.setswitchinterval(interval)
         assert len(hashes) == 1
 
     def test_one_process_whole_matrix_block(self, prob):

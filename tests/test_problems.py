@@ -104,6 +104,13 @@ ids 0,2 : z = displacement 5
         with pytest.raises(BcFileError):
             parse_bc_file(bad + "\n", mesh)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_line(self, value):
+        mesh = generate_cube(4, 1)
+        text = f"plane x 0 : xyz = u 0\nplane x 4 : x = t {value}\n"
+        with pytest.raises(BcFileError, match="line 2"):
+            parse_bc_file(text, mesh)
+
     def test_comments_and_blanks_ignored(self):
         mesh = generate_cube(4, 1)
         bc = parse_bc_file("\n# nothing\n   \n", mesh)
