@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """The realtime fast path: precompute the inverse, then every new load
-case costs one matrix-vector product.
+case costs two matrix-vector products (right-hand side, then inverse).
 
 Interactive graphics wants ~30 solutions per second and haptics ~1000.
 Assembling and factorising from scratch misses those rates even for the

@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Block and block-cyclic index distribution.
 
-Assembly rows are dealt to workers in contiguous blocks; the solve-phase
-matrix layout deals blocks of r indices cyclically over a 2D process
-grid, independently for rows and columns. Both maps are pure index
-arithmetic, so they are printed here entry by entry.
+Assembly rows are dealt to workers in contiguous blocks; a cluster
+solve would lay the matrix out block-cyclically, dealing blocks of r
+indices over a 2D process grid, independently for rows and columns
+(the in-process solve here needs no such layout). Both maps are pure
+index arithmetic, so they are printed here entry by entry.
 """
 
 from tribem import (

@@ -37,8 +37,6 @@ from .solver import PrecomputedOperator, Solution, precompute_inverse, solve_dir
 GRAPHICS_RATE = 30.0
 HAPTICS_RATE = 1000.0
 
-PHASES = ("assembly", "barrier", "solve", "matvec", "total")
-
 
 @dataclass
 class BenchConfig:

@@ -11,34 +11,29 @@ applied independently over rows and columns to distribute a matrix on a
 leave trailing processes underfull (or empty) for awkward (M, P); that
 imbalance is inherited as-is.
 
-Execution is desk-scale: a worker pool in one process stands in for
-cluster processes. Message passing is not emulated; what is checked is
-ownership correctness, the assembly/solve barrier, and result
-invariance across worker counts and block sizes, with per-phase wall
-timings as the measurable output.
+Execution is desk-scale: a thread pool in one process stands in for
+cluster processes, and the distributed run is one plain map of row
+assembly over the block-mapped row ranges, followed by a shared-memory
+solve. Message passing is not emulated and no block-cyclic layout is
+built at run time: the block size only labels a run. What is checked
+is the ownership formulas themselves and result invariance across
+worker counts and block sizes, with per-phase wall timings as the
+measurable output.
 """
 
 from __future__ import annotations
 
-import math
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import (
-    BoundarySpec,
-    InfluenceMatrices,
-    apply_boundary_conditions,
-    assemble_rows,
-    quadrature_table,
-)
+from .assembly import BoundarySpec, InfluenceMatrices, assemble_rows, quadrature_table
 from .errors import DegenerateElementError
 from .kernels import Material, QuadratureRule
 from .mesh import SurfaceMesh
-from .solver import scatter_solution, solve_direct
+from .solver import solve
 
 
 @dataclass(frozen=True)
@@ -51,24 +46,6 @@ class ProcessGrid:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise ValueError("process grid dimensions must be positive")
-
-    @property
-    def total(self):
-        return self.rows * self.cols
-
-    @classmethod
-    def for_processes(cls, p):
-        """Square grid for square counts (1, 4, 16, 64, 256, ...);
-        otherwise the most nearly square factorisation."""
-        if p < 1:
-            raise ValueError("process count must be positive")
-        root = math.isqrt(p)
-        if root * root == p:
-            return cls(root, root)
-        r = root
-        while p % r:
-            r -= 1
-        return cls(r, p // r)
 
 
 @dataclass(frozen=True)
@@ -154,53 +131,12 @@ def partition_rows(n_rows, workers):
 
 
 @dataclass
-class LayoutSummary:
-    """Materialised block-cyclic layout of the system matrix."""
-
-    grid: ProcessGrid
-    block_size: int
-    shape: tuple
-    entries_per_process: np.ndarray  # (R, C)
-
-    @property
-    def balanced_within(self):
-        counts = self.entries_per_process
-        return int(counts.max() - counts.min())
-
-
-def materialize_layout(shape, grid: ProcessGrid, block_size) -> LayoutSummary:
-    """Build and validate the 2D block-cyclic ownership map.
-
-    Validates that the row/column maps are bijective (the documented
-    inverse reconstructs every index) and that per-process entry counts
-    tile the whole matrix.
-    """
-    rows, cols = shape
-    row_params = BlockCyclicParams(rows, grid.rows, block_size)
-    col_params = BlockCyclicParams(cols, grid.cols, block_size)
-
-    def owner_counts(n, params):
-        m = np.arange(n)
-        t = params.t_period
-        r = params.r_block
-        p = (m % t) // r
-        b = m // t
-        i = m % r
-        if not np.array_equal(b * t + p * r + i, m):
-            raise AssertionError("block-cyclic inverse failed to reconstruct indices")
-        return np.bincount(p, minlength=params.p_total)
-
-    row_counts = owner_counts(rows, row_params)
-    col_counts = owner_counts(cols, col_params)
-    per_process = np.outer(row_counts, col_counts)
-    if per_process.sum() != rows * cols:
-        raise AssertionError("ownership map does not tile the matrix")
-    return LayoutSummary(grid, block_size, (rows, cols), per_process)
-
-
-@dataclass
 class PhaseTimings:
-    """Wall-clock seconds per phase of one distributed run."""
+    """Wall-clock seconds per phase of one distributed run.
+
+    ``block_size`` is the label the run was given; the shared-memory
+    solve uses no block layout.
+    """
 
     assembly: float
     barrier: float
@@ -208,7 +144,6 @@ class PhaseTimings:
     total: float
     workers: int
     block_size: int
-    layout: LayoutSummary | None = None
 
 
 def distributed_assemble_solve(
@@ -220,69 +155,53 @@ def distributed_assemble_solve(
     block_size=32,
     strategy="subdivide",
 ):
-    """Assemble in parallel over row ranges, synchronise, then solve.
+    """Assemble in parallel over row ranges, then solve on shared memory.
 
     Workers own disjoint contiguous row ranges of H and G (block
-    distribution); a full barrier separates assembly completion from
-    boundary-condition application and the dense solve, which runs on
-    shared memory after the block-cyclic layout has been materialised
-    and validated. Because every matrix entry is computed independently
-    and written once, the Solution is bit-identical for any worker
-    count or block size.
+    distribution) and share one read-only quadrature table; the pool
+    maps row assembly over the ranges, and once every range is written
+    the main thread applies the boundary conditions and solves. An
+    error in any worker reaches the caller unchanged. ``block_size``
+    is a label recorded in the timings, not a layout. Because every
+    matrix entry is computed independently and written once, the
+    Solution is bit-identical for any worker count or block size.
+
+    Timings: ``assembly`` runs from the start to the last range's
+    completion, ``barrier`` from there until the map returns, ``solve``
+    covers boundary-condition application, LU and scatter.
     """
+    if block_size < 1:
+        raise ValueError("block size must be positive")
     bad = mesh.degenerate_indices()
     if len(bad):
         raise DegenerateElementError(f"mesh contains degenerate elements {list(bad)}")
 
     n = mesh.n_elements
-    n3 = mesh.n_dofs
-    h = np.empty((n3, n3))
-    g = np.empty((n3, n3))
-    ranges = partition_rows(n, workers)
-    active = [r for r in ranges if len(r)]
-
-    gate = threading.Barrier(len(active) + 1)
-    finish_times = [0.0] * len(active)
-
-    def job(slot, rows, table):
-        try:
-            assemble_rows(mesh, mat, rule, rows, h, g, strategy, table)
-            finish_times[slot] = time.perf_counter()
-            gate.wait()
-        except Exception:
-            gate.abort()
-            raise
+    h = np.empty((mesh.n_dofs, mesh.n_dofs))
+    g = np.empty((mesh.n_dofs, mesh.n_dofs))
+    active = [r for r in partition_rows(n, workers) if len(r)]
 
     t0 = time.perf_counter()
     table = quadrature_table(mesh, rule)
-    with ThreadPoolExecutor(max_workers=len(active)) as pool:
-        futures = [
-            pool.submit(job, slot, rows, table) for slot, rows in enumerate(active)
-        ]
-        try:
-            gate.wait()
-        except threading.BrokenBarrierError:
-            pass
-        t_barrier_released = time.perf_counter()
-        for f in futures:
-            f.result()
 
-    t_assembled = max(finish_times)
-    layout = materialize_layout((n3, n3), ProcessGrid.for_processes(workers), block_size)
+    def job(rows):
+        assemble_rows(mesh, mat, rule, rows, h, g, strategy, table)
+        return time.perf_counter()
+
+    with ThreadPoolExecutor(max_workers=len(active)) as pool:
+        t_assembled = max(pool.map(job, active))
+        t_joined = time.perf_counter()
 
     t_solve_start = time.perf_counter()
-    system = apply_boundary_conditions(InfluenceMatrices(h, g, n), bc)
-    x = solve_direct(system)
-    sol = scatter_solution(x, bc)
+    sol = solve(InfluenceMatrices(h, g, n), bc)
     t_end = time.perf_counter()
 
     timings = PhaseTimings(
         assembly=t_assembled - t0,
-        barrier=t_barrier_released - t_assembled,
+        barrier=t_joined - t_assembled,
         solve=t_end - t_solve_start,
         total=t_end - t0,
         workers=workers,
         block_size=block_size,
-        layout=layout,
     )
     return sol, timings

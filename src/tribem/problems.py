@@ -194,11 +194,15 @@ def _parse_selector(text, builder: BcBuilder):
         if axis not in _AXES:
             raise ValueError(f"bad axis {fields[1]!r}")
         coord = float(fields[2])
+        if not math.isfinite(coord):
+            raise ValueError(f"plane coordinate must be finite, got {fields[2]!r}")
         tol = None
         if len(fields) == 5:
             if fields[3].lower() != "tol":
                 raise ValueError("expected 'tol <t>'")
             tol = float(fields[4])
+            if not (math.isfinite(tol) and tol >= 0):
+                raise ValueError(f"plane tolerance must be finite and >= 0, got {fields[4]!r}")
         return builder.on_plane(axis, coord, tol)
     if head == "ids":
         if len(fields) != 2:

@@ -1,9 +1,9 @@
 """Direct dense solve, precomputed-inverse fast path, and field recovery.
 
-The online cost of the precomputed path is a single dense
-matrix-vector product: the system inverse is taken offline, new
-boundary values are folded into a right-hand side through the stored
-swap bookkeeping, and one matvec yields the mixed unknown vector.
+The online cost of the precomputed path is two dense matrix-vector
+products: the system inverse is taken offline; online, the stored
+builder matrix folds new boundary values into a right-hand side, and
+the inverse maps that to the mixed unknown vector.
 """
 
 from __future__ import annotations
@@ -110,38 +110,28 @@ def precompute_inverse(a):
 class PrecomputedOperator:
     """Offline-inverted system for realtime reuse.
 
-    Stores either the explicit inverse (each application is one dense
-    matvec) or, for memory-conscious runs, the LU factors (each
-    application is two triangular solves). Alongside it: the
+    Stores the explicit inverse of the system matrix, the
     right-hand-side builder matrix and the swap record fixing which DOF
     kinds the operator was built for. Geometry and BC kinds must not
     change between precompute and apply; only values may.
     """
 
-    matrix: np.ndarray  # the inverse, or the packed LU factors
+    matrix: np.ndarray  # the inverse of the system matrix
     rhs: np.ndarray
     displacement_known: np.ndarray
-    pivots: np.ndarray | None = None  # set only in factor storage
 
     @property
     def n_dofs(self):
         return self.matrix.shape[0]
 
     @classmethod
-    def build(cls, hg: InfluenceMatrices, bc: BoundarySpec, store="inverse"):
+    def build(cls, hg: InfluenceMatrices, bc: BoundarySpec):
         system = apply_boundary_conditions(hg, bc)
-        b_matrix = np.ascontiguousarray(rhs_matrix(hg, bc))
-        if store == "factors":
-            lu, piv = _checked_lu(system.a)
-            return cls(np.ascontiguousarray(lu), b_matrix,
-                       bc.displacement_known.copy(), piv.copy())
-        if store != "inverse":
-            raise ValueError(f"unknown storage mode {store!r}")
         # C-contiguous storage so the online matvec takes the same BLAS
         # path before and after save/load (bit-identical reuse)
         return cls(
             np.ascontiguousarray(precompute_inverse(system.a)),
-            b_matrix,
+            np.ascontiguousarray(rhs_matrix(hg, bc)),
             bc.displacement_known.copy(),
         )
 
@@ -149,13 +139,11 @@ class PrecomputedOperator:
         return self.rhs @ np.asarray(values, dtype=float)
 
     def apply_to_rhs(self, b):
-        if self.pivots is not None:
-            return scipy.linalg.lu_solve((self.matrix, self.pivots), b)
         return self.matrix @ b
 
     def save(self, directory):
         """Persist to a directory: two binary matrix dumps plus a JSON
-        record of the BC kinds (and pivots, for factor storage)."""
+        record of the BC kinds."""
         os.makedirs(directory, exist_ok=True)
         write_matrix(os.path.join(directory, "a_inv.mat"), self.matrix)
         write_matrix(os.path.join(directory, "rhs.mat"), self.rhs)
@@ -165,23 +153,33 @@ class PrecomputedOperator:
                 self.displacement_known
             ).tolist(),
         }
-        if self.pivots is not None:
-            record["pivots"] = [int(p) for p in self.pivots]
         with open(os.path.join(directory, "bc_kinds.json"), "w") as f:
             json.dump(record, f)
 
     @classmethod
     def load(cls, directory):
+        """Read a saved operator, rejecting a directory whose matrices do
+        not match each other and the recorded DOF count."""
         matrix = read_matrix(os.path.join(directory, "a_inv.mat"))
         rhs = read_matrix(os.path.join(directory, "rhs.mat"))
         with open(os.path.join(directory, "bc_kinds.json")) as f:
             record = json.load(f)
-        disp = np.zeros(record["n_dofs"], dtype=bool)
+        if "pivots" in record:
+            # LU factors read as an inverse would give wrong answers
+            raise ValueError(f"{directory}: holds LU factors, not an inverse")
+        if matrix.shape != rhs.shape:
+            raise ValueError(
+                f"{directory}: a_inv.mat is {matrix.shape} but rhs.mat is {rhs.shape}"
+            )
+        n = record["n_dofs"]
+        if matrix.shape != (n, n):
+            raise ValueError(
+                f"{directory}: matrices are {matrix.shape}, expected ({n}, {n}) "
+                f"for {n} DOFs"
+            )
+        disp = np.zeros(n, dtype=bool)
         disp[record["displacement_known_indices"]] = True
-        pivots = record.get("pivots")
-        if pivots is not None:
-            pivots = np.asarray(pivots, dtype=np.int32)
-        return cls(matrix, rhs, disp, pivots)
+        return cls(matrix, rhs, disp)
 
 
 def apply_precomputed(op: PrecomputedOperator, new_bc: BoundarySpec) -> Solution:

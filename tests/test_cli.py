@@ -43,6 +43,12 @@ class TestSolve:
         assert main(["solve", "--mesh", str(cube_stl), "--bc", str(bc)]) == 3
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_plane_tolerance_is_input_error(self, capsys, cube_stl, tmp_path):
+        bc = tmp_path / "tol.bc"
+        bc.write_text("plane x 0 : xyz = displacement 0\nplane x 4 tol inf : x = t 1\n")
+        assert main(["solve", "--mesh", str(cube_stl), "--bc", str(bc)]) == 3
+        assert "line 2" in capsys.readouterr().err
+
     def test_missing_file_is_io_error(self):
         assert main(["solve", "--mesh", "/no/such/file.stl", "--bc", "x"]) == 3
 

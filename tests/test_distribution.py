@@ -1,8 +1,10 @@
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from tribem.assembly import assemble_rows
 from tribem.bench import solution_hash
 from tribem.distribution import (
     BlockCyclicParams,
@@ -12,10 +14,10 @@ from tribem.distribution import (
     block_cyclic_map,
     block_map,
     distributed_assemble_solve,
-    materialize_layout,
     owner_of_entry,
     partition_rows,
 )
+from tribem.errors import DegenerateElementError
 from tribem.kernels import gauss_rule
 from tribem.problems import cube_problem
 
@@ -134,34 +136,6 @@ class TestPartitionRows:
             assert flat == list(range(n))
 
 
-class TestProcessGrid:
-    def test_square_counts(self):
-        for p, shape in ((1, (1, 1)), (4, (2, 2)), (16, (4, 4)), (64, (8, 8)), (256, (16, 16))):
-            grid = ProcessGrid.for_processes(p)
-            assert (grid.rows, grid.cols) == shape
-
-    def test_nonsquare(self):
-        grid = ProcessGrid.for_processes(6)
-        assert grid.total == 6
-        assert grid.rows <= grid.cols
-
-
-class TestMaterializeLayout:
-    def test_full_tiling(self):
-        layout = materialize_layout((288, 288), ProcessGrid(2, 2), 144)
-        assert layout.entries_per_process.sum() == 288 * 288
-        assert layout.entries_per_process.shape == (2, 2)
-
-    def test_single_process_one_block(self):
-        # the 1-process configuration: one 288x288 block owned whole
-        layout = materialize_layout((288, 288), ProcessGrid(1, 1), 288)
-        assert layout.entries_per_process[0, 0] == 288 * 288
-
-    def test_block_1_balance(self):
-        layout = materialize_layout((288, 288), ProcessGrid(4, 4), 1)
-        assert layout.balanced_within == 0  # 288 divisible by 4
-
-
 @pytest.fixture(scope="module")
 def prob():
     return cube_problem()
@@ -190,10 +164,9 @@ class TestDistributedAssembleSolve:
     def test_one_process_whole_matrix_block(self, prob):
         # the single-process configuration: one 288x288 block, same result
         rule = gauss_rule(16)
-        sol1, tm = distributed_assemble_solve(
+        sol1, _ = distributed_assemble_solve(
             prob.mesh, prob.material, prob.bc, rule, workers=1, block_size=288
         )
-        assert tm.layout.entries_per_process[0, 0] == 288 * 288
         sol2, _ = distributed_assemble_solve(
             prob.mesh, prob.material, prob.bc, rule, workers=1, block_size=32
         )
@@ -203,11 +176,10 @@ class TestDistributedAssembleSolve:
         rule = gauss_rule(16)
         hashes = set()
         for bs in (144, 128, 64, 32, 1):
-            sol, tm = distributed_assemble_solve(
+            sol, _ = distributed_assemble_solve(
                 prob.mesh, prob.material, prob.bc, rule, workers=4, block_size=bs
             )
             hashes.add(solution_hash(sol))
-            assert tm.layout.entries_per_process.sum() == 288 * 288
         assert len(hashes) == 1
 
     def test_phase_timings_sane(self, prob):
@@ -219,3 +191,37 @@ class TestDistributedAssembleSolve:
         parts = tm.assembly + tm.barrier + tm.solve
         assert parts <= tm.total * 1.05 + 1e-4
         assert tm.total >= parts - 1e-3
+
+    def test_block_size_must_be_positive(self, prob):
+        with pytest.raises(ValueError, match="block size"):
+            distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, gauss_rule(4), block_size=0
+            )
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_worker_error_reaches_caller(self, prob, monkeypatch, workers):
+        # the failing range is not the first, so the other workers finish
+        # normally; the caller must see the typed error, not a secondary one
+        def failing(mesh, mat, rule, rows, *args):
+            if 50 in rows:
+                raise DegenerateElementError("element 50 has zero area")
+            return assemble_rows(mesh, mat, rule, rows, *args)
+
+        monkeypatch.setattr("tribem.distribution.assemble_rows", failing)
+        outcome = []
+
+        def run():
+            try:
+                distributed_assemble_solve(
+                    prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=workers
+                )
+            except Exception as exc:
+                outcome.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(outcome) == 1
+        assert type(outcome[0]) is DegenerateElementError
+        assert str(outcome[0]) == "element 50 has zero area"

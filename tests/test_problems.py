@@ -111,6 +111,16 @@ ids 0,2 : z = displacement 5
         with pytest.raises(BcFileError, match="line 2"):
             parse_bc_file(text, mesh)
 
+    @pytest.mark.parametrize(
+        "selector", ["plane x nan", "plane x inf", "plane x 4 tol -1", "plane x 4 tol inf"]
+    )
+    def test_bad_plane_numbers_name_line(self, selector):
+        # each used to select no element, or every element, without a word
+        mesh = generate_cube(4, 1)
+        text = f"plane x 0 : xyz = u 0\n{selector} : x = t 1\n"
+        with pytest.raises(BcFileError, match="line 2"):
+            parse_bc_file(text, mesh)
+
     def test_comments_and_blanks_ignored(self):
         mesh = generate_cube(4, 1)
         bc = parse_bc_file("\n# nothing\n   \n", mesh)

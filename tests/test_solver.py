@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from oracles import gauss_eliminate
-from tribem.assembly import BoundarySpec, LinearSystem, assemble
+from tribem.assembly import BoundarySpec, LinearSystem, assemble, write_matrix
 from tribem.errors import (
     BoundaryConditionError,
     SingularSystemError,
@@ -183,29 +185,6 @@ class TestPrecomputedOperator:
         with pytest.raises(StaleOperatorError):
             apply_precomputed(op, BoundarySpec(flipped, prob.bc.values))
 
-    def test_factor_storage_option(self, cube_setup, tmp_path):
-        # memory-conscious variant: LU factors instead of the explicit
-        # inverse; same results through the same interface
-        prob, hg, op = cube_setup
-        fact = PrecomputedOperator.build(hg, prob.bc, store="factors")
-        assert fact.pivots is not None
-        a = apply_precomputed(op, prob.bc)
-        b = apply_precomputed(fact, prob.bc)
-        scale = np.abs(a.u).max() + np.abs(a.t).max()
-        assert np.abs(a.u - b.u).max() <= 1e-10 * scale
-        assert np.abs(a.t - b.t).max() <= 1e-10 * scale
-        fact.save(tmp_path / "fact")
-        back = PrecomputedOperator.load(tmp_path / "fact")
-        assert np.array_equal(back.pivots, fact.pivots)
-        c = apply_precomputed(back, prob.bc)
-        assert np.array_equal(b.u, c.u)
-        assert np.array_equal(b.t, c.t)
-
-    def test_unknown_storage_mode(self, cube_setup):
-        prob, hg, _ = cube_setup
-        with pytest.raises(ValueError):
-            PrecomputedOperator.build(hg, prob.bc, store="hologram")
-
     def test_save_load_round_trip(self, cube_setup, tmp_path):
         prob, _, op = cube_setup
         op.save(tmp_path / "op")
@@ -217,6 +196,39 @@ class TestPrecomputedOperator:
         ref = apply_precomputed(op, prob.bc)
         assert np.array_equal(sol.u, ref.u)
         assert np.array_equal(sol.t, ref.t)
+
+    def test_load_rejects_factor_record(self, cube_setup, tmp_path):
+        # a directory written with LU factors and pivots must not be read
+        # as an inverse
+        _, _, op = cube_setup
+        op.save(tmp_path / "op")
+        kinds = tmp_path / "op" / "bc_kinds.json"
+        record = json.loads(kinds.read_text())
+        record["pivots"] = list(range(op.n_dofs))
+        kinds.write_text(json.dumps(record))
+        with pytest.raises(ValueError) as exc:
+            PrecomputedOperator.load(tmp_path / "op")
+        assert str(tmp_path / "op") in str(exc.value)
+        assert "LU factors" in str(exc.value)
+
+    def test_load_rejects_mismatched_files(self, cube_setup, tmp_path):
+        _, _, op = cube_setup
+        op.save(tmp_path / "op")
+        write_matrix(str(tmp_path / "op" / "rhs.mat"), np.eye(72))
+        with pytest.raises(ValueError) as exc:
+            PrecomputedOperator.load(tmp_path / "op")
+        assert str(tmp_path / "op") in str(exc.value)
+        assert "(72, 72)" in str(exc.value)
+
+    def test_load_rejects_wrong_dof_count(self, cube_setup, tmp_path):
+        _, _, op = cube_setup
+        op.save(tmp_path / "op")
+        for name in ("a_inv.mat", "rhs.mat"):
+            write_matrix(str(tmp_path / "op" / name), np.eye(72))
+        with pytest.raises(ValueError) as exc:
+            PrecomputedOperator.load(tmp_path / "op")
+        assert str(tmp_path / "op") in str(exc.value)
+        assert f"{op.n_dofs} DOFs" in str(exc.value)
 
 
 class TestPhysics:
