@@ -12,7 +12,7 @@ from tribem import generate_box, generate_cube, load_stl, validate, write_stl
 
 cube = generate_cube(4.0, 2)
 print("sample cube")
-print(cube.summary())
+print(validate(cube))
 print()
 
 # every element has the same area, and area-weighted normals cancel on a

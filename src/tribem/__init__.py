@@ -41,12 +41,9 @@ from .kernels import (
     kelvin_T,
     kelvin_U,
     make_material,
-    map_rule_to_triangle,
 )
 from .mesh import (
-    Element,
     SurfaceMesh,
-    element_geometry,
     generate_box,
     generate_cube,
     load_stl,

@@ -51,7 +51,6 @@ from .kernels import (
     kelvin_t_points,
     kelvin_u_points,
     kernel_moments,
-    map_rule_to_triangle,
     moment_features,
 )
 from .mesh import SurfaceMesh
@@ -151,7 +150,9 @@ def integrate_pair(i, j, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule)
     integrated over field element j. Requires i != j."""
     if i == j:
         raise ValueError("integrate_pair is for off-diagonal blocks only (i != j)")
-    pts, w = map_rule_to_triangle(rule, mesh.element(j))
+    if mesh.areas[j] <= 0.0:
+        raise DegenerateElementError(f"element {j} is degenerate")
+    pts, w = collapsed_map(rule, *mesh.vertices[j])
     c = mesh.centroids[i]
     t_blocks = kelvin_t_points(c, pts, mesh.normals[j], mat)
     u_blocks = kelvin_u_points(c, pts, mat)
@@ -177,7 +178,7 @@ def integrate_self_g(
         raise DegenerateElementError(f"element {i} is degenerate")
 
     if strategy == "paper-faithful":
-        pts, w = map_rule_to_triangle(rule, mesh.element(i))
+        pts, w = collapsed_map(rule, *v)
         blocks = kelvin_u_points(c, pts, mat)
         return np.einsum("q,qab->ab", w, blocks)
     if strategy != "subdivide":
@@ -230,22 +231,23 @@ def assemble_rows(
     mesh: SurfaceMesh,
     mat: Material,
     rule: QuadratureRule,
+    table: QuadratureTable,
     rows,
     h_out,
     g_out,
     strategy="subdivide",
-    table: QuadratureTable | None = None,
 ):
     """Fill the collocation rows ``rows`` of preallocated H and G.
 
     Rows are taken two at a time: the radial weights 1/r, 1/r^3, 1/r^5
     from each row's collocation point to every quadrature point of the
-    mesh are contracted against ``table`` (built here when not given),
-    and the blocks follow from the moments, the centroid offsets D and
-    the element normals (flat elements: d.n_j = D.n_j). Every (row,
-    element) pair is its own fixed-shape contraction and writes are
-    disjoint, so any partition of rows across workers, and any grouping
-    of rows within one, yields bit-identical matrices. Then the diagonal
+    mesh are contracted against ``table`` (from :func:`quadrature_table`
+    for the same mesh and rule), and the blocks follow from the moments,
+    the centroid offsets D and the element normals (flat elements:
+    d.n_j = D.n_j). Every (row, element) pair is its own fixed-shape
+    contraction and writes are disjoint, so any partition of rows across
+    workers, and any grouping of rows within one, yields bit-identical
+    matrices. Then the diagonal
     blocks are set: H_ii by the rigid-body identity over the
     off-diagonal blocks in ascending column order, G_ii by singular
     integration (``strategy``, as in :func:`integrate_self_g`).
@@ -257,8 +259,6 @@ def assemble_rows(
     if len(degenerate):
         raise DegenerateElementError(f"elements {degenerate.tolist()} are degenerate")
     n = mesh.n_elements
-    if table is None:
-        table = quadrature_table(mesh, rule)
     work = np.empty((3, _ROW_BATCH) + table.points.shape[1:])
     moments = np.empty((_ROW_BATCH, n, 3, N_FEATURES))
 
@@ -298,7 +298,8 @@ def assemble(
     n3 = mesh.n_dofs
     h = np.empty((n3, n3))
     g = np.empty((n3, n3))
-    assemble_rows(mesh, mat, rule, range(mesh.n_elements), h, g, strategy)
+    table = quadrature_table(mesh, rule)
+    assemble_rows(mesh, mat, rule, table, range(mesh.n_elements), h, g, strategy)
     return InfluenceMatrices(h, g, mesh.n_elements)
 
 

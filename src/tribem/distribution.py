@@ -185,7 +185,7 @@ def distributed_assemble_solve(
     table = quadrature_table(mesh, rule)
 
     def job(rows):
-        assemble_rows(mesh, mat, rule, rows, h, g, strategy, table)
+        assemble_rows(mesh, mat, rule, table, rows, h, g, strategy)
         return time.perf_counter()
 
     with ThreadPoolExecutor(max_workers=len(active)) as pool:

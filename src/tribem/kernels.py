@@ -37,12 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateElementError,
-    InvalidMaterialError,
-    SingularEvaluationError,
-)
-from .mesh import Element
+from .errors import InvalidMaterialError, SingularEvaluationError
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
 
@@ -290,14 +285,3 @@ def kelvin_blocks(moments, offsets, normals, mat: Material):
     h *= -1.0 / (8.0 * np.pi * (1.0 - nu))
     return h, g
 
-
-def map_rule_to_triangle(rule: QuadratureRule, element: Element):
-    """Physical quadrature points and scaled weights over one element.
-
-    Weights carry the area measure: they sum to the element area, and
-    all points lie strictly inside the triangle.
-    """
-    if element.area <= 0.0:
-        raise DegenerateElementError("cannot map quadrature onto a degenerate element")
-    v = element.vertices
-    return collapsed_map(rule, v[0], v[1], v[2])

@@ -15,70 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateElementError, EmptyMeshError, StlParseError
+from .errors import EmptyMeshError, StlParseError
 
 # A triangle is degenerate when its area falls at or below this fraction
 # of its own squared bounding-box diagonal (scale-relative, unit-free).
 DEGENERACY_RATIO = 1e-12
-
-
-def _triangle_geometry(vertices):
-    """Raw centroid / area / unit normal of one triangle, no validity checks.
-
-    Zero-area triangles yield a zero normal.
-    """
-    v = np.asarray(vertices, dtype=float)
-    centroid = v.mean(axis=0)
-    cross = np.cross(v[1] - v[0], v[2] - v[0])
-    norm = float(np.linalg.norm(cross))
-    area = 0.5 * norm
-    normal = cross / norm if norm > 0.0 else np.zeros(3)
-    return centroid, area, normal
-
-
-def _is_degenerate(vertices, area):
-    diag = float(np.linalg.norm(vertices.max(axis=0) - vertices.min(axis=0)))
-    return area <= DEGENERACY_RATIO * diag * diag
-
-
-def element_geometry(vertices):
-    """Centroid, area and unit normal of a triangle given its three vertices.
-
-    The normal follows the right-hand rule over the vertex order. Raises
-    ``DegenerateElementError`` for (near-)collinear vertices.
-    """
-    v = np.asarray(vertices, dtype=float)
-    if v.shape != (3, 3):
-        raise ValueError(f"expected three 3D vertices, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vertices must be finite")
-    centroid, area, normal = _triangle_geometry(v)
-    if _is_degenerate(v, area):
-        raise DegenerateElementError(f"triangle with area {area:g} is degenerate")
-    return centroid, area, normal
-
-
-@dataclass
-class Element:
-    """Flat triangular constant boundary element.
-
-    The collocation node sits at the centroid. Arrays are frozen after
-    construction so elements can be shared across threads.
-    """
-
-    vertices: np.ndarray  # (3, 3), mm
-    centroid: np.ndarray  # (3,), mm
-    area: float  # mm^2
-    normal: np.ndarray  # (3,), unit
-
-    def __post_init__(self):
-        for arr in (self.vertices, self.centroid, self.normal):
-            arr.setflags(write=False)
-
-    @classmethod
-    def from_vertices(cls, vertices):
-        centroid, area, normal = element_geometry(vertices)
-        return cls(np.array(vertices, dtype=float), centroid, area, normal)
 
 
 class SurfaceMesh:
@@ -86,16 +27,18 @@ class SurfaceMesh:
 
     Immutable after construction; geometry is cached in packed arrays
     (``vertices``, ``centroids``, ``areas``, ``normals``) for vectorised
-    consumers.
+    consumers. This class is the only place that computes them.
     """
 
     def __init__(self, vertices):
         """Build a mesh from an (N, 3, 3) vertex array.
 
-        Degenerate facets are admitted here (real STL files carry them);
-        they surface in :func:`validate` and are rejected by assembly.
+        The array is copied, so the caller's array stays writable and
+        later changes to it cannot reach the mesh. Degenerate facets are
+        admitted here (real STL files carry them); they surface in
+        :func:`validate` and are rejected by assembly.
         """
-        v = np.asarray(vertices, dtype=float)
+        v = np.array(vertices, dtype=float)
         if v.ndim != 3 or v.shape[1:] != (3, 3):
             raise ValueError(f"expected (N, 3, 3) vertex array, got {v.shape}")
         if v.shape[0] == 0:
@@ -128,17 +71,6 @@ class SurfaceMesh:
         """Total degrees of freedom: three per element."""
         return 3 * self.n_elements
 
-    def element(self, i) -> Element:
-        return Element(
-            self.vertices[i].copy(),
-            self.centroids[i].copy(),
-            float(self.areas[i]),
-            self.normals[i].copy(),
-        )
-
-    def elements(self):
-        return [self.element(i) for i in range(self.n_elements)]
-
     def degenerate_indices(self):
         """Indices of facets failing the scale-relative area threshold."""
         spans = self.vertices.max(axis=1) - self.vertices.min(axis=1)
@@ -148,18 +80,6 @@ class SurfaceMesh:
     def closure_residual(self):
         """Vector sum of area-weighted normals; ~0 for a closed surface."""
         return self.areas @ self.normals
-
-    def summary(self):
-        res = self.closure_residual()
-        lines = [
-            f"elements:         {self.n_elements}",
-            f"dofs:             {self.n_dofs}",
-            f"total area:       {self.areas.sum():.6g}",
-            f"area range:       [{self.areas.min():.6g}, {self.areas.max():.6g}]",
-            f"closure residual: {np.linalg.norm(res):.3e}",
-            f"degenerate:       {len(self.degenerate_indices())}",
-        ]
-        return "\n".join(lines)
 
 
 @dataclass
@@ -233,7 +153,7 @@ def generate_box(lengths, divisions) -> SurfaceMesh:
 
     ``lengths``/``divisions`` are per axis (x, y, z). Face (a, b) with
     divisions (ka, kb) contributes 4*ka*kb triangles; all normals point
-    outward. Element order is deterministic: faces in -x, +x, -y, +y,
+    outward. The element order is deterministic: faces in -x, +x, -y, +y,
     -z, +z order, grid rows in axis-p-major order, four triangles per
     square fanned counterclockwise.
     """
@@ -319,6 +239,8 @@ def _parse_ascii_stl(data):
             vals = [float(g) for g in m.groups()]
         except ValueError:
             raise StlParseError("non-numeric vertex coordinate", nxt) from None
+        if not np.isfinite(vals).all():
+            raise StlParseError("non-finite vertex coordinate", nxt)
         tris.append(np.array(vals).reshape(3, 3))
         pos = m.end()
     return tris
@@ -334,7 +256,11 @@ def _parse_binary_stl(data):
             f"facet count says {count} but data ends early", len(data)
         )
     records = np.frombuffer(data, dtype=_STL_FACET, count=count, offset=84)
-    return records["vertices"].astype(float)
+    verts = records["vertices"].astype(float)
+    bad = np.flatnonzero(~np.isfinite(verts).all(axis=(1, 2)))
+    if len(bad):
+        raise StlParseError("non-finite vertex coordinate", 84 + 50 * int(bad[0]))
+    return verts
 
 
 def load_stl(data: bytes) -> SurfaceMesh:
@@ -342,7 +268,8 @@ def load_stl(data: bytes) -> SurfaceMesh:
 
     File normals are ignored; normals are recomputed from the vertex
     winding (files in the wild carry junk normals). Raises
-    ``StlParseError`` with a byte offset on malformed input and
+    ``StlParseError`` with a byte offset on malformed input, including a
+    non-finite vertex coordinate (the offset of its facet), and
     ``EmptyMeshError`` on zero facets.
     """
     if not isinstance(data, (bytes, bytearray, memoryview)):

@@ -70,7 +70,7 @@ class BcBuilder:
         return self
 
     def on_plane(self, axis, coord, tol=None):
-        """Element ids whose centroid lies on an axis-aligned plane."""
+        """Ids of the elements whose centroid lies on an axis-aligned plane."""
         if tol is None:
             lo = self.mesh.vertices.reshape(-1, 3).min(axis=0)
             hi = self.mesh.vertices.reshape(-1, 3).max(axis=0)

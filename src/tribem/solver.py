@@ -159,7 +159,8 @@ class PrecomputedOperator:
     @classmethod
     def load(cls, directory):
         """Read a saved operator, rejecting a directory whose matrices do
-        not match each other and the recorded DOF count."""
+        not match each other and the recorded DOF count, or whose BC
+        record is incomplete or names a DOF outside [0, n_dofs)."""
         matrix = read_matrix(os.path.join(directory, "a_inv.mat"))
         rhs = read_matrix(os.path.join(directory, "rhs.mat"))
         with open(os.path.join(directory, "bc_kinds.json")) as f:
@@ -167,18 +168,28 @@ class PrecomputedOperator:
         if "pivots" in record:
             # LU factors read as an inverse would give wrong answers
             raise ValueError(f"{directory}: holds LU factors, not an inverse")
+        try:
+            n = record["n_dofs"]
+            known = np.asarray(record["displacement_known_indices"])
+        except KeyError as exc:
+            raise ValueError(f"{directory}: bc_kinds.json has no {exc} entry") from None
         if matrix.shape != rhs.shape:
             raise ValueError(
                 f"{directory}: a_inv.mat is {matrix.shape} but rhs.mat is {rhs.shape}"
             )
-        n = record["n_dofs"]
         if matrix.shape != (n, n):
             raise ValueError(
                 f"{directory}: matrices are {matrix.shape}, expected ({n}, {n}) "
                 f"for {n} DOFs"
             )
+        if known.size and (
+            known.ndim != 1 or known.dtype.kind != "i" or known.min() < 0 or known.max() >= n
+        ):
+            raise ValueError(
+                f"{directory}: displacement-known DOFs must be integers in [0, {n})"
+            )
         disp = np.zeros(n, dtype=bool)
-        disp[record["displacement_known_indices"]] = True
+        disp[known.astype(int)] = True
         return cls(matrix, rhs, disp)
 
 

@@ -12,6 +12,7 @@ from tribem.assembly import (
     integrate_pair,
     integrate_self_g,
     matrix_summary,
+    quadrature_table,
     read_matrix,
     rhs_matrix,
     rigid_body_diagonal,
@@ -64,6 +65,20 @@ class TestIntegratePair:
         mesh = two_triangle_mesh((2.0, 0.0, 0.0))
         with pytest.raises(ValueError):
             integrate_pair(1, 1, mesh, MAT, RULE)
+
+    def test_zero_area_field_element_rejected(self):
+        tris = np.array(
+            [
+                [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+                [(3, 0, 0), (4, 0, 0), (5, 0, 0)],
+            ],
+            dtype=float,
+        )
+        mesh = SurfaceMesh(tris)
+        with pytest.raises(DegenerateElementError):
+            integrate_pair(0, 1, mesh, MAT, RULE)
+        with pytest.raises(DegenerateElementError):
+            integrate_self_g(1, mesh, MAT, RULE, "paper-faithful")
 
 
 class TestIntegrateSelfG:
@@ -158,8 +173,9 @@ class TestAssemble:
         h = np.empty((n3, n3))
         g = np.empty((n3, n3))
         # simulate two workers with an uneven split
-        assemble_rows(mesh, MAT, RULE, range(0, 5), h, g)
-        assemble_rows(mesh, MAT, RULE, range(5, mesh.n_elements), h, g)
+        table = quadrature_table(mesh, RULE)
+        assemble_rows(mesh, MAT, RULE, table, range(0, 5), h, g)
+        assemble_rows(mesh, MAT, RULE, table, range(5, mesh.n_elements), h, g)
         assert np.array_equal(h, full.h)
         assert np.array_equal(g, full.g)
 

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from tribem.cli import main
@@ -86,6 +88,19 @@ class TestValidateCommand:
         bad = tmp_path / "bad.stl"
         bad.write_bytes(b"\x01" * 60)
         assert main(["validate", "--mesh", str(bad)]) == 3
+
+    @pytest.mark.parametrize("binary", [False, True])
+    def test_non_finite_stl_input_error(self, capsys, tmp_path, binary):
+        data = write_stl(generate_cube(4, 1), binary=binary)
+        if binary:
+            data = bytearray(data)
+            data[84 + 12 : 84 + 16] = struct.pack("<f", float("nan"))
+        else:
+            data = data.replace(b"vertex 0.000000000e+00", b"vertex nan", 1)
+        bad = tmp_path / "nan.stl"
+        bad.write_bytes(bytes(data))
+        assert main(["validate", "--mesh", str(bad)]) == 3
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestSweepCommand:

@@ -1,10 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 
-from tribem.errors import DegenerateElementError, EmptyMeshError, StlParseError
+from tribem.errors import EmptyMeshError, StlParseError
 from tribem.mesh import (
     SurfaceMesh,
-    element_geometry,
     generate_box,
     generate_cube,
     load_stl,
@@ -13,49 +14,67 @@ from tribem.mesh import (
 )
 
 
+def facet(vertices):
+    """A one-facet mesh."""
+    return SurfaceMesh(np.array([vertices], dtype=float))
+
+
 class TestElementGeometry:
     def test_unit_right_triangle(self):
-        centroid, area, normal = element_geometry(
-            [(0, 0, 0), (1, 0, 0), (0, 1, 0)]
-        )
-        assert np.allclose(centroid, [1 / 3, 1 / 3, 0])
-        assert area == pytest.approx(0.5)
-        assert np.allclose(normal, [0, 0, 1])
+        mesh = facet([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        assert np.allclose(mesh.centroids[0], [1 / 3, 1 / 3, 0])
+        assert mesh.areas[0] == pytest.approx(0.5)
+        assert np.allclose(mesh.normals[0], [0, 0, 1])
 
     def test_collinear_vertices_rejected(self):
-        with pytest.raises(DegenerateElementError):
-            element_geometry([(0, 0, 0), (2, 0, 0), (4, 0, 0)])
+        mesh = facet([(0, 0, 0), (2, 0, 0), (4, 0, 0)])
+        assert mesh.degenerate_indices().tolist() == [0]
 
     def test_winding_flips_normal(self):
-        _, _, normal = element_geometry([(0, 0, 0), (0, 0, 1), (0, 1, 0)])
-        assert np.allclose(normal, [-1, 0, 0])
+        mesh = facet([(0, 0, 0), (0, 0, 1), (0, 1, 0)])
+        assert np.allclose(mesh.normals[0], [-1, 0, 0])
 
     def test_cyclic_permutation_invariant(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             v = rng.uniform(-3, 3, size=(3, 3))
-            try:
-                c0, a0, n0 = element_geometry(v)
-            except DegenerateElementError:
+            m0 = facet(v)
+            if len(m0.degenerate_indices()):
                 continue
             for shift in (1, 2):
-                c, a, n = element_geometry(np.roll(v, shift, axis=0))
-                assert np.allclose(c, c0, atol=1e-12)
-                assert a == pytest.approx(a0, rel=1e-12)
-                assert np.allclose(n, n0, atol=1e-12)
+                m = facet(np.roll(v, shift, axis=0))
+                assert np.allclose(m.centroids, m0.centroids, atol=1e-12)
+                assert m.areas[0] == pytest.approx(m0.areas[0], rel=1e-12)
+                assert np.allclose(m.normals, m0.normals, atol=1e-12)
 
     def test_normal_unit_and_orthogonal(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             v = rng.uniform(-1, 1, size=(3, 3))
-            try:
-                _, _, n = element_geometry(v)
-            except DegenerateElementError:
+            mesh = facet(v)
+            if len(mesh.degenerate_indices()):
                 continue
+            n = mesh.normals[0]
             assert abs(np.linalg.norm(n) - 1.0) < 1e-12
             scale = np.linalg.norm(v[1] - v[0])
             assert abs(np.dot(n, v[1] - v[0])) < 1e-10 * scale
             assert abs(np.dot(n, v[2] - v[0])) < 1e-10 * scale
+
+
+class TestInputCopied:
+    def test_caller_array_stays_writable(self):
+        base = generate_cube(4, 1).vertices.copy()
+        SurfaceMesh(base)
+        assert base.flags.writeable
+        base += 10.0
+
+    def test_later_writes_do_not_reach_mesh(self):
+        base = generate_cube(4, 1).vertices.copy()
+        mesh = SurfaceMesh(base[:])
+        before = mesh.vertices.copy()
+        base += 10.0
+        assert np.array_equal(mesh.vertices, before)
+        assert np.allclose(mesh.centroids, before.mean(axis=1))
 
 
 class TestGenerateCube:
@@ -153,8 +172,6 @@ endsolid demo
     def test_truncated_binary_rejected(self):
         mesh = generate_cube(4, 1)
         data = bytearray(write_stl(mesh, binary=True))
-        import struct
-
         struct.pack_into("<I", data, 80, 10)  # claim 10 facets, keep fewer
         data = bytes(data[: 84 + 3 * 50])
         with pytest.raises(StlParseError) as exc:
@@ -174,6 +191,23 @@ endsolid demo
         text = b"solid x\n facet normal 0 0 1\n outer loop\n vertex 0 0 0\n endloop\n endfacet\nendsolid x\n"
         with pytest.raises(StlParseError):
             load_stl(text)
+
+    def test_ascii_non_finite_coordinate(self):
+        text = write_stl(generate_cube(4, 1), binary=False)
+        second = text.index(b"facet", text.index(b"endfacet") + len(b"endfacet"))
+        line = text.index(b"vertex", second)
+        text = text[:line] + b"vertex nan 0 0" + text[text.index(b"\n", line) :]
+        with pytest.raises(StlParseError) as exc:
+            load_stl(text)
+        assert exc.value.offset == second
+
+    def test_binary_non_finite_coordinate(self):
+        data = bytearray(write_stl(generate_cube(4, 1), binary=True))
+        # facet 3, vertex 1, y: after the 12-byte normal and one vertex
+        struct.pack_into("<f", data, 84 + 3 * 50 + 12 + 12 + 4, float("nan"))
+        with pytest.raises(StlParseError) as exc:
+            load_stl(bytes(data))
+        assert exc.value.offset == 84 + 3 * 50
 
     def test_binary_with_solid_header_prefix(self):
         # binary files sometimes start with "solid" in their 80-byte header
@@ -209,7 +243,3 @@ class TestValidate:
         report = validate(SurfaceMesh(tris))
         assert list(report.degenerate_indices) == [1]
         assert not report.ok
-
-    def test_summary_text(self):
-        text = generate_cube(4, 2).summary()
-        assert "96" in text and "288" in text

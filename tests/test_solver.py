@@ -230,6 +230,36 @@ class TestPrecomputedOperator:
         assert str(tmp_path / "op") in str(exc.value)
         assert f"{op.n_dofs} DOFs" in str(exc.value)
 
+    def _load_with_record(self, op, directory, **changes):
+        op.save(directory)
+        kinds = directory / "bc_kinds.json"
+        record = json.loads(kinds.read_text())
+        record.update(changes)
+        kinds.write_text(json.dumps({k: v for k, v in record.items() if v is not None}))
+        with pytest.raises(ValueError) as exc:
+            PrecomputedOperator.load(directory)
+        assert str(directory) in str(exc.value)
+        return str(exc.value)
+
+    def test_load_rejects_index_past_end(self, cube_setup, tmp_path):
+        _, _, op = cube_setup
+        message = self._load_with_record(
+            op, tmp_path / "op", displacement_known_indices=[0, op.n_dofs]
+        )
+        assert f"[0, {op.n_dofs})" in message
+
+    def test_load_rejects_negative_index(self, cube_setup, tmp_path):
+        _, _, op = cube_setup
+        message = self._load_with_record(
+            op, tmp_path / "op", displacement_known_indices=[0, -1]
+        )
+        assert f"[0, {op.n_dofs})" in message
+
+    def test_load_rejects_missing_dof_count(self, cube_setup, tmp_path):
+        _, _, op = cube_setup
+        message = self._load_with_record(op, tmp_path / "op", n_dofs=None)
+        assert "n_dofs" in message
+
 
 class TestPhysics:
     def test_equilibrium_sample_problem(self, cube_solution):
