@@ -294,7 +294,7 @@ def assemble(
     """
     bad = mesh.degenerate_indices()
     if len(bad):
-        raise DegenerateElementError(f"mesh contains degenerate elements {list(bad)}")
+        raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
     n3 = mesh.n_dofs
     h = np.empty((n3, n3))
     g = np.empty((n3, n3))
@@ -331,7 +331,8 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     disp = bc.displacement_known
     a = hg.h.copy()
     a[:, disp] = -hg.g[:, disp]
-    b = hg.g[:, ~disp] @ bc.values[~disp] - hg.h[:, disp] @ bc.values[disp]
+    # zeroing values, not gathering columns, keeps b free of N x N copies
+    b = hg.g @ np.where(disp, 0.0, bc.values) - hg.h @ np.where(disp, bc.values, 0.0)
     return LinearSystem(a, b, disp.copy())
 
 

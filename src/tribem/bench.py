@@ -4,7 +4,10 @@ Runs multi-trial wall-clock sweeps over worker counts and block sizes
 (or over synthetic system sizes), tagging every run with a hash of its
 result so that layout/worker invariance is provable from the report
 alone. Each cell gets one warm-up run, recorded as trial 0 and excluded
-from averages rather than discarded silently. Reports come in two
+from averages rather than discarded silently. Every mode runs the same
+trial loop, and an error in any run stops the sweep and reaches the
+caller as raised: all cells of a problem sweep compute the same
+solution, so a failure in one is a failure in all. Reports come in two
 shapes: a raw CSV of every record, and a text table with one row per
 configuration, one column per trial and a 3-decimal average column.
 
@@ -21,21 +24,27 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .assembly import LinearSystem, assemble
 from .distribution import distributed_assemble_solve
-from .errors import TriBemError
 from .kernels import gauss_rule
 from .problems import Problem
-from .solver import PrecomputedOperator, Solution, precompute_inverse, solve_direct
+from .solver import (
+    PrecomputedOperator,
+    Solution,
+    apply_precomputed,
+    precompute_inverse,
+    solve_direct,
+)
 
 GRAPHICS_RATE = 30.0
 HAPTICS_RATE = 1000.0
+SEED = 2014
 
 
 @dataclass
@@ -50,10 +59,9 @@ class BenchConfig:
     workers: tuple = (1,)
     block_sizes: tuple = (32,)
     sizes: tuple = ()  # synthetic DOF counts for dummy/matvec modes
-    seed: int = 2014
 
     def __post_init__(self):
-        if self.mode not in ("assemble-and-solve", "precomputed-matvec", "dummy-system"):
+        if self.mode not in _CELLS:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
@@ -117,18 +125,15 @@ class SweepSummary:
     records: list
     configs: list  # of ConfigSummary, in first-seen order
     worker_means: dict  # worker count -> grand mean over its cells
-    failed: list = field(default_factory=list)  # config ids
-
-
-def solution_hash(sol: Solution):
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(sol.u).tobytes())
-    digest.update(np.ascontiguousarray(sol.t).tobytes())
-    return digest.hexdigest()
 
 
 def vector_hash(x):
     return hashlib.sha256(np.ascontiguousarray(x, dtype=float).tobytes()).hexdigest()
+
+
+def solution_hash(sol: Solution):
+    """sha256 of the bytes of u followed by those of t."""
+    return vector_hash(np.concatenate((sol.u, sol.t)))
 
 
 def realtime_verdict(mean_total_seconds) -> RealtimeVerdict:
@@ -150,108 +155,89 @@ def estimate_nonlinear(linear_seconds, iterations=100) -> NonlinearEstimate:
     return NonlinearEstimate(seconds, iterations, realtime_verdict(seconds))
 
 
-def _dummy_system(n, rng):
-    """Random diagonally dominant system: well conditioned at any size,
-    so timing reflects size alone."""
+def _dummy_system(n):
+    """Random diagonally dominant system seeded by its size: well
+    conditioned at any size, so timing reflects size alone."""
+    rng = np.random.default_rng(SEED + n)
     a = rng.random((n, n)) + n * np.eye(n)
     b = rng.random(n)
     return LinearSystem(a, b, np.zeros(n, dtype=bool))
 
 
-def _run_assemble_cells(config, records):
+def _timed(phase, call, digest=vector_hash):
+    """A trial that times one call; its time is both ``phase`` and total."""
+
+    def run():
+        t0 = time.perf_counter()
+        out = call()
+        dt = time.perf_counter() - t0
+        return {phase: dt, "total": dt}, digest(out)
+
+    return run
+
+
+def _assemble_cells(config):
     rule = gauss_rule(config.quad_order)
     prob = config.problem
     for w in config.workers:
         for bs in config.block_sizes:
-            cid = f"w{w}_b{bs}"
-            try:
-                for trial in range(config.trials + 1):
-                    sol, tm = distributed_assemble_solve(
-                        prob.mesh,
-                        prob.material,
-                        prob.bc,
-                        rule,
-                        workers=w,
-                        block_size=bs,
-                        strategy=config.self_strategy,
-                    )
-                    h = solution_hash(sol)
-                    for phase, secs in (
-                        ("assembly", tm.assembly),
-                        ("barrier", tm.barrier),
-                        ("solve", tm.solve),
-                        ("total", tm.total),
-                    ):
-                        records.append(TimingRecord(cid, w, bs, phase, trial, secs, h))
-            except TriBemError:
-                records.append(
-                    TimingRecord(cid, w, bs, "failed", 0, float("nan"), None)
+
+            def run(w=w, bs=bs):
+                sol, tm = distributed_assemble_solve(
+                    prob.mesh, prob.material, prob.bc, rule,
+                    workers=w, block_size=bs, strategy=config.self_strategy,
                 )
+                phases = {"assembly": tm.assembly, "barrier": tm.barrier,
+                          "solve": tm.solve, "total": tm.total}
+                return phases, solution_hash(sol)
+
+            yield f"w{w}_b{bs}", w, bs, run
 
 
-def _run_dummy_cells(config, records):
+def _dummy_cells(config):
     for n in config.sizes:
-        cid = f"dummy_n{n}"
-        rng = np.random.default_rng(config.seed + n)
-        system = _dummy_system(n, rng)
-        try:
-            for trial in range(config.trials + 1):
-                t0 = time.perf_counter()
-                x = solve_direct(system)
-                dt = time.perf_counter() - t0
-                h = vector_hash(x)
-                records.append(TimingRecord(cid, None, None, "solve", trial, dt, h))
-                records.append(TimingRecord(cid, None, None, "total", trial, dt, h))
-        except TriBemError:
-            records.append(TimingRecord(cid, None, None, "failed", 0, float("nan"), None))
+        yield f"dummy_n{n}", None, None, _timed("solve", partial(solve_direct, _dummy_system(n)))
 
 
-def _run_matvec_cells(config, records):
-    if config.problem is not None:
-        prob = config.problem
+def _matvec_cells(config):
+    prob = config.problem
+    if prob is not None:
         rule = gauss_rule(config.quad_order)
         hg = assemble(prob.mesh, prob.material, rule, config.self_strategy)
         op = PrecomputedOperator.build(hg, prob.bc)
-        cid = f"matvec_n{op.n_dofs}"
-        for trial in range(config.trials + 1):
-            t0 = time.perf_counter()
-            b = op.rebuild_rhs(prob.bc.values)
-            tm0 = time.perf_counter()
-            x = op.apply_to_rhs(b)
-            tm1 = time.perf_counter()
-            total = tm1 - t0
-            h = vector_hash(x)
-            records.append(TimingRecord(cid, None, None, "matvec", trial, tm1 - tm0, h))
-            records.append(TimingRecord(cid, None, None, "total", trial, total, h))
+        run = _timed("matvec", partial(apply_precomputed, op, prob.bc), solution_hash)
+        yield f"matvec_n{op.n_dofs}", None, None, run
         return
-
     for n in config.sizes:
-        cid = f"matvec_n{n}"
-        rng = np.random.default_rng(config.seed + n)
-        system = _dummy_system(n, rng)
+        system = _dummy_system(n)
         a_inv = precompute_inverse(system.a)
-        for trial in range(config.trials + 1):
-            t0 = time.perf_counter()
-            x = a_inv @ system.b
-            dt = time.perf_counter() - t0
-            h = vector_hash(x)
-            records.append(TimingRecord(cid, None, None, "matvec", trial, dt, h))
-            records.append(TimingRecord(cid, None, None, "total", trial, dt, h))
+        yield f"matvec_n{n}", None, None, _timed("matvec", partial(np.matmul, a_inv, system.b))
+
+
+_CELLS = {
+    "assemble-and-solve": _assemble_cells,
+    "dummy-system": _dummy_cells,
+    "precomputed-matvec": _matvec_cells,
+}
 
 
 def run_sweep(config: BenchConfig):
     """Execute every cell of the sweep; returns all timing records.
 
-    Cells run sequentially for timing isolation. A failing cell is
-    recorded with phase "failed" and the sweep continues.
+    Each cell is a ``(config_id, workers, block_size, run)`` tuple whose
+    ``run()`` times one trial and returns its ``{phase: seconds}`` and
+    result hash. Cells run sequentially for timing isolation: trial 0
+    is the warm-up, then ``config.trials`` counted trials. An error in
+    any trial stops the sweep and reaches the caller as raised.
     """
     records = []
-    if config.mode == "assemble-and-solve":
-        _run_assemble_cells(config, records)
-    elif config.mode == "dummy-system":
-        _run_dummy_cells(config, records)
-    else:
-        _run_matvec_cells(config, records)
+    for cid, workers, block_size, run in _CELLS[config.mode](config):
+        for trial in range(config.trials + 1):
+            phases, digest = run()
+            records += [
+                TimingRecord(cid, workers, block_size, phase, trial, secs, digest)
+                for phase, secs in phases.items()
+            ]
     return records
 
 
@@ -259,51 +245,31 @@ def summarize(records) -> SweepSummary:
     """Per-configuration trial times and means, and per-worker grand
     means over all that worker count's cells (warm-ups excluded)."""
     records = list(records)
-    if not records:
-        raise ValueError("no timing records to summarise")
-
-    order = []
-    cells = {}
-    failed = [r.config_id for r in records if r.phase == "failed"]
+    totals = {}  # config id -> its timed "total" records, in first-seen order
+    hashes = {}
     for r in records:
-        if r.phase != "total" or r.trial == 0 or not math.isfinite(r.seconds):
-            continue
-        if r.config_id not in cells:
-            order.append(r.config_id)
-            cells[r.config_id] = []
-        cells[r.config_id].append(r)
-    if not cells:
-        raise ValueError("no completed timed trials to summarise")
+        if r.result_hash is not None:
+            hashes.setdefault(r.config_id, set()).add(r.result_hash)
+        if r.phase == "total" and r.trial != 0:
+            totals.setdefault(r.config_id, []).append(r)
+    if not totals:
+        raise ValueError("no timed trials to summarise")
 
     configs = []
-    for cid in order:
-        rs = sorted(cells[cid], key=lambda r: r.trial)
+    for cid, rs in totals.items():
+        rs.sort(key=lambda r: r.trial)
         secs = [r.seconds for r in rs]
-        hashes = {
-            r.result_hash
-            for r in records
-            if r.config_id == cid and r.result_hash is not None
-        }
+        w, bs = rs[0].workers, rs[0].block_size
         configs.append(
-            ConfigSummary(
-                cid,
-                rs[0].workers,
-                rs[0].block_size,
-                secs,
-                float(np.mean(secs)),
-                hashes,
-            )
+            ConfigSummary(cid, w, bs, secs, float(np.mean(secs)), hashes.get(cid, set()))
         )
 
-    worker_means = {}
     by_worker = {}
     for c in configs:
         if c.workers is not None:
             by_worker.setdefault(c.workers, []).append(c.mean_seconds)
-    for w, means in by_worker.items():
-        worker_means[w] = float(np.mean(means))
-
-    return SweepSummary(records, configs, worker_means, failed)
+    worker_means = {w: float(np.mean(means)) for w, means in by_worker.items()}
+    return SweepSummary(records, configs, worker_means)
 
 
 def distinct_hashes(records):
@@ -389,24 +355,3 @@ def emit_report(summary: SweepSummary, format="text-table", path=None):
         with open(path, "w") as f:
             f.write(text)
     return text
-
-
-def read_records_csv(path):
-    """Parse a CSV report back into timing records (round-trip of
-    :func:`emit_report`'s csv format)."""
-    out = []
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            out.append(
-                TimingRecord(
-                    row["config_id"],
-                    int(row["workers"]) if row["workers"] else None,
-                    int(row["block_size"]) if row["block_size"] else None,
-                    row["phase"],
-                    int(row["trial"]),
-                    float(row["seconds"]),
-                    row["result_hash"] or None,
-                )
-            )
-    return out

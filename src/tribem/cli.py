@@ -94,7 +94,7 @@ def _cmd_solve(args):
     rule = gauss_rule(args.quad)
     sol, tm = distributed_assemble_solve(
         prob.mesh, prob.material, prob.bc, rule,
-        workers=args.workers, block_size=args.block_size, strategy=args.self_quad,
+        workers=args.workers, strategy=args.self_quad,
     )
     residual = equilibrium_residual(sol, prob.mesh)
     verdict = bench.realtime_verdict(tm.total)
@@ -201,8 +201,6 @@ def build_parser():
     p = sub.add_parser("solve", parents=[], help="assemble and solve one problem")
     _add_problem_flags(p)
     p.add_argument("--workers", type=int, default=1, metavar="N")
-    p.add_argument("--block-sizes", dest="block_size", type=int, default=32, metavar="N",
-                   help="block-cyclic block size (sweep takes a list)")
     p.add_argument("--report", metavar="PATH", help="write solution CSV here")
     p.set_defaults(func=_cmd_solve)
 

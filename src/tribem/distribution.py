@@ -174,7 +174,7 @@ def distributed_assemble_solve(
         raise ValueError("block size must be positive")
     bad = mesh.degenerate_indices()
     if len(bad):
-        raise DegenerateElementError(f"mesh contains degenerate elements {list(bad)}")
+        raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
 
     n = mesh.n_elements
     h = np.empty((mesh.n_dofs, mesh.n_dofs))

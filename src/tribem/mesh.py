@@ -201,10 +201,6 @@ def generate_cube(side, k) -> SurfaceMesh:
     2-triangle square split cannot produce that count, so each square
     is fanned into 4 triangles at its centre.
     """
-    if side <= 0:
-        raise ValueError("cube side must be positive")
-    if k < 1:
-        raise ValueError("subdivisions per edge must be >= 1")
     return generate_box((side, side, side), (k, k, k))
 
 

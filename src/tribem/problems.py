@@ -34,7 +34,7 @@ import numpy as np
 from .assembly import BoundarySpec
 from .errors import BcFileError
 from .kernels import Material, make_material
-from .mesh import SurfaceMesh, generate_box, generate_cube
+from .mesh import SurfaceMesh, generate_box
 
 _AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -99,12 +99,8 @@ def cube_problem(
     the given traction along ``load_axis``. Remaining faces are
     traction-free. Defaults reproduce the 288-equation sample problem.
     """
-    mesh = generate_cube(side, k)
-    mat = make_material(e, nu)
-    builder = BcBuilder(mesh)
-    builder.set(builder.on_plane(fixed_axis, 0.0), "xyz", "displacement", 0.0)
-    builder.set(builder.on_plane(fixed_axis, side), load_axis, "traction", traction)
-    return Problem(mesh, mat, builder.build(), f"cube side={side:g} k={k}")
+    box = box_problem((side,) * 3, (k,) * 3, e, nu, traction, fixed_axis, load_axis)
+    return Problem(box.mesh, box.material, box.bc, f"cube side={side:g} k={k}")
 
 
 def box_problem(
@@ -116,7 +112,7 @@ def box_problem(
     fixed_axis="x",
     load_axis="y",
 ) -> Problem:
-    """Box analogue of :func:`cube_problem` (used for off-cube sizes)."""
+    """Box analogue of :func:`cube_problem`, which is its equal-sided case."""
     mesh = generate_box(lengths, divisions)
     mat = make_material(e, nu)
     extent = lengths[_AXES[fixed_axis]]

@@ -1,3 +1,4 @@
+import csv
 import time
 
 import numpy as np
@@ -9,7 +10,6 @@ from tribem.bench import (
     distinct_hashes,
     emit_report,
     estimate_nonlinear,
-    read_records_csv,
     realtime_verdict,
     run_sweep,
     summarize,
@@ -208,12 +208,17 @@ class TestReports:
         summary = self.make_summary()
         path = tmp_path / "report.csv"
         emit_report(summary, "csv", path)
-        back = summarize(read_records_csv(path))
-        for a, b in zip(summary.configs, back.configs):
-            assert a.config_id == b.config_id
-            assert a.trial_seconds == b.trial_seconds
-            assert a.mean_seconds == b.mean_seconds
-        assert back.worker_means == summary.worker_means
+        with open(path, newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == len(summary.records)
+        for row, r in zip(rows, summary.records):
+            assert row["config_id"] == r.config_id
+            assert int(row["workers"]) == r.workers
+            assert int(row["block_size"]) == r.block_size
+            assert row["phase"] == r.phase
+            assert int(row["trial"]) == r.trial
+            assert float(row["seconds"]) == r.seconds  # %.17g is exact
+            assert row["result_hash"] == r.result_hash
 
     def test_unwritable_destination(self, tmp_path):
         summary = self.make_summary()
@@ -223,12 +228,6 @@ class TestReports:
     def test_unknown_format(self):
         with pytest.raises(ValueError):
             emit_report(self.make_summary(), "yaml")
-
-    def test_failed_cells_reported(self):
-        records = records_from_totals("ok", [0.1])
-        records.append(TimingRecord("broken", 4, 1, "failed", 0, float("nan"), None))
-        summary = summarize(records)
-        assert summary.failed == ["broken"]
 
 
 class TestTimerSanity:

@@ -3,7 +3,7 @@ import struct
 import pytest
 
 from tribem.cli import main
-from tribem.mesh import generate_cube, write_stl
+from tribem.mesh import SurfaceMesh, generate_cube, write_stl
 
 
 @pytest.fixture()
@@ -68,7 +68,7 @@ class TestUsageErrors:
     def test_bad_quad_order(self):
         assert main(["solve", "--cube", "4,1", "--quad", "7"]) == 1
 
-    @pytest.mark.parametrize("flag", ["--workers", "--block-sizes"])
+    @pytest.mark.parametrize("flag", ["--workers"])
     def test_solve_takes_one_value_not_a_list(self, flag):
         # sweep takes lists; solve runs one configuration and must not
         # drop the rest of a list without a word
@@ -131,6 +131,20 @@ class TestSweepCommand:
         code = main(["sweep", "--mode", "precomputed", "--size", "120", "--trials", "2"])
         assert code == 0
         assert "matvec_n120" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["direct", "precomputed"])
+    def test_degenerate_facet_is_numerical_error(self, capsys, tmp_path, cube_bc, mode):
+        # every cell of a sweep computes the same solution, so the
+        # element's error must stop the sweep, not become an empty table
+        mesh = generate_cube(4, 2)
+        verts = mesh.vertices.copy()
+        verts[5, 2] = verts[5, 0]
+        path = tmp_path / "degen.stl"
+        path.write_bytes(write_stl(SurfaceMesh(verts)))
+        code = main(["sweep", "--mesh", str(path), "--bc", str(cube_bc),
+                     "--mode", mode, "--trials", "1", "--quad", "4"])
+        assert code == 2
+        assert "degenerate elements [5]" in capsys.readouterr().err
 
 
 class TestPrecomputeApply:
