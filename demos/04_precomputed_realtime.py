@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
-"""The realtime fast path: precompute the inverse, then every new load
-case costs two matrix-vector products (right-hand side, then inverse).
+"""The realtime fast path: solve the system offline once per unit
+boundary value, storing one Green's function per DOF, then every new
+load case costs a weighted sum of the Green's functions at its nonzero
+values (one dense product once many values are nonzero).
 
 Interactive graphics wants ~30 solutions per second and haptics ~1000.
 Assembling and factorising from scratch misses those rates even for the
@@ -22,7 +24,7 @@ prob = cube_problem()
 t0 = time.perf_counter()
 hg = assemble(prob.mesh, prob.material, gauss_rule(16))
 op = PrecomputedOperator.build(hg, prob.bc)
-print(f"offline stage (assemble + invert): {time.perf_counter() - t0:.2f} s")
+print(f"offline stage (assemble + Green's functions): {time.perf_counter() - t0:.2f} s")
 
 # online stage: sweep load magnitudes as an interactive session would
 rng = np.random.default_rng(0)

@@ -339,9 +339,10 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
 def rhs_matrix(hg: InfluenceMatrices, bc: BoundarySpec):
     """Matrix B with b = B @ values: G columns where traction is known,
     -H columns where displacement is known. Pairs with A for the
-    precomputed-operator path."""
+    precomputed-operator path, whose in-place solve needs it
+    Fortran-ordered, as it is returned."""
     disp = bc.displacement_known
-    m = hg.g.copy()
+    m = np.array(hg.g, order="F")
     m[:, disp] = -hg.h[:, disp]
     return m
 

@@ -9,7 +9,9 @@ trial loop, and an error in any run stops the sweep and reaches the
 caller as raised: all cells of a problem sweep compute the same
 solution, so a failure in one is a failure in all. Reports come in two
 shapes: a raw CSV of every record, and a text table with one row per
-configuration, one column per trial and a 3-decimal average column.
+configuration, one column per trial and an average column, each time
+printed to three decimals or to three significant digits, whichever
+shows more.
 
 Verdict thresholds follow the interactive-use targets: ~30 computations
 per second for realtime graphics, ~1000 for realtime haptics. A
@@ -24,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import math
 import time
 from dataclasses import dataclass
 from functools import partial
@@ -281,6 +284,15 @@ def distinct_hashes(records):
 _ORDINAL_RUNS = ("First Run", "Second Run", "Third Run", "Fourth Run")
 
 
+def format_seconds(s):
+    """Three decimals, or more where a time needs them to show three
+    significant digits: a microsecond apply prints as 0.0000213, not
+    0.000."""
+    if not s > 0 or not math.isfinite(s):
+        return f"{s:.3f}"
+    return f"{s:.{max(3, 2 - math.floor(math.log10(s)))}f}"
+
+
 def _table_text(summary: SweepSummary):
     n_trials = max(len(c.trial_seconds) for c in summary.configs)
     if n_trials == len(_ORDINAL_RUNS):
@@ -291,14 +303,14 @@ def _table_text(summary: SweepSummary):
 
     rows = []
     for c in summary.configs:
-        cells = [f"{s:.3f}" for s in c.trial_seconds]
+        cells = [format_seconds(s) for s in c.trial_seconds]
         cells += [""] * (n_trials - len(cells))
-        rows.append([c.label] + cells + [f"{c.mean_seconds:.3f}"])
+        rows.append([c.label] + cells + [format_seconds(c.mean_seconds)])
     if summary.worker_means:
         rows.append([])
         for w in sorted(summary.worker_means):
             label = f"all blocks, workers={w}"
-            rows.append([label] + [""] * n_trials + [f"{summary.worker_means[w]:.3f}"])
+            rows.append([label] + [""] * n_trials + [format_seconds(summary.worker_means[w])])
 
     widths = [
         max(len(headers[j]), max((len(r[j]) for r in rows if r), default=0))

@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: solve (one problem end to end), sweep (multi-trial timing
-sweeps with reports), precompute / apply (offline inverse and its
-realtime reuse), validate (mesh checks). Exit codes: 0 success,
-1 usage, 2 numerical failure, 3 I/O failure.
+sweeps with reports), precompute / apply (offline Green's-function
+operator and its realtime reuse), validate (mesh checks). Exit codes:
+0 success, 1 usage, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .assembly import assemble
 from .errors import (
     BcFileError,
     EmptyMeshError,
+    StaleOperatorError,
     StlParseError,
     TriBemError,
 )
@@ -28,6 +29,7 @@ from .solver import (
     PrecomputedOperator,
     apply_precomputed,
     equilibrium_residual,
+    problem_fingerprint,
     solution_to_csv,
 )
 
@@ -35,6 +37,9 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
+
+# the material of a problem read from STL
+STL_MATERIAL = make_material(200000.0, 0.33)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,7 +91,7 @@ def _load_problem(args) -> Problem:
     if not args.bc:
         raise BcFileError("--mesh requires a --bc file")
     bc = load_bc_file(args.bc, mesh)
-    return Problem(mesh, make_material(200000.0, 0.33), bc, args.mesh)
+    return Problem(mesh, STL_MATERIAL, bc, args.mesh)
 
 
 def _cmd_solve(args):
@@ -112,7 +117,33 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
+# sweep flags left unset on the parser, so that one the mode does not
+# read can be refused; _cmd_sweep fills these in
+_SWEEP_DEFAULTS = {
+    "quad": 16, "self_quad": "subdivide", "size": (), "workers": (1,), "block_sizes": (32,),
+}
+
+
+def _unused_sweep_flags(args):
+    """Flags given on the command line that the sweep's mode does not read."""
+    if args.mode == "direct":
+        unused = ("size",)
+    elif args.mode == "dummy":
+        unused = ("cube", "mesh", "bc", "quad", "self_quad", "workers", "block_sizes")
+    elif args.cube is not None or args.mesh is not None:  # precomputed, problem
+        unused = ("size", "workers", "block_sizes")
+    else:  # precomputed, synthetic sizes
+        unused = ("bc", "quad", "self_quad", "workers", "block_sizes")
+    return [f"--{name.replace('_', '-')}" for name in unused if getattr(args, name) is not None]
+
+
 def _cmd_sweep(args):
+    unused = _unused_sweep_flags(args)
+    if unused:
+        raise ValueError(f"sweep --mode {args.mode} does not use {', '.join(unused)}")
+    for name, default in _SWEEP_DEFAULTS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     mode = {
         "direct": "assemble-and-solve",
         "precomputed": "precomputed-matvec",
@@ -142,9 +173,11 @@ def _cmd_sweep(args):
     best = min(c.mean_seconds for c in summary.configs)
     verdict = bench.realtime_verdict(best)
     est = bench.estimate_nonlinear(best)
-    print(f"best mean:      {best:.3f} s -> {verdict.computations_per_second:.1f}/s "
+    print(f"best mean:      {bench.format_seconds(best)} s -> "
+          f"{verdict.computations_per_second:.1f}/s "
           f"(graphics {'ok' if verdict.graphics_ok else 'NOT ok'})")
-    print(f"nonlinear est.: x{est.iterations} iterations -> {est.seconds:.3f} s "
+    print(f"nonlinear est.: x{est.iterations} iterations -> "
+          f"{bench.format_seconds(est.seconds)} s "
           f"(graphics {'ok' if est.verdict.graphics_ok else 'NOT ok'})")
     if args.report:
         print(f"report written: {args.report}")
@@ -155,7 +188,9 @@ def _cmd_precompute(args):
     prob = _load_problem(args)
     rule = gauss_rule(args.quad)
     hg = assemble(prob.mesh, prob.material, rule, args.self_quad)
-    op = PrecomputedOperator.build(hg, prob.bc)
+    op = PrecomputedOperator.build(
+        hg, prob.bc, problem_fingerprint(prob.mesh, prob.material)
+    )
     op.save(args.operator)
     print(f"operator for {op.n_dofs} dofs written to {args.operator}")
     return EXIT_OK
@@ -165,6 +200,11 @@ def _cmd_apply(args):
     op = PrecomputedOperator.load(args.operator)
     with open(args.mesh, "rb") as f:
         mesh = load_stl(f.read())
+    if op.fingerprint != problem_fingerprint(mesh, STL_MATERIAL):
+        raise StaleOperatorError(
+            f"operator in {args.operator} was not precomputed for the mesh "
+            f"and material of {args.mesh}"
+        )
     bc = load_bc_file(args.bc, mesh)
     t0 = time.perf_counter()
     sol = apply_precomputed(op, bc)
@@ -209,21 +249,22 @@ def build_parser():
     src.add_argument("--cube", type=_cube_spec, metavar="SIDE,K")
     src.add_argument("--mesh", metavar="PATH")
     p.add_argument("--bc", metavar="PATH")
-    p.add_argument("--quad", type=int, choices=SUPPORTED_ORDERS, default=16)
+    p.add_argument("--quad", type=int, choices=SUPPORTED_ORDERS,
+                   help="Gauss order per axis (default 16)")
     p.add_argument("--self-quad", choices=("subdivide", "paper-faithful"),
-                   default="subdivide")
+                   help="singular self-integration strategy (default subdivide)")
     p.add_argument("--mode", choices=("direct", "precomputed", "dummy"),
                    default="direct")
-    p.add_argument("--size", type=_int_list, default=(), metavar="LIST",
+    p.add_argument("--size", type=_int_list, metavar="LIST",
                    help="synthetic system sizes (dummy/precomputed modes)")
-    p.add_argument("--workers", type=_int_list, default=(1,), metavar="LIST")
-    p.add_argument("--block-sizes", type=_int_list, default=(32,), metavar="LIST")
+    p.add_argument("--workers", type=_int_list, metavar="LIST", help="default 1")
+    p.add_argument("--block-sizes", type=_int_list, metavar="LIST", help="default 32")
     p.add_argument("--trials", type=int, default=4)
     p.add_argument("--report", metavar="PATH")
     p.add_argument("--format", choices=("csv", "table"), default="table")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("precompute", help="assemble, invert, and store the operator")
+    p = sub.add_parser("precompute", help="assemble, solve for and store the operator")
     _add_problem_flags(p)
     p.add_argument("--operator", required=True, metavar="DIR",
                    help="output directory for the operator")

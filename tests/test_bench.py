@@ -199,6 +199,13 @@ class TestReports:
         assert "First Run" in header and "Average" in header
         assert "0.179" in text and "0.121" in text
 
+    def test_table_shows_small_times(self):
+        summary = summarize(records_from_totals("matvec_n288", [2.13e-5, 3.4e-5]))
+        text = emit_report(summary, "text-table")
+        assert "0.0000213" in text and "0.0000340" in text
+        assert "0.0000277" in text  # the average
+        assert "0.000 " not in text + " "
+
     def test_table_generic_trial_names(self):
         summary = summarize(records_from_totals("x", [0.1, 0.2]))
         text = emit_report(summary, "text-table")

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import pytest
@@ -127,6 +128,28 @@ class TestSweepCommand:
         assert "w2_b8" in text
         assert "invariant" in capsys.readouterr().out
 
+    def test_precomputed_table_shows_digits(self, capsys):
+        # an apply takes microseconds; three fixed decimals read 0.000
+        code = main(["sweep", "--mode", "precomputed", "--cube", "4,2", "--trials", "2"])
+        assert code == 0
+        row = next(l for l in capsys.readouterr().out.splitlines()
+                   if l.startswith("matvec_n288"))
+        cells = row.split()[1:]
+        assert len(cells) == 3  # two trials and the average
+        assert all(re.search("[1-9]", c) for c in cells)
+
+    def test_precomputed_problem_refuses_unused_flags(self, capsys):
+        # a problem sweep times the problem alone: sizes and workers
+        # would be dropped without a word
+        code = main(["sweep", "--mode", "precomputed", "--cube", "4,1",
+                     "--size", "50", "--workers", "1,4"])
+        assert code == 1
+        assert "--size, --workers" in capsys.readouterr().err
+
+    def test_direct_refuses_size(self, capsys):
+        assert main(["sweep", "--cube", "4,1", "--size", "50"]) == 1
+        assert "--size" in capsys.readouterr().err
+
     def test_precomputed_mode_synthetic(self, capsys):
         code = main(["sweep", "--mode", "precomputed", "--size", "120", "--trials", "2"])
         assert code == 0
@@ -155,7 +178,7 @@ class TestPrecomputeApply:
              "--operator", str(opdir)]
         )
         assert code == 0
-        assert (opdir / "a_inv.mat").exists()
+        assert (opdir / "greens.mat").exists()
 
         out = tmp_path / "sol.csv"
         code = main(
@@ -165,6 +188,31 @@ class TestPrecomputeApply:
         assert code == 0
         assert "applied precomputed operator" in capsys.readouterr().out
         assert out.exists()
+
+    def test_generated_cube_applies_to_its_stl(self, tmp_path, cube_stl, cube_bc):
+        # the fingerprint hashes vertices at STL precision, so a cube
+        # precomputed from the generator matches its STL
+        opdir = tmp_path / "op"
+        assert main(["precompute", "--cube", "4,2", "--quad", "4",
+                     "--operator", str(opdir)]) == 0
+        assert main(["apply", "--operator", str(opdir), "--mesh", str(cube_stl),
+                     "--bc", str(cube_bc)]) == 0
+
+    def test_other_geometry_is_stale(self, capsys, tmp_path, cube_stl, cube_bc):
+        # same element count and BC kinds, twice the size: the operator
+        # would give displacements off by 2x
+        opdir = tmp_path / "op"
+        assert main(["precompute", "--mesh", str(cube_stl), "--bc", str(cube_bc),
+                     "--quad", "4", "--operator", str(opdir)]) == 0
+        big = tmp_path / "big.stl"
+        big.write_bytes(write_stl(generate_cube(8, 2)))
+        big_bc = tmp_path / "big.bc"
+        big_bc.write_text("plane x 0 : xyz = displacement 0\nplane x 8 : y = traction 4\n")
+        capsys.readouterr()
+        code = main(["apply", "--operator", str(opdir), "--mesh", str(big),
+                     "--bc", str(big_bc)])
+        assert code == 2
+        assert str(big) in capsys.readouterr().err
 
     def test_stale_operator_numerical_error(self, tmp_path, cube_stl, cube_bc):
         opdir = tmp_path / "op"

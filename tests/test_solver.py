@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from oracles import gauss_eliminate
-from tribem.assembly import BoundarySpec, LinearSystem, assemble, write_matrix
+from tribem.assembly import (
+    BoundarySpec,
+    InfluenceMatrices,
+    LinearSystem,
+    apply_boundary_conditions,
+    assemble,
+    write_matrix,
+)
 from tribem.errors import (
     BoundaryConditionError,
     SingularSystemError,
@@ -14,6 +21,7 @@ from tribem.kernels import gauss_rule, make_material
 from tribem.mesh import generate_cube
 from tribem.problems import cube_problem
 from tribem.solver import (
+    DENSE_SHARE,
     PrecomputedOperator,
     apply_precomputed,
     equilibrium_residual,
@@ -186,45 +194,71 @@ class TestPrecomputedOperator:
             apply_precomputed(op, BoundarySpec(flipped, prob.bc.values))
 
     def test_save_load_round_trip(self, cube_setup, tmp_path):
-        prob, _, op = cube_setup
+        prob, _, built = cube_setup
+        op = PrecomputedOperator(built.greens, built.displacement_known, "f" * 64)
         op.save(tmp_path / "op")
         back = PrecomputedOperator.load(tmp_path / "op")
-        assert np.array_equal(back.matrix, op.matrix)
-        assert np.array_equal(back.rhs, op.rhs)
+        assert np.array_equal(back.greens, op.greens)
         assert np.array_equal(back.displacement_known, op.displacement_known)
-        sol = apply_precomputed(back, prob.bc)
-        ref = apply_precomputed(op, prob.bc)
-        assert np.array_equal(sol.u, ref.u)
-        assert np.array_equal(sol.t, ref.t)
+        assert back.fingerprint == "f" * 64
+        dense = BoundarySpec(
+            prob.bc.displacement_known, np.random.default_rng(46).standard_normal(op.n_dofs)
+        )
+        for bc in (prob.bc, dense):  # the gather branch, then the dense one
+            assert isinstance(op.rebuild_rhs(bc.values)[0], slice) == (bc is dense)
+            sol = apply_precomputed(back, bc)
+            ref = apply_precomputed(op, bc)
+            assert np.array_equal(sol.u, ref.u)
+            assert np.array_equal(sol.t, ref.t)
 
     def test_load_rejects_factor_record(self, cube_setup, tmp_path):
-        # a directory written with LU factors and pivots must not be read
-        # as an inverse
+        # a directory written with LU factors and pivots carries no
+        # format version and must not be read as Green's functions
         _, _, op = cube_setup
         op.save(tmp_path / "op")
         kinds = tmp_path / "op" / "bc_kinds.json"
         record = json.loads(kinds.read_text())
         record["pivots"] = list(range(op.n_dofs))
+        del record["format"]
         kinds.write_text(json.dumps(record))
         with pytest.raises(ValueError) as exc:
             PrecomputedOperator.load(tmp_path / "op")
         assert str(tmp_path / "op") in str(exc.value)
-        assert "LU factors" in str(exc.value)
+        assert "no format version" in str(exc.value)
+
+    def test_load_rejects_inverse_layout(self, cube_setup, tmp_path):
+        # the older layout: an explicit inverse, the right-hand-side
+        # builder and an unversioned record
+        _, _, op = cube_setup
+        directory = tmp_path / "op"
+        directory.mkdir()
+        for name in ("a_inv.mat", "rhs.mat"):
+            write_matrix(str(directory / name), np.eye(op.n_dofs))
+        (directory / "bc_kinds.json").write_text(
+            json.dumps({"n_dofs": op.n_dofs, "displacement_known_indices": [0, 1, 2]})
+        )
+        with pytest.raises(ValueError) as exc:
+            PrecomputedOperator.load(directory)
+        assert str(directory) in str(exc.value)
+
+    def test_load_rejects_other_format(self, cube_setup, tmp_path):
+        _, _, op = cube_setup
+        message = self._load_with_record(op, tmp_path / "op", format=99)
+        assert "format 99" in message
 
     def test_load_rejects_mismatched_files(self, cube_setup, tmp_path):
         _, _, op = cube_setup
         op.save(tmp_path / "op")
-        write_matrix(str(tmp_path / "op" / "rhs.mat"), np.eye(72))
+        write_matrix(str(tmp_path / "op" / "greens.mat"), np.eye(op.n_dofs)[:72])
         with pytest.raises(ValueError) as exc:
             PrecomputedOperator.load(tmp_path / "op")
         assert str(tmp_path / "op") in str(exc.value)
-        assert "(72, 72)" in str(exc.value)
+        assert f"(72, {op.n_dofs})" in str(exc.value)
 
     def test_load_rejects_wrong_dof_count(self, cube_setup, tmp_path):
         _, _, op = cube_setup
         op.save(tmp_path / "op")
-        for name in ("a_inv.mat", "rhs.mat"):
-            write_matrix(str(tmp_path / "op" / name), np.eye(72))
+        write_matrix(str(tmp_path / "op" / "greens.mat"), np.eye(72))
         with pytest.raises(ValueError) as exc:
             PrecomputedOperator.load(tmp_path / "op")
         assert str(tmp_path / "op") in str(exc.value)
@@ -259,6 +293,78 @@ class TestPrecomputedOperator:
         _, _, op = cube_setup
         message = self._load_with_record(op, tmp_path / "op", n_dofs=None)
         assert "n_dofs" in message
+
+
+def _load_on(bc, rows, rng):
+    """``bc``'s kinds with random values on ``rows`` and zero elsewhere."""
+    values = np.zeros(bc.n_dofs)
+    values[rows] = rng.standard_normal(len(rows))
+    return BoundarySpec(bc.displacement_known, values)
+
+
+class TestGreensApply:
+    """The two apply branches: a gather of the loaded rows of M^T, and one
+    dense product once more than DENSE_SHARE of the values are nonzero."""
+
+    @staticmethod
+    def switch(n):
+        """Largest nonzero count that still takes the gather branch."""
+        return int(DENSE_SHARE * n)
+
+    @pytest.mark.parametrize("branch", ["gather", "dense"])
+    def test_branch_matches_direct_solve(self, cube_setup, branch):
+        prob, hg, op = cube_setup
+        rng = np.random.default_rng(47)
+        count = self.switch(op.n_dofs) + (branch == "dense")
+        bc = _load_on(prob.bc, rng.choice(op.n_dofs, count, replace=False), rng)
+        rows, _ = op.rebuild_rhs(bc.values)
+        assert isinstance(rows, slice) == (branch == "dense")
+        x = solve_direct(apply_boundary_conditions(hg, bc))
+        sol = apply_precomputed(op, bc)
+        got = np.where(bc.displacement_known, sol.t, sol.u)
+        assert np.abs(got - x).max() <= 1e-8 * np.abs(x).max()  # C05's bound
+
+    @pytest.mark.parametrize("offset", [0, 1])
+    def test_branches_agree_at_switch(self, cube_setup, offset):
+        prob, _, op = cube_setup
+        rng = np.random.default_rng(48 + offset)
+        count = self.switch(op.n_dofs) + offset
+        values = _load_on(prob.bc, rng.choice(op.n_dofs, count, replace=False), rng).values
+        rows = np.flatnonzero(values)
+        gathered = op.apply_to_rhs((rows, values[rows]))
+        dense = op.apply_to_rhs((slice(None), values))
+        assert np.abs(gathered - dense).max() <= 1e-12 * np.abs(dense).max()
+        # and rebuild_rhs picks one of them
+        picked = op.apply_to_rhs(op.rebuild_rhs(values))
+        assert np.array_equal(picked, gathered if offset == 0 else dense)
+
+    def test_zero_values_give_zero(self, cube_setup):
+        prob, _, op = cube_setup
+        x = op.apply_to_rhs(op.rebuild_rhs(np.zeros(op.n_dofs)))
+        assert x.shape == (op.n_dofs,)
+        assert not x.any()
+
+    def test_build_leaves_matrices_unchanged(self):
+        prob = cube_problem(k=1)
+        hg = assemble(prob.mesh, prob.material, gauss_rule(4))
+        h, g = hg.h.tobytes(), hg.g.tobytes()
+        PrecomputedOperator.build(hg, prob.bc)
+        assert hg.h.tobytes() == h
+        assert hg.g.tobytes() == g
+
+    def test_build_rejects_singular_system(self):
+        # every DOF displacement-known: A = -G, here singular
+        hg = InfluenceMatrices(np.eye(6), np.ones((6, 6)), 2)
+        with pytest.raises(SingularSystemError):
+            PrecomputedOperator.build(hg, BoundarySpec(np.ones(6, dtype=bool), np.zeros(6)))
+
+    def test_build_rejects_non_finite_system(self):
+        g = np.eye(6)
+        g[2, 3] = np.nan
+        hg = InfluenceMatrices(np.eye(6), g, 2)
+        with pytest.raises(ValueError) as exc:
+            PrecomputedOperator.build(hg, BoundarySpec(np.ones(6, dtype=bool), np.zeros(6)))
+        assert "non-finite" in str(exc.value)
 
 
 class TestPhysics:
