@@ -7,9 +7,10 @@ H's diagonal blocks come from the rigid-body identity (a rigid
 translation of a bounded body produces zero tractions, which pins each
 row-block sum of H to zero and absorbs the free term together with the
 strongly singular integral); G's diagonal blocks are weakly singular
-and integrated either by centroid subdivision with the collapsed vertex
-on the singular point, or by direct brute-force quadrature over the
-whole element.
+and taken either in closed form ("analytic", the default: the centroid
+lies in the flat element's plane, so the integral is exact in polar
+coordinates about it) or by direct brute-force quadrature over the
+whole element ("paper-faithful", the paper's own method).
 
 Off-diagonal blocks use the moment form of the kernels (see
 :mod:`tribem.kernels`). Elements are flat, so for collocation point
@@ -18,19 +19,20 @@ d.n_j = D.n_j at every quadrature point. A table of centred features
 w [1, rho, rho rho^T], rho = y - C_j, is built once per assembly;
 each collocation row then needs only 1/r, 1/r^3 and 1/r^5 at the
 quadrature points and one contraction against that table, after which
-every block follows from D, n_j and ten moments per weight. Subdivided
-self-terms go through the same evaluator with D = 0 (features taken
-about the collocation point); paper-faithful self-terms are the row's
-own entry, which is exactly that D = 0 quadrature over the element.
+every block follows from D, n_j and ten moments per weight. The same
+table holds every element's closed-form self-integrals, computed in one
+call per assembly. Paper-faithful self-terms are the row's own entry,
+which is exactly the D = 0 quadrature over the element.
 
-integrate_pair and integrate_self_g evaluate the point kernels directly
-and serve as the per-block reference.
+integrate_pair and integrate_self_g evaluate one block on its own and
+serve as the per-block reference.
 
 DOF ordering is element-major: DOF d = 3 * element + axis.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 import warnings
 from dataclasses import dataclass
@@ -46,8 +48,10 @@ from .kernels import (
     N_FEATURES,
     Material,
     QuadratureRule,
+    centroid_self_integrals,
     collapsed_map,
     kelvin_blocks,
+    kelvin_self_g,
     kelvin_t_points,
     kelvin_u_points,
     kernel_moments,
@@ -126,23 +130,29 @@ class QuadratureTable:
 
     ``points`` (3, N, Q) holds the physical points component-major;
     ``features`` (N, N_FEATURES, Q) holds w [1, rho, rho rho^T] with rho
-    measured from each element's centroid. Built once per assembly and
-    shared by every worker.
+    measured from each element's centroid. ``self_i1`` (N,) and
+    ``self_m`` (N, 3, 3) are each element's closed-form singular
+    integrals from its own centroid (:func:`centroid_self_integrals`).
+    Built once per assembly and shared by every worker.
     """
 
     points: np.ndarray
     features: np.ndarray
+    self_i1: np.ndarray
+    self_m: np.ndarray
 
 
 def quadrature_table(mesh: SurfaceMesh, rule: QuadratureRule) -> QuadratureTable:
-    """Map ``rule`` onto every element and tabulate its centred features."""
+    """Map ``rule`` onto every element and tabulate its centred features
+    and its singular self-integrals."""
     v = mesh.vertices
     pts, w = collapsed_map(rule, v[:, 0], v[:, 1], v[:, 2])
     features = moment_features(pts, w, mesh.centroids[:, None, :])
     points = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
-    points.setflags(write=False)
-    features.setflags(write=False)
-    return QuadratureTable(points, features)
+    table = QuadratureTable(points, features, *centroid_self_integrals(v, mesh.centroids))
+    for arr in (table.points, table.features, table.self_i1, table.self_m):
+        arr.setflags(write=False)
+    return table
 
 
 def integrate_pair(i, j, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule):
@@ -161,35 +171,30 @@ def integrate_pair(i, j, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule)
     return h_ij, g_ij
 
 
+SELF_STRATEGIES = ("analytic", "paper-faithful")
+
+
 def integrate_self_g(
-    i, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, strategy="subdivide"
+    i, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, strategy="analytic"
 ):
     """Weakly singular diagonal block G_ii.
 
-    strategy "subdivide": split the element into three sub-triangles at
-    the centroid and integrate each with the collapsed vertex placed on
-    the singular point, so the vanishing Jacobian cancels the 1/r
-    growth. strategy "paper-faithful": direct mapped quadrature over the
-    whole element, relying on point count alone.
+    strategy "analytic": the exact integral over the flat element from
+    its centroid, in closed form (:func:`centroid_self_integrals`); the
+    rule is not used. strategy "paper-faithful": direct mapped
+    quadrature over the whole element, relying on point count alone.
     """
-    v = mesh.vertices[i]
-    c = mesh.centroids[i]
+    if strategy not in SELF_STRATEGIES:
+        raise ValueError(f"unknown self-integration strategy {strategy!r}")
     if mesh.areas[i] <= 0.0:
         raise DegenerateElementError(f"element {i} is degenerate")
-
-    if strategy == "paper-faithful":
-        pts, w = collapsed_map(rule, *v)
-        blocks = kelvin_u_points(c, pts, mat)
-        return np.einsum("q,qab->ab", w, blocks)
-    if strategy != "subdivide":
-        raise ValueError(f"unknown self-integration strategy {strategy!r}")
-
-    g_ii = np.zeros((3, 3))
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        pts, w = collapsed_map(rule, c, v[a], v[b])
-        blocks = kelvin_u_points(c, pts, mat)
-        g_ii += np.einsum("q,qab->ab", w, blocks)
-    return g_ii
+    v = mesh.vertices[i]
+    c = mesh.centroids[i]
+    if strategy == "analytic":
+        return kelvin_self_g(*centroid_self_integrals(v, c), mat)
+    pts, w = collapsed_map(rule, *v)
+    blocks = kelvin_u_points(c, pts, mat)
+    return np.einsum("q,qab->ab", w, blocks)
 
 
 def rigid_body_diagonal(off_diagonal_blocks):
@@ -203,46 +208,27 @@ def rigid_body_diagonal(off_diagonal_blocks):
     return -np.sum(blocks, axis=0)
 
 
-_SELF_STRATEGIES = ("subdivide", "paper-faithful")
 # Collocation rows per contraction. Each row holds 3 N Q doubles of work
 # space per worker; 4 rows ran ~15% faster than 2 on the 96-element box
 # but raised peak memory by ~3 MB, 2 rows kept it at the old level.
 _ROW_BATCH = 2
 
 
-def _subdivided_self_g(mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, rows):
-    """G_ii for each element in ``rows``: the three sub-triangles meeting
-    at the centroid, each collapsed onto it, as one quadrature with D = 0."""
-    b = len(rows)
-    c = mesh.centroids[rows]
-    v = mesh.vertices[rows]
-    pts, w = collapsed_map(rule, c[:, None, :], v, v[:, [1, 2, 0]])
-    pts = pts.reshape(b, -1, 3)
-    features = moment_features(pts, w.reshape(b, -1), c[:, None, :])
-    points = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
-    moments = kernel_moments(
-        points, features, c.T[:, :, None], np.empty_like(points), np.empty((b, 3, N_FEATURES))
-    )
-    _, g = kelvin_blocks(moments, np.zeros((b, 3)), mesh.normals[rows], mat)
-    return g
-
-
 def assemble_rows(
     mesh: SurfaceMesh,
     mat: Material,
-    rule: QuadratureRule,
     table: QuadratureTable,
     rows,
     h_out,
     g_out,
-    strategy="subdivide",
+    strategy="analytic",
 ):
     """Fill the collocation rows ``rows`` of preallocated H and G.
 
     Rows are taken two at a time: the radial weights 1/r, 1/r^3, 1/r^5
     from each row's collocation point to every quadrature point of the
     mesh are contracted against ``table`` (from :func:`quadrature_table`
-    for the same mesh and rule), and the blocks follow from the moments,
+    for the same mesh), and the blocks follow from the moments,
     the centroid offsets D and the element normals (flat elements:
     d.n_j = D.n_j). Every (row, element) pair is its own fixed-shape
     contraction and writes are disjoint, so any partition of rows across
@@ -250,9 +236,11 @@ def assemble_rows(
     matrices. Then the diagonal
     blocks are set: H_ii by the rigid-body identity over the
     off-diagonal blocks in ascending column order, G_ii by singular
-    integration (``strategy``, as in :func:`integrate_self_g`).
+    integration (``strategy``, as in :func:`integrate_self_g`). The
+    "analytic" blocks come elementwise from the table's self-integrals,
+    so they too do not depend on which rows a call is given.
     """
-    if strategy not in _SELF_STRATEGIES:
+    if strategy not in SELF_STRATEGIES:
         raise ValueError(f"unknown self-integration strategy {strategy!r}")
     rows = np.asarray(rows, dtype=int)
     degenerate = rows[mesh.areas[rows] <= 0.0]
@@ -261,6 +249,8 @@ def assemble_rows(
     n = mesh.n_elements
     work = np.empty((3, _ROW_BATCH) + table.points.shape[1:])
     moments = np.empty((_ROW_BATCH, n, 3, N_FEATURES))
+    if strategy == "analytic":
+        self_g = kelvin_self_g(table.self_i1[rows], table.self_m[rows], mat)
 
     for start in range(0, len(rows), _ROW_BATCH):
         batch = rows[start : start + _ROW_BATCH]
@@ -273,8 +263,8 @@ def assemble_rows(
             table.points, table.features, c.T[:, :, None, None], work[:, :b], moments[:b]
         )
         h, g = kelvin_blocks(moments[:b], mesh.centroids - c[:, None, :], mesh.normals, mat)
-        if strategy == "subdivide":
-            g[np.arange(b), batch] = _subdivided_self_g(mesh, mat, rule, batch)
+        if strategy == "analytic":
+            g[np.arange(b), batch] = self_g[start : start + b]
 
         for i, row_h, row_g in zip(batch, h, g):
             others = np.concatenate([np.arange(0, i), np.arange(i + 1, n)])
@@ -284,7 +274,7 @@ def assemble_rows(
 
 
 def assemble(
-    mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, strategy="subdivide"
+    mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, strategy="analytic"
 ) -> InfluenceMatrices:
     """Assemble dense H and G for the whole mesh (sequentially).
 
@@ -299,7 +289,7 @@ def assemble(
     h = np.empty((n3, n3))
     g = np.empty((n3, n3))
     table = quadrature_table(mesh, rule)
-    assemble_rows(mesh, mat, rule, table, range(mesh.n_elements), h, g, strategy)
+    assemble_rows(mesh, mat, table, range(mesh.n_elements), h, g, strategy)
     return InfluenceMatrices(h, g, mesh.n_elements)
 
 
@@ -367,15 +357,20 @@ def write_matrix(path, arr):
 
 
 def read_matrix(path):
+    """Load a :func:`write_matrix` dump, reading the data straight into
+    the one array returned."""
     with open(path, "rb") as f:
         header = f.read(16)
         if len(header) < 16 or header[:8] != _MATRIX_MAGIC:
             raise ValueError(f"{path} is not a tribem matrix dump")
         rows, cols = struct.unpack("<II", header[8:])
-        data = np.frombuffer(f.read(), dtype=np.float64)
-    if data.size != rows * cols:
-        raise ValueError(f"{path}: expected {rows * cols} values, found {data.size}")
-    return data.reshape(rows, cols).copy()
+        found = (os.fstat(f.fileno()).st_size - len(header)) / 8
+        if found != rows * cols:
+            raise ValueError(f"{path}: expected {rows * cols} values, found {found:.15g}")
+        data = np.empty((rows, cols))
+        if f.readinto(data) != data.nbytes:
+            raise ValueError(f"{path}: file shrank while being read")
+    return data
 
 
 def matrix_summary(arr):

@@ -57,7 +57,7 @@ class BenchConfig:
     mode: str = "assemble-and-solve"
     problem: Problem | None = None
     quad_order: int = 16
-    self_strategy: str = "subdivide"
+    self_strategy: str = "analytic"
     trials: int = 4
     workers: tuple = (1,)
     block_sizes: tuple = (32,)

@@ -153,7 +153,7 @@ def distributed_assemble_solve(
     rule: QuadratureRule,
     workers=1,
     block_size=32,
-    strategy="subdivide",
+    strategy="analytic",
 ):
     """Assemble in parallel over row ranges, then solve on shared memory.
 
@@ -185,7 +185,7 @@ def distributed_assemble_solve(
     table = quadrature_table(mesh, rule)
 
     def job(rows):
-        assemble_rows(mesh, mat, rule, table, rows, h, g, strategy)
+        assemble_rows(mesh, mat, table, rows, h, g, strategy)
         return time.perf_counter()
 
     with ThreadPoolExecutor(max_workers=len(active)) as pool:

@@ -249,6 +249,58 @@ def _weighted_outer(offsets, m):
     return out
 
 
+def centroid_self_integrals(vertices, centres):
+    """Closed-form weakly singular integrals over flat triangles.
+
+    ``vertices`` (..., 3, 3) and ``centres`` (..., 3), each centre an
+    interior point in its triangle's plane (the collocation centroid).
+    Returns I1 = integral of 1/r dS (...,) and M = integral of
+    r,i r,j / r dS (..., 3, 3), r measured from the centre.
+
+    In polar coordinates about the centre the triangle is three fans,
+    one per edge. For an edge at distance p, with e1 the unit vector to
+    its foot point, e2 its direction and phi measured from e1, the
+    radial integral reaches p / cos(phi), so
+
+        I1 += p [asinh(tan phi)]
+        M  += p [e1 e1^T sin phi - (e1 e2^T + e2 e1^T) cos phi
+                 + e2 e2^T (asinh(tan phi) - sin phi)]
+
+    between the angles of the edge's two ends (Brebbia & Dominguez).
+    With s the end's coordinate along e2 and rho its distance from the
+    centre, tan phi = s / p, sin phi = s / rho and cos phi = p / rho.
+    M is exactly symmetric.
+    """
+    a = np.asarray(vertices, dtype=float) - np.asarray(centres, dtype=float)[..., None, :]
+    b = np.roll(a, -1, axis=-2)  # edge k runs from vertex k to vertex k + 1
+    e2 = b - a
+    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    s_a = np.einsum("...i,...i->...", a, e2)
+    s_b = np.einsum("...i,...i->...", b, e2)
+    e1 = a - s_a[..., None] * e2
+    p = np.linalg.norm(e1, axis=-1)
+    e1 /= p[..., None]
+    rho_a = np.linalg.norm(a, axis=-1)
+    rho_b = np.linalg.norm(b, axis=-1)
+
+    log_term = p * (np.arcsinh(s_b / p) - np.arcsinh(s_a / p))
+    sin_term = p * (s_b / rho_b - s_a / rho_a)
+    cos_term = p * (p / rho_b - p / rho_a)
+    mixed = e1[..., :, None] * e2[..., None, :]
+    m = sin_term[..., None, None] * (e1[..., :, None] * e1[..., None, :])
+    m -= cos_term[..., None, None] * (mixed + mixed.swapaxes(-1, -2))
+    m += (log_term - sin_term)[..., None, None] * (e2[..., :, None] * e2[..., None, :])
+    return log_term.sum(axis=-1), m.sum(axis=-3)
+
+
+def kelvin_self_g(i1, m, mat: Material):
+    """G_ii = c_u [(3-4nu) I1 I + M] from :func:`centroid_self_integrals`."""
+    g = ((3.0 - 4.0 * mat.nu) * np.asarray(i1))[..., None, None] * _EYE3
+    g += m
+    g *= 1.0 / (16.0 * np.pi * mat.mu * (1.0 - mat.nu))
+    return g
+
+
 def kelvin_blocks(moments, offsets, normals, mat: Material):
     """Integrated T* and U* blocks from :func:`kernel_moments` output.
 

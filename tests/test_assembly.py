@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_triangle, singular_u_integral_reference
+from oracles import random_triangle, singular_u_integral_reference, subdivided_u_integral
 from tribem.assembly import (
     BoundarySpec,
     apply_boundary_conditions,
@@ -82,37 +84,58 @@ class TestIntegratePair:
 
 
 class TestIntegrateSelfG:
-    def test_self_convergence_equilateral(self):
-        v = np.array([(0, 0, 0), (1, 0, 0), (0.5, np.sqrt(3) / 2, 0)])
+    def test_equilateral_closed_form(self):
+        # equilateral side L from its centroid: three fans at the inradius
+        # p = L / (2 sqrt 3), each spanning -60..60 degrees, give
+        # integral 1/r = sqrt(3) L ln(2 + sqrt 3); in-plane isotropy makes
+        # integral r,i r,j / r half of that times the in-plane projector
+        side = 1.7
+        v = side * np.array([(0, 0, 0), (1, 0, 0), (0.5, np.sqrt(3) / 2, 0)])
         mesh = SurfaceMesh(v[None])
-        g16 = integrate_self_g(0, mesh, MAT, RULE)
-        g32 = integrate_self_g(0, mesh, MAT, gauss_rule(32))
-        assert np.abs(g16 - g32).max() <= 1e-6 * np.abs(g32).max()
+        i1 = np.sqrt(3.0) * side * np.log(2.0 + np.sqrt(3.0))
+        in_plane = np.diag([1.0, 1.0, 0.0])
+        c_u = 1.0 / (16.0 * np.pi * MAT.mu * (1.0 - MAT.nu))
+        expected = c_u * ((3.0 - 4.0 * MAT.nu) * i1 * np.eye(3) + 0.5 * i1 * in_plane)
+        for order in (4, 32):  # the closed form does not use the rule
+            g = integrate_self_g(0, mesh, MAT, gauss_rule(order))
+            assert np.abs(g - expected).max() <= 1e-14 * np.abs(expected).max()
 
-    def test_against_refinement_oracle(self):
-        # subdivide quadrature accuracy is shape dependent: n=16 resolves
-        # well-shaped triangles to ~1e-6..1e-9, n=32 goes below 1e-9
-        rng = np.random.default_rng(21)
-        rule32 = gauss_rule(32)
-        for _ in range(8):
-            v = random_triangle(rng, scale=2.0, min_quality=0.2)
+    @staticmethod
+    def _check_against_refinement_oracle(seed, count, shift):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            v = random_triangle(rng, scale=2.0, min_quality=0.2) + shift
             mesh = SurfaceMesh(v[None])
             ref = singular_u_integral_reference(v, mesh.centroids[0], MAT.e, MAT.nu)
-            g32 = integrate_self_g(0, mesh, MAT, rule32)
-            assert np.abs(g32 - ref).max() <= 1e-6 * np.abs(ref).max()
-            g16 = integrate_self_g(0, mesh, MAT, RULE)
-            assert np.abs(g16 - ref).max() <= 5e-5 * np.abs(ref).max()
+            got = integrate_self_g(0, mesh, MAT, RULE)
+            assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    def test_against_refinement_oracle(self):
+        self._check_against_refinement_oracle(21, 8, np.zeros(3))
+
+    def test_against_refinement_oracle_far_from_origin(self):
+        self._check_against_refinement_oracle(26, 4, np.array([1e3, -700.0, 400.0]))
+
+    def test_cube_matches_fine_subdivided_quadrature(self):
+        # the fan quadrature at order 32 reaches ~6e-10 on the cube's
+        # right-isosceles elements and converges towards the closed form
+        mesh = generate_cube(4, 2)
+        assert mesh.n_elements == 96
+        for i in range(mesh.n_elements):
+            ref = subdivided_u_integral(mesh.vertices[i], mesh.centroids[i], MAT.e, MAT.nu)
+            got = integrate_self_g(i, mesh, MAT, RULE)
+            assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
     def test_paper_faithful_less_accurate_but_sane(self):
         v = np.array([(0, 0, 0), (2, 0, 0), (1, 1, 0)])
         mesh = SurfaceMesh(v[None])
         ref = singular_u_integral_reference(v, mesh.centroids[0], MAT.e, MAT.nu)
-        sub = integrate_self_g(0, mesh, MAT, RULE)
+        exact = integrate_self_g(0, mesh, MAT, RULE, "analytic")
         direct = integrate_self_g(0, mesh, MAT, RULE, "paper-faithful")
-        err_sub = np.abs(sub - ref).max() / np.abs(ref).max()
+        err_exact = np.abs(exact - ref).max() / np.abs(ref).max()
         err_direct = np.abs(direct - ref).max() / np.abs(ref).max()
         assert err_direct < 0.1  # brute-force points still land in the ballpark
-        assert err_sub < err_direct  # subdivision is strictly more accurate
+        assert err_exact < err_direct  # the closed form is strictly more accurate
 
     def test_symmetric(self):
         rng = np.random.default_rng(22)
@@ -120,7 +143,25 @@ class TestIntegrateSelfG:
             v = random_triangle(rng, min_quality=0.15)
             mesh = SurfaceMesh(v[None])
             g = integrate_self_g(0, mesh, MAT, RULE)
-            assert np.abs(g - g.T).max() <= 1e-10 * np.abs(g).max()
+            assert np.array_equal(g, g.T)
+
+    def test_rotation_equivariant(self):
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            v = random_triangle(rng, scale=3.0, min_quality=0.2)
+            rot = _rotation(*rng.standard_normal(3), rng.uniform(0.0, 2.0 * np.pi))
+            g = integrate_self_g(0, SurfaceMesh(v[None]), MAT, RULE)
+            turned = integrate_self_g(0, SurfaceMesh((v @ rot.T)[None]), MAT, RULE)
+            assert np.abs(turned - rot @ g @ rot.T).max() <= 1e-14 * np.abs(g).max()
+
+    def test_linear_in_scale(self):
+        # U* ~ 1/r against area ~ s^2
+        rng = np.random.default_rng(25)
+        for scale in (1e-3, 0.37, 2.5, 1e3):
+            v = random_triangle(rng, min_quality=0.2)
+            g = integrate_self_g(0, SurfaceMesh(v[None]), MAT, RULE)
+            scaled = integrate_self_g(0, SurfaceMesh(scale * v[None]), MAT, RULE)
+            assert np.abs(scaled - scale * g).max() <= 1e-14 * np.abs(scale * g).max()
 
     def test_unknown_strategy(self):
         mesh = two_triangle_mesh((2, 0, 0))
@@ -174,8 +215,8 @@ class TestAssemble:
         g = np.empty((n3, n3))
         # simulate two workers with an uneven split
         table = quadrature_table(mesh, RULE)
-        assemble_rows(mesh, MAT, RULE, table, range(0, 5), h, g)
-        assemble_rows(mesh, MAT, RULE, table, range(5, mesh.n_elements), h, g)
+        assemble_rows(mesh, MAT, table, range(0, 5), h, g)
+        assemble_rows(mesh, MAT, table, range(5, mesh.n_elements), h, g)
         assert np.array_equal(h, full.h)
         assert np.array_equal(g, full.g)
 
@@ -254,7 +295,7 @@ class TestMomentEvaluator:
     def test_every_block_matches_oracles(self, mesh, order):
         rule = gauss_rule(order)
         n = mesh.n_elements
-        for strategy in ("paper-faithful", "subdivide"):
+        for strategy in ("paper-faithful", "analytic"):
             hg = assemble(mesh, MAT, rule, strategy)
             g = _blocks(hg.g)
             for i in range(n):
@@ -379,6 +420,28 @@ class TestMatrixDump:
         write_matrix(path, m)
         assert np.array_equal(read_matrix(path), m)
         assert "7x5" in matrix_summary(m)
+
+    @pytest.mark.parametrize("change", [-8, -1, 1, 8])
+    def test_wrong_length_names_the_counts(self, tmp_path, change):
+        path = tmp_path / "m.mat"
+        write_matrix(path, np.ones((4, 5)))
+        data = path.read_bytes()
+        path.write_bytes(data[:change] if change < 0 else data + b"\x00" * change)
+        with pytest.raises(ValueError, match=f"expected 20 values, found {20 + change / 8:g}"):
+            read_matrix(path)
+
+    def test_reads_with_one_allocation(self, tmp_path):
+        m = np.arange(1 << 20, dtype=float).reshape(1024, 1024)  # 8 MiB
+        path = tmp_path / "big.mat"
+        write_matrix(path, m)
+        tracemalloc.start()
+        try:
+            got = read_matrix(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, m)
+        assert peak < 1.2 * m.nbytes
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.mat"

@@ -1,9 +1,12 @@
 import re
 import struct
+import time
 
 import pytest
 
+from tribem import cli
 from tribem.cli import main
+from tribem.solver import apply_precomputed
 from tribem.mesh import SurfaceMesh, generate_cube, write_stl
 
 
@@ -68,6 +71,10 @@ class TestUsageErrors:
 
     def test_bad_quad_order(self):
         assert main(["solve", "--cube", "4,1", "--quad", "7"]) == 1
+
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_subdivided_self_quad_is_gone(self, command):
+        assert main([command, "--cube", "4,1", "--self-quad", "subdivide"]) == 1
 
     @pytest.mark.parametrize("flag", ["--workers"])
     def test_solve_takes_one_value_not_a_list(self, flag):
@@ -188,6 +195,30 @@ class TestPrecomputeApply:
         assert code == 0
         assert "applied precomputed operator" in capsys.readouterr().out
         assert out.exists()
+
+    def test_apply_prints_median_of_steady_applies(
+        self, capsys, monkeypatch, tmp_path, cube_stl, cube_bc
+    ):
+        opdir = tmp_path / "op"
+        assert main(["precompute", "--mesh", str(cube_stl), "--bc", str(cube_bc),
+                     "--quad", "4", "--operator", str(opdir)]) == 0
+        calls = []
+
+        def slow_first(op, bc):
+            calls.append(bc)
+            if len(calls) == 1:
+                time.sleep(0.5)  # a cold first call, as after loading
+            return apply_precomputed(op, bc)
+
+        monkeypatch.setattr(cli, "apply_precomputed", slow_first)
+        capsys.readouterr()
+        assert main(["apply", "--operator", str(opdir), "--mesh", str(cube_stl),
+                     "--bc", str(cube_bc)]) == 0
+        assert len(calls) == 1 + cli.APPLY_REPEATS
+        line = capsys.readouterr().out.splitlines()[0]
+        printed = float(re.search(r"median ([0-9.]+) s over (\d+)", line).group(1))
+        assert f"over {cli.APPLY_REPEATS} repeat applies" in line
+        assert printed < 0.25
 
     def test_generated_cube_applies_to_its_stl(self, tmp_path, cube_stl, cube_bc):
         # the fingerprint hashes vertices at STL precision, so a cube

@@ -202,10 +202,10 @@ class TestDistributedAssembleSolve:
     def test_worker_error_reaches_caller(self, prob, monkeypatch, workers):
         # the failing range is not the first, so the other workers finish
         # normally; the caller must see the typed error, not a secondary one
-        def failing(mesh, mat, rule, table, rows, *args):
+        def failing(mesh, mat, table, rows, *args):
             if 50 in rows:
                 raise DegenerateElementError("element 50 has zero area")
-            return assemble_rows(mesh, mat, rule, table, rows, *args)
+            return assemble_rows(mesh, mat, table, rows, *args)
 
         monkeypatch.setattr("tribem.distribution.assemble_rows", failing)
         outcome = []
