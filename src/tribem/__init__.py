@@ -7,7 +7,6 @@ from .assembly import (
     LinearSystem,
     apply_boundary_conditions,
     assemble,
-    integrate_pair,
     integrate_self_g,
     read_matrix,
     rigid_body_diagonal,

@@ -24,8 +24,8 @@ table holds every element's closed-form self-integrals, computed in one
 call per assembly. Paper-faithful self-terms are the row's own entry,
 which is exactly the D = 0 quadrature over the element.
 
-integrate_pair and integrate_self_g evaluate one block on its own and
-serve as the per-block reference.
+integrate_self_g evaluates one diagonal block G_ii on its own and
+serves as the reference for the assembled diagonal.
 
 DOF ordering is element-major: DOF d = 3 * element + axis.
 """
@@ -52,7 +52,6 @@ from .kernels import (
     collapsed_map,
     kelvin_blocks,
     kelvin_self_g,
-    kelvin_t_points,
     kelvin_u_points,
     kernel_moments,
     moment_features,
@@ -153,22 +152,6 @@ def quadrature_table(mesh: SurfaceMesh, rule: QuadratureRule) -> QuadratureTable
     for arr in (table.points, table.features, table.self_i1, table.self_m):
         arr.setflags(write=False)
     return table
-
-
-def integrate_pair(i, j, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule):
-    """Off-diagonal blocks H_ij, G_ij: kernels from collocation point i
-    integrated over field element j. Requires i != j."""
-    if i == j:
-        raise ValueError("integrate_pair is for off-diagonal blocks only (i != j)")
-    if mesh.areas[j] <= 0.0:
-        raise DegenerateElementError(f"element {j} is degenerate")
-    pts, w = collapsed_map(rule, *mesh.vertices[j])
-    c = mesh.centroids[i]
-    t_blocks = kelvin_t_points(c, pts, mesh.normals[j], mat)
-    u_blocks = kelvin_u_points(c, pts, mat)
-    h_ij = np.einsum("q,qab->ab", w, t_blocks)
-    g_ij = np.einsum("q,qab->ab", w, u_blocks)
-    return h_ij, g_ij
 
 
 SELF_STRATEGIES = ("analytic", "paper-faithful")
@@ -320,7 +303,7 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     _warn_if_underconstrained(bc)
     disp = bc.displacement_known
     a = hg.h.copy()
-    a[:, disp] = -hg.g[:, disp]
+    np.negative(hg.g, out=a, where=disp)  # column-wise, with no gathered copy
     # zeroing values, not gathering columns, keeps b free of N x N copies
     b = hg.g @ np.where(disp, 0.0, bc.values) - hg.h @ np.where(disp, bc.values, 0.0)
     return LinearSystem(a, b, disp.copy())

@@ -1,12 +1,35 @@
 """Independent reference implementations used to cross-check production
 code. Everything here is deliberately written from the defining formulas
 with plain loops or generic adaptive refinement, sharing no code with
-the package internals it verifies.
+the package internals it verifies. The one exception is
+:func:`integrate_pair`, the per-block reference for the moment-form
+assembly: it evaluates the point kernels at every quadrature point of
+the package's triangle map, sharing neither the moments nor the
+feature table it checks.
 """
 
 import math
 
 import numpy as np
+
+from tribem.errors import DegenerateElementError
+from tribem.kernels import collapsed_map, kelvin_t_points, kelvin_u_points
+
+
+def integrate_pair(i, j, mesh, mat, rule):
+    """Off-diagonal blocks H_ij, G_ij: kernels from collocation point i
+    integrated over field element j, point by point. Requires i != j."""
+    if i == j:
+        raise ValueError("integrate_pair is for off-diagonal blocks only (i != j)")
+    if mesh.areas[j] <= 0.0:
+        raise DegenerateElementError(f"element {j} is degenerate")
+    pts, w = collapsed_map(rule, *mesh.vertices[j])
+    c = mesh.centroids[i]
+    t_blocks = kelvin_t_points(c, pts, mesh.normals[j], mat)
+    u_blocks = kelvin_u_points(c, pts, mat)
+    h_ij = np.einsum("q,qab->ab", w, t_blocks)
+    g_ij = np.einsum("q,qab->ab", w, u_blocks)
+    return h_ij, g_ij
 
 
 def gauss_eliminate(a, b):

@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import random_triangle, singular_u_integral_reference, subdivided_u_integral
+from oracles import (
+    integrate_pair,
+    random_triangle,
+    singular_u_integral_reference,
+    subdivided_u_integral,
+)
 from tribem.assembly import (
     BoundarySpec,
     apply_boundary_conditions,
     assemble,
     assemble_rows,
-    integrate_pair,
     integrate_self_g,
     matrix_summary,
     quadrature_table,
@@ -369,6 +373,15 @@ class TestApplyBoundaryConditions:
         assert np.array_equal(system.a[:, ~disp], hg.h[:, ~disp])
         expected_b = hg.g[:, ~disp] @ vals[~disp] - hg.h[:, disp] @ vals[disp]
         assert np.allclose(system.b, expected_b, rtol=1e-13, atol=1e-13)
+
+    def test_matches_column_gather_bitwise(self, hg):
+        # the in-place negation writes exactly what the column gather did
+        n = hg.n_dofs
+        disp = np.random.default_rng(33).random(n) < 0.25
+        system = apply_boundary_conditions(hg, BoundarySpec(disp, np.zeros(n)))
+        ref = hg.h.copy()
+        ref[:, disp] = -hg.g[:, disp]
+        assert system.a.tobytes() == ref.tobytes()
 
     def test_swap_involution(self, hg):
         # toggling one DOF's kind and toggling it back restores A and b

@@ -1,9 +1,15 @@
 import json
+import logging
+import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from oracles import gauss_eliminate
+from tribem import solver
 from tribem.assembly import (
     BoundarySpec,
     InfluenceMatrices,
@@ -109,6 +115,104 @@ class TestSolveDirect:
         a[0, 0] = np.nan
         with pytest.raises(ValueError):
             solve_direct(LinearSystem(a, np.ones(3), np.zeros(3, dtype=bool)))
+
+
+def conditioned_system(n, log_cond, seed):
+    """Seeded n x n system with singular values log-spaced from 1 down to
+    10**-log_cond, from the QR factors of two Gaussian matrices."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q1 * np.logspace(0, -log_cond, n)) @ q2.T
+    return LinearSystem(a, rng.standard_normal(n), np.zeros(n, dtype=bool))
+
+
+def double_lu_solve(system):
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.a), system.b)
+
+
+class TestMixedPrecision:
+    """solve_direct factors in single precision and refines in double; it
+    answers as the double LU does, and falls back to it where single
+    precision cannot decide the system."""
+
+    def assert_double_quality(self, system):
+        a, b = system.a.tobytes(), system.b.tobytes()
+        x = solve_direct(system)
+        assert system.a.tobytes() == a and system.b.tobytes() == b
+        res = np.linalg.norm(system.a @ x - system.b) / np.linalg.norm(system.b)
+        assert res <= 1e-14
+        ref = double_lu_solve(system)
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_cube_at_double_accuracy(self, cube_setup):
+        prob, hg, _ = cube_setup
+        self.assert_double_quality(apply_boundary_conditions(hg, prob.bc))
+
+    def test_random_system_at_double_accuracy(self):
+        self.assert_double_quality(random_system(np.random.default_rng(49), 300))
+
+    def test_refinement_logged_at_debug(self, cube_setup, caplog):
+        prob, hg, _ = cube_setup
+        with caplog.at_level(logging.DEBUG, logger="tribem.solver"):
+            solve_direct(apply_boundary_conditions(hg, prob.bc))
+        (record,) = caplog.records
+        assert record.levelno == logging.DEBUG
+        assert re.fullmatch(
+            r"single-precision LU refined in \d+ steps to max\|r\| = \S+ max\|b\|",
+            record.getMessage(),
+        )
+
+    def test_no_float64_copy_of_a(self):
+        system = random_system(np.random.default_rng(50), 400)
+        tracemalloc.start()
+        try:
+            solve_direct(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * system.a.nbytes  # the float32 copy is half of A
+
+    def assert_falls_back(self, system, caplog, reason):
+        with caplog.at_level(logging.INFO, logger="tribem.solver"):
+            x = solve_direct(system)
+        (record,) = caplog.records
+        assert record.levelno == logging.INFO
+        assert reason in record.getMessage()
+        assert "solving with the double-precision LU" in record.getMessage()
+        assert np.array_equal(x, double_lu_solve(system))
+
+    def test_ill_conditioned_falls_back(self, caplog):
+        # cond 1e9: beyond what float32 factors can refine
+        self.assert_falls_back(
+            conditioned_system(200, 9, 51), caplog, "is zero to single precision"
+        )
+
+    def test_stalled_residual_falls_back(self, caplog):
+        # cond 1e5: x is so large that the float64 residual's rounding
+        # floor lies above the tolerance, and refinement stalls there
+        self.assert_falls_back(conditioned_system(50, 5, 52), caplog, "residual grew")
+
+    def test_step_limit_falls_back(self, cube_setup, caplog, monkeypatch):
+        prob, hg, _ = cube_setup
+        monkeypatch.setattr(solver, "REFINE_STEPS", 1)
+        self.assert_falls_back(
+            apply_boundary_conditions(hg, prob.bc), caplog, "no convergence in 1 steps"
+        )
+
+    def test_zero_load_on_singular_system_rejected(self, cube_setup, caplog):
+        # traction known everywhere: A = H, singular through the rigid
+        # modes. Zero load makes b = 0, which x = 0 solves to any
+        # residual, so only the pivot test keeps the double LU's verdict.
+        _, hg, _ = cube_setup
+        bc = BoundarySpec(np.zeros(hg.n_dofs, dtype=bool), np.zeros(hg.n_dofs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            system = apply_boundary_conditions(hg, bc)
+        with caplog.at_level(logging.INFO, logger="tribem.solver"):
+            with pytest.raises(SingularSystemError):
+                solve_direct(system)
+        assert "zero to single precision" in caplog.text
 
 
 class TestScatter:
