@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Block and block-cyclic index distribution.
 
-Assembly rows are dealt to workers in contiguous blocks; a cluster
+Field elements (the column blocks of H and G) are dealt to assembly
+workers in contiguous blocks; a cluster
 solve would lay the matrix out block-cyclically, dealing blocks of r
 indices over a 2D process grid, independently for rows and columns
 (the in-process solve here needs no such layout). Both maps are pure
@@ -25,9 +26,9 @@ print("  owners:", [block_map(m, params)[0] for m in range(10)])
 print("  note the literal ceiling rule leaves process 3 underfull")
 print()
 
-print("assembly row partition, 96 rows over 4 workers:")
-for p, rows in enumerate(partition_rows(96, 4)):
-    print(f"  worker {p}: rows [{rows.start}, {rows.stop})")
+print("assembly field-element partition, 96 field elements over 4 workers:")
+for p, elements in enumerate(partition_rows(96, 4)):
+    print(f"  worker {p}: field elements [{elements.start}, {elements.stop})")
 print()
 
 # block-cyclic: blocks of r dealt like cards with period T = r*P

@@ -15,14 +15,22 @@ whole element ("paper-faithful", the paper's own method).
 Off-diagonal blocks use the moment form of the kernels (see
 :mod:`tribem.kernels`). Elements are flat, so for collocation point
 c_i and field element j with centroid C_j, D = C_j - c_i gives
-d.n_j = D.n_j at every quadrature point. A table of centred features
-w [1, rho, rho rho^T], rho = y - C_j, is built once per assembly;
-each collocation row then needs only 1/r, 1/r^3 and 1/r^5 at the
-quadrature points and one contraction against that table, after which
-every block follows from D, n_j and ten moments per weight. The same
-table holds every element's closed-form self-integrals, computed in one
-call per assembly. Paper-faithful self-terms are the row's own entry,
-which is exactly the D = 0 quadrature over the element.
+d.n_j = D.n_j at every quadrature point. A table of each element's
+right factors -- [2 rho; 1; |rho|^2] for r^2 and the centred features
+w [1, rho, rho rho^T], rho = y - C_j -- is built once per assembly.
+The sweep then runs over field elements, the column blocks of H and G:
+for element j, r^2 at every quadrature point from every collocation
+point is one product, the radial weights 1/r, 1/r^3, 1/r^5 follow with
+one division and one square root per point, and one more product gives
+their moments, after which every block of the column follows from D,
+n_j and ten moments per weight. Columns are written a chunk of elements
+at a time. A column block depends on no other column, so any split of
+the elements gives bit-identical matrices, and a parallel run gives
+each worker a contiguous range of field elements. After the sweep one
+pass sets the diagonal blocks: H_ii from the rigid-body identity over
+the finished rows, G_ii from the table's closed-form self-integrals
+(computed in one call per assembly) or, for paper-faithful, left at the
+row's own D = 0 entry, which is exactly the quadrature over the element.
 
 integrate_self_g evaluates one diagonal block G_ii on its own and
 serves as the reference for the assembled diagonal.
@@ -50,11 +58,11 @@ from .kernels import (
     QuadratureRule,
     centroid_self_integrals,
     collapsed_map,
+    element_factors,
     kelvin_blocks,
     kelvin_self_g,
     kelvin_u_points,
-    kernel_moments,
-    moment_features,
+    radial_moments,
 )
 from .mesh import SurfaceMesh
 
@@ -127,34 +135,41 @@ class LinearSystem:
 class QuadratureTable:
     """The mesh's mapped quadrature in moment form, read-only.
 
-    ``points`` (3, N, Q) holds the physical points component-major;
-    ``features`` (N, N_FEATURES, Q) holds w [1, rho, rho rho^T] with rho
-    measured from each element's centroid. ``self_i1`` (N,) and
-    ``self_m`` (N, 3, 3) are each element's closed-form singular
-    integrals from its own centroid (:func:`centroid_self_integrals`).
-    Built once per assembly and shared by every worker.
+    ``distance`` (N, 5, Q) holds [2 rho; 1; |rho|^2] and ``features``
+    (N, Q, N_FEATURES) holds w [1, rho, rho rho^T], with rho measured
+    from each element's centroid (:func:`element_factors`). ``self_i1``
+    (N,) and ``self_m`` (N, 3, 3) are each element's closed-form
+    singular integrals from its own centroid
+    (:func:`centroid_self_integrals`). Built once per assembly and
+    shared by every worker.
     """
 
-    points: np.ndarray
+    distance: np.ndarray
     features: np.ndarray
     self_i1: np.ndarray
     self_m: np.ndarray
 
 
 def quadrature_table(mesh: SurfaceMesh, rule: QuadratureRule) -> QuadratureTable:
-    """Map ``rule`` onto every element and tabulate its centred features
-    and its singular self-integrals."""
+    """Map ``rule`` onto every element and tabulate its moment-form
+    factors and its singular self-integrals."""
     v = mesh.vertices
     pts, w = collapsed_map(rule, v[:, 0], v[:, 1], v[:, 2])
-    features = moment_features(pts, w, mesh.centroids[:, None, :])
-    points = np.ascontiguousarray(np.moveaxis(pts, -1, 0))
-    table = QuadratureTable(points, features, *centroid_self_integrals(v, mesh.centroids))
-    for arr in (table.points, table.features, table.self_i1, table.self_m):
+    distance, features = element_factors(pts, w, mesh.centroids[:, None, :])
+    table = QuadratureTable(distance, features, *centroid_self_integrals(v, mesh.centroids))
+    for arr in (table.distance, table.features, table.self_i1, table.self_m):
         arr.setflags(write=False)
     return table
 
 
 SELF_STRATEGIES = ("analytic", "paper-faithful")
+
+
+def check_self_strategy(strategy):
+    """Reject a self-integration strategy outside ``SELF_STRATEGIES``,
+    before any work is spent on it."""
+    if strategy not in SELF_STRATEGIES:
+        raise ValueError(f"unknown self-integration strategy {strategy!r}")
 
 
 def integrate_self_g(
@@ -167,8 +182,7 @@ def integrate_self_g(
     rule is not used. strategy "paper-faithful": direct mapped
     quadrature over the whole element, relying on point count alone.
     """
-    if strategy not in SELF_STRATEGIES:
-        raise ValueError(f"unknown self-integration strategy {strategy!r}")
+    check_self_strategy(strategy)
     if mesh.areas[i] <= 0.0:
         raise DegenerateElementError(f"element {i} is degenerate")
     v = mesh.vertices[i]
@@ -183,77 +197,99 @@ def integrate_self_g(
 def rigid_body_diagonal(off_diagonal_blocks):
     """Diagonal block H_ii = -sum of the row's off-diagonal blocks.
 
-    The blocks must be ordered by ascending column element index; the
-    reduction is numpy's deterministic pairwise sum over that order, so
-    results are bit-reproducible across runs and worker counts.
+    The blocks are stacked along the first axis in ascending column
+    element index (any trailing axes are summed independently), and
+    numpy adds them in that order, one after another, so results are
+    bit-reproducible across runs and worker counts.
     """
     blocks = np.asarray(off_diagonal_blocks, dtype=float)
     return -np.sum(blocks, axis=0)
 
 
-# Collocation rows per contraction. Each row holds 3 N Q doubles of work
-# space per worker; 4 rows ran ~15% faster than 2 on the 96-element box
-# but raised peak memory by ~3 MB, 2 rows kept it at the old level.
-_ROW_BATCH = 2
+# Field elements per kelvin_blocks call: their moments, 240 bytes per
+# collocation point each, take about this much (11 elements on the
+# 96-element box, 1 on the 1000-element one). Over 60 two-worker
+# requests on 96-element boxes at q=16 (2-vCPU VM), peak RSS read
+# 70.4 MB with 512 KB chunks, 68.8 MB with 256 KB and 67.9 MB with
+# 128 KB; 512 KB assembled no faster than 256 KB, 128 KB ~6% slower.
+_CHUNK_BYTES = 1 << 18
 
 
-def assemble_rows(
-    mesh: SurfaceMesh,
-    mat: Material,
-    table: QuadratureTable,
-    rows,
-    h_out,
-    g_out,
-    strategy="analytic",
+def _block_view(m, n):
+    """A C-ordered (3n, 3n) matrix as its (n, 3, n, 3) blocks, a view
+    through which writes reach ``m``."""
+    if not m.flags.c_contiguous:
+        raise ValueError("H and G must be C-contiguous to be filled in place")
+    return m.reshape(n, 3, n, 3)
+
+
+def assemble_columns(
+    mesh: SurfaceMesh, mat: Material, table: QuadratureTable, elements: range, h_out, g_out
 ):
-    """Fill the collocation rows ``rows`` of preallocated H and G.
+    """Fill the off-diagonal column blocks of field elements ``elements``
+    (a contiguous range) in preallocated C-ordered H and G.
 
-    Rows are taken two at a time: the radial weights 1/r, 1/r^3, 1/r^5
-    from each row's collocation point to every quadrature point of the
-    mesh are contracted against ``table`` (from :func:`quadrature_table`
-    for the same mesh), and the blocks follow from the moments,
-    the centroid offsets D and the element normals (flat elements:
-    d.n_j = D.n_j). Every (row, element) pair is its own fixed-shape
-    contraction and writes are disjoint, so any partition of rows across
-    workers, and any grouping of rows within one, yields bit-identical
-    matrices. Then the diagonal
-    blocks are set: H_ii by the rigid-body identity over the
-    off-diagonal blocks in ascending column order, G_ii by singular
-    integration (``strategy``, as in :func:`integrate_self_g`). The
-    "analytic" blocks come elementwise from the table's self-integrals,
-    so they too do not depend on which rows a call is given.
+    For each field element j, r^2 from every collocation point to its
+    quadrature points is one (N x 5)(5 x Q) product against the
+    element's distance factor from ``table`` (from
+    :func:`quadrature_table` for the same mesh), the radial weights
+    follow pointwise, and their moments are one (3N x Q)(Q x 10)
+    product (:func:`radial_moments`). Blocks then follow from the
+    moments, the centroid offsets D and the element normals (flat
+    elements: d.n_j = D.n_j), a chunk of elements per call, and each
+    chunk is written with one slice assignment. Every element's
+    products have the same shapes and writes are disjoint, so any
+    partition of elements across workers, and any chunking within one,
+    yields bit-identical matrices. The diagonal blocks hold the D = 0
+    entries until :func:`set_diagonal_blocks` runs.
     """
-    if strategy not in SELF_STRATEGIES:
-        raise ValueError(f"unknown self-integration strategy {strategy!r}")
-    rows = np.asarray(rows, dtype=int)
-    degenerate = rows[mesh.areas[rows] <= 0.0]
+    degenerate = np.flatnonzero(mesh.areas[elements.start : elements.stop] <= 0.0)
     if len(degenerate):
-        raise DegenerateElementError(f"elements {degenerate.tolist()} are degenerate")
+        bad = (degenerate + elements.start).tolist()
+        raise DegenerateElementError(f"elements {bad} are degenerate")
     n = mesh.n_elements
-    work = np.empty((3, _ROW_BATCH) + table.points.shape[1:])
-    moments = np.empty((_ROW_BATCH, n, 3, N_FEATURES))
-    if strategy == "analytic":
-        self_g = kelvin_self_g(table.self_i1[rows], table.self_m[rows], mat)
+    h4, g4 = _block_view(h_out, n), _block_view(g_out, n)
+    chunk = max(1, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
+    work = np.empty((3, n) + table.features.shape[1:2])
+    moments = np.empty((chunk, 3, n, N_FEATURES))
+    sources = np.empty((chunk, n, 5))
+    sources[..., 4] = 1.0
 
-    for start in range(0, len(rows), _ROW_BATCH):
-        batch = rows[start : start + _ROW_BATCH]
-        b = len(batch)
-        c = mesh.centroids[batch]
-        # The row's own element is evaluated too (D = 0): that is its
+    for start in range(elements.start, elements.stop, chunk):
+        cols = slice(start, min(start + chunk, elements.stop))
+        k = cols.stop - cols.start
+        d = mesh.centroids[cols, None, :] - mesh.centroids  # (k, N, 3): D = C_j - c_i
+        sources[:k, :, :3] = d
+        sources[:k, :, 3] = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        # Each column's own row is evaluated too (D = 0): that is its
         # paper-faithful G_ii. It stays finite because every supported
         # order is even, so no Gauss point maps onto the centroid.
-        kernel_moments(
-            table.points, table.features, c.T[:, :, None, None], work[:, :b], moments[:b]
+        for m, j in enumerate(range(cols.start, cols.stop)):
+            radial_moments(sources[m], table.distance[j], table.features[j], work, moments[m])
+        h, g = kelvin_blocks(
+            np.moveaxis(moments[:k], 1, 2), d, mesh.normals[cols, None, :], mat
         )
-        h, g = kelvin_blocks(moments[:b], mesh.centroids - c[:, None, :], mesh.normals, mat)
-        if strategy == "analytic":
-            g[np.arange(b), batch] = self_g[start : start + b]
+        h4[:, :, cols, :] = h.transpose(1, 2, 0, 3)
+        g4[:, :, cols, :] = g.transpose(1, 2, 0, 3)
 
-        for i, row_h, row_g in zip(batch, h, g):
-            others = np.concatenate([np.arange(0, i), np.arange(i + 1, n)])
-            row_h[i] = rigid_body_diagonal(row_h[others])
-            h_out[3 * i : 3 * i + 3, :] = row_h.transpose(1, 0, 2).reshape(3, 3 * n)
-            g_out[3 * i : 3 * i + 3, :] = row_g.transpose(1, 0, 2).reshape(3, 3 * n)
+
+def set_diagonal_blocks(mat: Material, table: QuadratureTable, h, g, strategy="analytic"):
+    """Set every diagonal block of H and G, once all columns are filled.
+
+    H_ii comes from the rigid-body identity, summed over the row's
+    off-diagonal blocks in ascending column order; G_ii from singular
+    integration (``strategy``, as in :func:`integrate_self_g`): the
+    table's closed-form self-integrals for "analytic", while
+    "paper-faithful" keeps the D = 0 quadrature entry the sweep wrote.
+    """
+    check_self_strategy(strategy)
+    n = len(table.self_i1)
+    h4, g4 = _block_view(h, n), _block_view(g, n)
+    diag = np.arange(n)
+    h4[diag, :, diag, :] = 0.0  # so that the sum over every column skips it
+    h4[diag, :, diag, :] = rigid_body_diagonal(np.moveaxis(h4, 2, 0))
+    if strategy == "analytic":
+        g4[diag, :, diag, :] = kelvin_self_g(table.self_i1, table.self_m, mat)
 
 
 def assemble(
@@ -265,6 +301,7 @@ def assemble(
     A closed body needs at least 4 elements; degenerate facets are
     rejected up front.
     """
+    check_self_strategy(strategy)
     bad = mesh.degenerate_indices()
     if len(bad):
         raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
@@ -272,7 +309,8 @@ def assemble(
     h = np.empty((n3, n3))
     g = np.empty((n3, n3))
     table = quadrature_table(mesh, rule)
-    assemble_rows(mesh, mat, table, range(mesh.n_elements), h, g, strategy)
+    assemble_columns(mesh, mat, table, range(mesh.n_elements), h, g)
+    set_diagonal_blocks(mat, table, h, g, strategy)
     return InfluenceMatrices(h, g, mesh.n_elements)
 
 
@@ -288,13 +326,21 @@ def _warn_if_underconstrained(bc: BoundarySpec):
         )
 
 
+# Share of nonzero values above which b is built from two dense N x N
+# products instead of gathered columns. Measured at 3000 DOF on a 2-vCPU
+# VM: the two dense products 16 ms; gathering 2% of the columns 1.5-2.3
+# ms, 5% 4-8 ms and 10% 16-24 ms.
+_GATHER_SHARE = 1 / 16
+
+
 def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> LinearSystem:
     """Rearrange H u = G t into A x = b under mixed boundary conditions.
 
     Traction-known DOF d keeps column d of H in A (unknown u_d) and
     sends G[:,d] * t_d to the right-hand side; displacement-known DOF d
     swaps in -G[:,d] (unknown t_d) and sends -H[:,d] * u_d to the
-    right-hand side.
+    right-hand side. b reads only the columns of the nonzero values,
+    unless more than ``_GATHER_SHARE`` of them are nonzero.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
@@ -302,10 +348,16 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
         )
     _warn_if_underconstrained(bc)
     disp = bc.displacement_known
+    v = bc.values
     a = hg.h.copy()
     np.negative(hg.g, out=a, where=disp)  # column-wise, with no gathered copy
-    # zeroing values, not gathering columns, keeps b free of N x N copies
-    b = hg.g @ np.where(disp, 0.0, bc.values) - hg.h @ np.where(disp, bc.values, 0.0)
+    nonzero = v != 0.0
+    if np.count_nonzero(nonzero) > _GATHER_SHARE * v.size:
+        b = hg.g @ np.where(disp, 0.0, v) - hg.h @ np.where(disp, v, 0.0)
+    else:
+        t_cols = np.flatnonzero(nonzero & ~disp)
+        u_cols = np.flatnonzero(nonzero & disp)
+        b = hg.g[:, t_cols] @ v[t_cols] - hg.h[:, u_cols] @ v[u_cols]
     return LinearSystem(a, b, disp.copy())
 
 

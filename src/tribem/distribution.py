@@ -12,10 +12,12 @@ leave trailing processes underfull (or empty) for awkward (M, P); that
 imbalance is inherited as-is.
 
 Execution is desk-scale: a thread pool in one process stands in for
-cluster processes, and the distributed run is one plain map of row
-assembly over the block-mapped row ranges, followed by a shared-memory
-solve. Message passing is not emulated and no block-cyclic layout is
-built at run time: the block size only labels a run. What is checked
+cluster processes, and the distributed run is one plain map of the
+element-major assembly sweep over block-mapped ranges of field elements
+(each worker owns the column blocks of H and G of its elements),
+followed by the diagonal pass and a shared-memory solve. Message
+passing is not emulated and no block-cyclic layout is built at run
+time: the block size only labels a run. What is checked
 is the ownership formulas themselves and result invariance across
 worker counts and block sizes, with per-phase wall timings as the
 measurable output.
@@ -23,17 +25,27 @@ measurable output.
 
 from __future__ import annotations
 
+import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import BoundarySpec, InfluenceMatrices, assemble_rows, quadrature_table
+from .assembly import (
+    BoundarySpec,
+    InfluenceMatrices,
+    assemble_columns,
+    check_self_strategy,
+    quadrature_table,
+    set_diagonal_blocks,
+)
 from .errors import DegenerateElementError
 from .kernels import Material, QuadratureRule
 from .mesh import SurfaceMesh
 from .solver import solve
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -118,7 +130,8 @@ def owner_of_entry(row, col, grid: ProcessGrid, row_block, col_block, shape):
 
 
 def partition_rows(n_rows, workers):
-    """Contiguous row ranges per worker via the block mapping.
+    """Contiguous index ranges per worker via the block mapping; the
+    distributed run deals field elements (column blocks) this way.
 
     Ranges are disjoint and cover [0, n_rows). With L = ceil(N/P) the
     trailing ranges may be short or empty; that follows the literal
@@ -155,23 +168,29 @@ def distributed_assemble_solve(
     block_size=32,
     strategy="analytic",
 ):
-    """Assemble in parallel over row ranges, then solve on shared memory.
+    """Assemble in parallel over field-element ranges, then solve on
+    shared memory.
 
-    Workers own disjoint contiguous row ranges of H and G (block
-    distribution) and share one read-only quadrature table; the pool
-    maps row assembly over the ranges, and once every range is written
-    the main thread applies the boundary conditions and solves. An
-    error in any worker reaches the caller unchanged. ``block_size``
-    is a label recorded in the timings, not a layout. Because every
-    matrix entry is computed independently and written once, the
-    Solution is bit-identical for any worker count or block size.
+    Workers own disjoint contiguous ranges of field elements (block
+    distribution), that is the column blocks of H and G, and share one
+    read-only quadrature table; the pool maps the element-major sweep
+    (:func:`assemble_columns`) over the ranges, and once every range is
+    written the main thread sets the diagonal blocks, applies the
+    boundary conditions and solves. An error in any worker reaches the
+    caller unchanged. ``block_size`` is a label recorded in the timings,
+    not a layout. Every element's products have the same shapes and
+    every entry is written once, so the Solution is bit-identical for
+    any worker count or block size.
 
-    Timings: ``assembly`` runs from the start to the last range's
-    completion, ``barrier`` from there until the map returns, ``solve``
-    covers boundary-condition application, LU and scatter.
+    Timings: ``assembly`` covers the table, the sweep up to the last
+    range's completion and the diagonal pass; ``barrier`` runs from the
+    last range's completion until the map returns; ``solve`` covers
+    boundary-condition application, LU and scatter. They are logged at
+    DEBUG on ``tribem.distribution``.
     """
     if block_size < 1:
         raise ValueError("block size must be positive")
+    check_self_strategy(strategy)
     bad = mesh.degenerate_indices()
     if len(bad):
         raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
@@ -184,24 +203,32 @@ def distributed_assemble_solve(
     t0 = time.perf_counter()
     table = quadrature_table(mesh, rule)
 
-    def job(rows):
-        assemble_rows(mesh, mat, table, rows, h, g, strategy)
+    def job(elements):
+        assemble_columns(mesh, mat, table, elements, h, g)
         return time.perf_counter()
 
     with ThreadPoolExecutor(max_workers=len(active)) as pool:
-        t_assembled = max(pool.map(job, active))
+        t_swept = max(pool.map(job, active))
         t_joined = time.perf_counter()
+    set_diagonal_blocks(mat, table, h, g, strategy)
+    t_diagonal = time.perf_counter() - t_joined
 
     t_solve_start = time.perf_counter()
     sol = solve(InfluenceMatrices(h, g, n), bc)
     t_end = time.perf_counter()
 
     timings = PhaseTimings(
-        assembly=t_assembled - t0,
-        barrier=t_joined - t_assembled,
+        assembly=t_swept - t0 + t_diagonal,
+        barrier=t_joined - t_swept,
         solve=t_end - t_solve_start,
         total=t_end - t0,
         workers=workers,
         block_size=block_size,
+    )
+    log.debug(
+        "%d elements in ranges of %s; assembly %.4f s, barrier %.4f s, "
+        "solve %.4f s, total %.4f s",
+        n, [len(r) for r in active], timings.assembly, timings.barrier,
+        timings.solve, timings.total,
     )
     return sol, timings

@@ -26,9 +26,13 @@ and every weighted sum the integrated kernels need,
 
 follows from the moments m = sum w f(r) [1, rho, rho rho^T] of the
 three radial weights f = 1/r, 1/r^3, 1/r^5. The features
-w [1, rho, rho rho^T] depend on the triangle alone, so a table of them
-is built once and each source costs only the radial weights and one
-contraction (:func:`kernel_moments`, :func:`kelvin_blocks`).
+w [1, rho, rho rho^T] depend on the triangle alone, and so does the
+right factor of r^2 = |D|^2 + 2 D.rho + |rho|^2, so both are tabulated
+once (:func:`element_factors`). Assembly then sweeps the field
+triangles: for each, every source at once costs one product for r^2,
+one division and one square root per point for the radial weights, and
+one product for the moments (:func:`radial_moments`), after which
+:func:`kelvin_blocks` gives the integrated blocks.
 """
 
 from __future__ import annotations
@@ -193,46 +197,54 @@ _OUTER_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _OUTER_INDEX = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])  # moment index of rho_a rho_b
 
 
-def moment_features(points, weights, centres):
-    """Quadrature features w [1, rho, rho rho^T] with rho = y - centre.
+def element_factors(points, weights, centres):
+    """The per-triangle tables of the moment form, with rho = y - centre.
 
     ``points`` (..., Q, 3) and ``weights`` (..., Q) as returned by
     :func:`collapsed_map`; ``centres`` (..., 1, 3) is each triangle's
-    reference point. Returns (..., N_FEATURES, Q), feature-major so
-    that each feature is written, and later read, contiguously.
+    reference point. Returns
+
+    - ``distance`` (..., 5, Q), rows [2 rho; 1; |rho|^2]: the right
+      factor of r^2, whose left factor is [D, |D|^2, 1] per source;
+    - ``features`` (..., Q, N_FEATURES), columns w [1, rho, rho rho^T]:
+      the right factor of the moments.
     """
-    rho = np.moveaxis(points - centres, -1, -2)
-    out = np.empty(weights.shape[:-1] + (N_FEATURES,) + weights.shape[-1:])
-    out[..., 0, :] = weights
-    np.multiply(weights[..., None, :], rho, out=out[..., 1:4, :])
-    for row, (a, b) in enumerate(_OUTER_ENTRIES, start=4):
-        np.multiply(out[..., 1 + a, :], rho[..., b, :], out=out[..., row, :])
+    rho = points - centres
+    distance = np.empty(weights.shape[:-1] + (5,) + weights.shape[-1:])
+    np.multiply(np.moveaxis(rho, -1, -2), 2.0, out=distance[..., :3, :])
+    distance[..., 3, :] = 1.0
+    distance[..., 4, :] = rho[..., 0] ** 2 + rho[..., 1] ** 2 + rho[..., 2] ** 2
+    features = np.empty(weights.shape + (N_FEATURES,))
+    features[..., 0] = weights
+    np.multiply(weights[..., None], rho, out=features[..., 1:4])
+    for col, (a, b) in enumerate(_OUTER_ENTRIES, start=4):
+        np.multiply(features[..., 1 + a], rho[..., b], out=features[..., col])
+    return distance, features
+
+
+def radial_moments(sources, distance, features, work, out):
+    """Moments of 1/r, 1/r^3, 1/r^5 from M sources over one triangle.
+
+    ``sources`` (M, 5) holds the rows [D, |D|^2, 1] with D = C - x, and
+    ``distance`` (5, Q) and ``features`` (Q, N_FEATURES) are the
+    triangle's tables from :func:`element_factors`, so that r^2 is one
+    (M x 5)(5 x Q) product. The weights then take one division and one
+    square root per point: 1/r^2, 1/r = sqrt(1/r^2), and 1/r^3, 1/r^5
+    by multiplication. ``work`` is a C-contiguous (3, M, Q) buffer for
+    the weights and ``out`` a C-contiguous (3, M, N_FEATURES) one, which
+    receives the moments from one (3M x Q)(Q x N_FEATURES) product.
+    Every product has the same shape whatever else is being assembled,
+    so a result does not depend on how the triangles are split. No
+    point may coincide with its source.
+    """
+    m = sources.shape[0]
+    inv_r2 = np.matmul(sources, distance, out=work[2])
+    np.divide(1.0, inv_r2, out=inv_r2)
+    np.sqrt(inv_r2, out=work[0])
+    np.multiply(work[0], inv_r2, out=work[1])
+    np.multiply(work[1], inv_r2, out=work[2])  # 1/r^5 replaces 1/r^2
+    np.matmul(work.reshape(3 * m, -1), features, out=out.reshape(3 * m, -1))
     return out
-
-
-def kernel_moments(points, features, sources, work, out):
-    """Contract the radial weights 1/r, 1/r^3, 1/r^5 over tabulated quadrature.
-
-    ``points`` is component-major (3, ..., Q) and ``sources`` (3, ...)
-    broadcasts against ``points[k]``; ``work`` is a (3, ..., Q) buffer of
-    the broadcast shape and receives the three weights. ``out``
-    (..., 3, N_FEATURES) receives their moments against ``features``
-    (..., N_FEATURES, Q). Each (source, triangle) pair is one 3 x Q by
-    Q x N_FEATURES product, so a result does not depend on which other
-    sources share the call. No point may coincide with its source.
-    """
-    r2 = work[2]
-    np.subtract(points[0], sources[0], out=r2)
-    np.square(r2, out=r2)
-    for k in (1, 2):
-        np.subtract(points[k], sources[k], out=work[0])
-        np.square(work[0], out=work[0])
-        r2 += work[0]
-    invr = np.sqrt(r2, out=work[0])
-    np.divide(1.0, invr, out=invr)
-    np.divide(invr, r2, out=work[1])
-    np.divide(work[1], r2, out=work[2])
-    return np.matmul(np.moveaxis(work, 0, -2), features.swapaxes(-1, -2), out=out)
 
 
 def _weighted_outer(offsets, m):
@@ -302,10 +314,11 @@ def kelvin_self_g(i1, m, mat: Material):
 
 
 def kelvin_blocks(moments, offsets, normals, mat: Material):
-    """Integrated T* and U* blocks from :func:`kernel_moments` output.
+    """Integrated T* and U* blocks from :func:`radial_moments` output.
 
-    ``moments`` (..., 3, N_FEATURES); ``offsets`` (..., 3) is D = C - x
-    from the source to the centre the features were taken about, and
+    ``moments`` (..., 3, N_FEATURES), one row per radial weight;
+    ``offsets`` (..., 3) is D = C - x from the source to the centre the
+    features were taken about, and
     ``normals`` (..., 3) the triangle's unit normal. The centre must lie
     in the triangle's plane, so that d.n = D.n at every point. Returns
     (H, G), each (..., 3, 3):

@@ -9,9 +9,9 @@ itself leaves (Langou et al., SC 2006; Buttari et al., IJHPCA 2007;
 LAPACK dsgesv). The single-precision LU costs about half the time
 and memory of the double one. A system that single precision cannot
 decide -- a pivot at its rounding level, or a residual that does not
-shrink within ``REFINE_STEPS`` steps -- is solved by the double LU
-instead, so singular and ill-conditioned systems meet the same checks
-as before.
+shrink, or shrinks too slowly to reach the tolerance within
+``REFINE_STEPS`` steps -- is solved by the double LU instead, so
+singular and ill-conditioned systems meet the same checks as before.
 
 The precomputed path solves the system offline against the
 right-hand-side builder R (b = R @ values), which gives M = A^-1 R: the
@@ -170,6 +170,13 @@ def _refined_single_solve(a, scales, b):
             return x, None
         if not res < last:
             return None, f"residual grew at step {step} ({last:.2g} to {res:.2g})"
+        # at this step's rate the remaining steps cannot reach the tolerance
+        rate = res / last
+        if step < REFINE_STEPS and res * rate ** (REFINE_STEPS - step) > REFINE_TOL * b_max:
+            return None, (
+                f"residual shrank only {1 / rate:.2g}-fold at step {step}, too slowly "
+                f"to reach the tolerance in {REFINE_STEPS} steps"
+            )
     return None, f"no convergence in {REFINE_STEPS} steps (max|r| = {res / b_max:.2g} max|b|)"
 
 

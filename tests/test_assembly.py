@@ -13,15 +13,17 @@ from oracles import (
 )
 from tribem.assembly import (
     BoundarySpec,
+    InfluenceMatrices,
     apply_boundary_conditions,
     assemble,
-    assemble_rows,
+    assemble_columns,
     integrate_self_g,
     matrix_summary,
     quadrature_table,
     read_matrix,
     rhs_matrix,
     rigid_body_diagonal,
+    set_diagonal_blocks,
     write_matrix,
 )
 from tribem.errors import (
@@ -211,23 +213,37 @@ class TestAssemble:
         assert np.array_equal(a.h, b.h)
         assert np.array_equal(a.g, b.g)
 
-    def test_partitioned_rows_bit_exact(self):
+    def test_partitioned_columns_bit_exact(self):
         mesh = generate_cube(4, 1)
         full = assemble(mesh, MAT, RULE)
         n3 = mesh.n_dofs
         h = np.empty((n3, n3))
         g = np.empty((n3, n3))
-        # simulate two workers with an uneven split
+        # simulate two workers with an uneven split of the field elements
         table = quadrature_table(mesh, RULE)
-        assemble_rows(mesh, MAT, table, range(0, 5), h, g)
-        assemble_rows(mesh, MAT, table, range(5, mesh.n_elements), h, g)
+        assemble_columns(mesh, MAT, table, range(0, 5), h, g)
+        assemble_columns(mesh, MAT, table, range(5, mesh.n_elements), h, g)
+        set_diagonal_blocks(MAT, table, h, g)
         assert np.array_equal(h, full.h)
         assert np.array_equal(g, full.g)
 
     def test_matches_integrate_pair(self):
+        # r^2 is expanded as |D|^2 + 2 D.rho + |rho|^2, whose cancellation
+        # is worst where the field element touches the collocation point's
+        # own element: check every edge-sharing pair, and one far pair
         mesh = generate_cube(4, 1)
         hg = assemble(mesh, MAT, RULE)
-        for i, j in ((0, 1), (3, 17), (9, 2)):
+        keys = [{tuple(v) for v in tri} for tri in mesh.vertices]
+        pairs = [
+            (i, j)
+            for i in range(mesh.n_elements)
+            for j in range(mesh.n_elements)
+            if i != j and len(keys[i] & keys[j]) == 2
+        ]
+        assert len(pairs) == 3 * mesh.n_elements  # closed surface: 3 neighbours each
+        far = np.linalg.norm(mesh.centroids[:, None] - mesh.centroids, axis=-1)
+        pairs.append(np.unravel_index(far.argmax(), far.shape))
+        for i, j in pairs:
             h_ij, g_ij = integrate_pair(i, j, mesh, MAT, RULE)
             got_h = hg.h[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
             got_g = hg.g[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
@@ -373,6 +389,25 @@ class TestApplyBoundaryConditions:
         assert np.array_equal(system.a[:, ~disp], hg.h[:, ~disp])
         expected_b = hg.g[:, ~disp] @ vals[~disp] - hg.h[:, disp] @ vals[disp]
         assert np.allclose(system.b, expected_b, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("n_loaded", [1, 4])
+    def test_few_values_read_only_their_columns(self, hg, n_loaded):
+        # 72 DOFs: 1 and 4 nonzero values are below the dense share
+        n = hg.n_dofs
+        rng = np.random.default_rng(35)
+        disp = rng.random(n) < 0.4
+        vals = np.zeros(n)
+        loaded = rng.choice(n, n_loaded, replace=False)
+        vals[loaded] = rng.standard_normal(n_loaded)
+        expected = apply_boundary_conditions(hg, BoundarySpec(disp, vals)).b
+        dense = hg.g @ np.where(disp, 0.0, vals) - hg.h @ np.where(disp, vals, 0.0)
+        assert np.allclose(expected, dense, rtol=1e-13, atol=1e-13 * np.abs(dense).max())
+        poisoned = InfluenceMatrices(hg.h.copy(), hg.g.copy(), hg.n_elements)
+        unloaded = np.setdiff1d(np.arange(n), loaded)
+        poisoned.h[:, unloaded] = np.nan
+        poisoned.g[:, unloaded] = np.nan
+        got = apply_boundary_conditions(poisoned, BoundarySpec(disp, vals)).b
+        assert np.array_equal(got, expected)
 
     def test_matches_column_gather_bitwise(self, hg):
         # the in-place negation writes exactly what the column gather did

@@ -1,10 +1,12 @@
+import logging
+import re
 import sys
 import threading
 
 import numpy as np
 import pytest
 
-from tribem.assembly import assemble_rows
+from tribem.assembly import assemble_columns
 from tribem.bench import solution_hash
 from tribem.distribution import (
     BlockCyclicParams,
@@ -145,8 +147,8 @@ class TestDistributedAssembleSolve:
     def test_bit_identical_across_workers(self, prob):
         rule = gauss_rule(16)
         hashes = set()
-        # 96 rows: 3, 9 and 11 workers give odd range lengths that cut
-        # across the assembler's internal row batches. Workers share one
+        # 96 field elements: 3, 9 and 11 workers give odd range lengths
+        # that cut across the sweep's chunks of elements. Workers share one
         # read-only quadrature table; frequent thread switches (more
         # workers than cores) would expose any write to shared state.
         interval = sys.getswitchinterval()
@@ -192,6 +194,30 @@ class TestDistributedAssembleSolve:
         assert parts <= tm.total * 1.05 + 1e-4
         assert tm.total >= parts - 1e-3
 
+    def test_phase_timings_logged_at_debug(self, prob, caplog, capsys):
+        with caplog.at_level(logging.DEBUG, logger="tribem.distribution"):
+            _, tm = distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=3
+            )
+        (record,) = [r for r in caplog.records if r.name == "tribem.distribution"]
+        assert record.levelno == logging.DEBUG
+        message = record.getMessage()
+        assert message.startswith("96 elements in ranges of [32, 32, 32]; ")
+        logged = dict(re.findall(r"(\w+) (\d+\.\d+) s", message))
+        for phase in ("assembly", "barrier", "solve", "total"):
+            assert float(logged[phase]) == pytest.approx(getattr(tm, phase), abs=1e-4)
+        assert capsys.readouterr().out == ""
+
+    def test_unknown_strategy_rejected_before_sweep(self, prob, monkeypatch):
+        def sweep(*args):
+            raise AssertionError("the sweep ran")
+
+        monkeypatch.setattr("tribem.distribution.assemble_columns", sweep)
+        with pytest.raises(ValueError, match="self-integration strategy 'magic'"):
+            distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, gauss_rule(4), strategy="magic"
+            )
+
     def test_block_size_must_be_positive(self, prob):
         with pytest.raises(ValueError, match="block size"):
             distributed_assemble_solve(
@@ -202,12 +228,12 @@ class TestDistributedAssembleSolve:
     def test_worker_error_reaches_caller(self, prob, monkeypatch, workers):
         # the failing range is not the first, so the other workers finish
         # normally; the caller must see the typed error, not a secondary one
-        def failing(mesh, mat, table, rows, *args):
-            if 50 in rows:
+        def failing(mesh, mat, table, elements, *args):
+            if 50 in elements:
                 raise DegenerateElementError("element 50 has zero area")
-            return assemble_rows(mesh, mat, table, rows, *args)
+            return assemble_columns(mesh, mat, table, elements, *args)
 
-        monkeypatch.setattr("tribem.distribution.assemble_rows", failing)
+        monkeypatch.setattr("tribem.distribution.assemble_columns", failing)
         outcome = []
 
         def run():

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg import lapack
 
 from oracles import gauss_eliminate
 from tribem import solver
@@ -127,6 +128,16 @@ def conditioned_system(n, log_cond, seed):
     return LinearSystem(a, rng.standard_normal(n), np.zeros(n, dtype=bool))
 
 
+def clustered_system(n, log_cond, seed):
+    """As :func:`conditioned_system`, with nine tenths of the singular
+    values 1 and the last tenth 10**-log_cond."""
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q1 * np.where(np.arange(n) < n - n // 10, 1.0, 10.0**-log_cond)) @ q2.T
+    return LinearSystem(a, rng.standard_normal(n), np.zeros(n, dtype=bool))
+
+
 def double_lu_solve(system):
     return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.a), system.b)
 
@@ -192,6 +203,21 @@ class TestMixedPrecision:
         # cond 1e5: x is so large that the float64 residual's rounding
         # floor lies above the tolerance, and refinement stalls there
         self.assert_falls_back(conditioned_system(50, 5, 52), caplog, "residual grew")
+
+    def test_slow_refinement_falls_back_early(self, caplog, monkeypatch):
+        # cond 1e6 with a tenth of the spectrum at the bottom: each step
+        # shrinks the residual only a few-fold, so ten steps cannot reach the
+        # tolerance, and the solver must see that from the first steps
+        solves = []
+        sgetrs = lapack.sgetrs
+
+        def counted(*args, **kwargs):
+            solves.append(1)
+            return sgetrs(*args, **kwargs)
+
+        monkeypatch.setattr(lapack, "sgetrs", counted)
+        self.assert_falls_back(clustered_system(200, 6, 70), caplog, "too slowly")
+        assert 1 <= len(solves) <= 3
 
     def test_step_limit_falls_back(self, cube_setup, caplog, monkeypatch):
         prob, hg, _ = cube_setup
