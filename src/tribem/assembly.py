@@ -198,9 +198,10 @@ def rigid_body_diagonal(off_diagonal_blocks):
     """Diagonal block H_ii = -sum of the row's off-diagonal blocks.
 
     The blocks are stacked along the first axis in ascending column
-    element index (any trailing axes are summed independently), and
-    numpy adds them in that order, one after another, so results are
-    bit-reproducible across runs and worker counts.
+    element index (any trailing axes are summed independently). numpy's
+    summation order depends only on the input's shape and memory
+    layout, so for a fixed shape and layout the result is bit-identical
+    across runs and worker counts.
     """
     blocks = np.asarray(off_diagonal_blocks, dtype=float)
     return -np.sum(blocks, axis=0)
@@ -277,7 +278,8 @@ def set_diagonal_blocks(mat: Material, table: QuadratureTable, h, g, strategy="a
     """Set every diagonal block of H and G, once all columns are filled.
 
     H_ii comes from the rigid-body identity, summed over the row's
-    off-diagonal blocks in ascending column order; G_ii from singular
+    off-diagonal blocks as one (n, n, 3, 3) view of the whole of H, whose
+    shape and layout do not depend on the worker count; G_ii from singular
     integration (``strategy``, as in :func:`integrate_self_g`): the
     table's closed-form self-integrals for "analytic", while
     "paper-faithful" keeps the D = 0 quadrature entry the sweep wrote.
@@ -326,21 +328,13 @@ def _warn_if_underconstrained(bc: BoundarySpec):
         )
 
 
-# Share of nonzero values above which b is built from two dense N x N
-# products instead of gathered columns. Measured at 3000 DOF on a 2-vCPU
-# VM: the two dense products 16 ms; gathering 2% of the columns 1.5-2.3
-# ms, 5% 4-8 ms and 10% 16-24 ms.
-_GATHER_SHARE = 1 / 16
-
-
 def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> LinearSystem:
     """Rearrange H u = G t into A x = b under mixed boundary conditions.
 
     Traction-known DOF d keeps column d of H in A (unknown u_d) and
     sends G[:,d] * t_d to the right-hand side; displacement-known DOF d
     swaps in -G[:,d] (unknown t_d) and sends -H[:,d] * u_d to the
-    right-hand side. b reads only the columns of the nonzero values,
-    unless more than ``_GATHER_SHARE`` of them are nonzero.
+    right-hand side. b reads only the columns of the nonzero values.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
@@ -352,12 +346,9 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     a = hg.h.copy()
     np.negative(hg.g, out=a, where=disp)  # column-wise, with no gathered copy
     nonzero = v != 0.0
-    if np.count_nonzero(nonzero) > _GATHER_SHARE * v.size:
-        b = hg.g @ np.where(disp, 0.0, v) - hg.h @ np.where(disp, v, 0.0)
-    else:
-        t_cols = np.flatnonzero(nonzero & ~disp)
-        u_cols = np.flatnonzero(nonzero & disp)
-        b = hg.g[:, t_cols] @ v[t_cols] - hg.h[:, u_cols] @ v[u_cols]
+    t_cols = np.flatnonzero(nonzero & ~disp)
+    u_cols = np.flatnonzero(nonzero & disp)
+    b = hg.g[:, t_cols] @ v[t_cols] - hg.h[:, u_cols] @ v[u_cols]
     return LinearSystem(a, b, disp.copy())
 
 

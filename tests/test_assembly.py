@@ -250,6 +250,22 @@ class TestAssemble:
             assert np.abs(got_h - h_ij).max() <= 1e-13 * np.abs(h_ij).max()
             assert np.abs(got_g - g_ij).max() <= 1e-13 * np.abs(g_ij).max()
 
+    @pytest.mark.parametrize("gap", [1e-2, 1e-4])
+    def test_sliver_matches_integrate_pair(self, gap):
+        # a sliver on the edge of a regular element, its apex ``gap`` past
+        # the edge's midpoint: the sliver's centroid nearly touches the
+        # regular element, which the expanded r^2 handles worst
+        regular = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+        sliver = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.5 + gap, 0.5 + gap, 0.0)]
+        mesh = SurfaceMesh(np.array([regular, sliver]))
+        hg = assemble(mesh, MAT, RULE)
+        for i, j in ((0, 1), (1, 0)):
+            h_ij, g_ij = integrate_pair(i, j, mesh, MAT, RULE)
+            got_h = hg.h[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
+            got_g = hg.g[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
+            assert np.abs(got_h - h_ij).max() <= 1e-13 * np.abs(h_ij).max()
+            assert np.abs(got_g - g_ij).max() <= 1e-13 * np.abs(g_ij).max()
+
     def test_scale_invariance_of_h(self):
         mesh = generate_cube(4, 1)
         scaled = SurfaceMesh(2.5 * mesh.vertices)
@@ -392,7 +408,6 @@ class TestApplyBoundaryConditions:
 
     @pytest.mark.parametrize("n_loaded", [1, 4])
     def test_few_values_read_only_their_columns(self, hg, n_loaded):
-        # 72 DOFs: 1 and 4 nonzero values are below the dense share
         n = hg.n_dofs
         rng = np.random.default_rng(35)
         disp = rng.random(n) < 0.4
