@@ -15,13 +15,16 @@ whole element ("paper-faithful", the paper's own method).
 Off-diagonal blocks use the moment form of the kernels (see
 :mod:`tribem.kernels`). Elements are flat, so for collocation point
 c_i and field element j with centroid C_j, D = C_j - c_i gives
-d.n_j = D.n_j at every quadrature point. A table of each element's
-right factors -- [2 rho; 1; |rho|^2] for r^2 and the centred features
-w [1, rho, rho rho^T], rho = y - C_j -- is built once per assembly.
+d.n_j = D.n_j at every quadrature point. The quadrature enters through
+factors that depend on the rule alone (its monomials of the reference
+offset p and their weighted products), computed once per rule; per
+element the table built once per assembly holds only the map's
+Jacobian J_j, its Gram entries, the moment transform T_j and the
+closed-form self-integrals, O(N) numbers whatever the rule's size.
 The sweep then runs over field elements, the column blocks of H and G:
 for element j, r^2 at every quadrature point from every collocation
 point is one product, the radial weights 1/r, 1/r^3, 1/r^5 follow with
-one division and one square root per point, and one more product gives
+one division and one square root per point, and two more products give
 their moments, after which every block of the column follows from D,
 n_j and ten moments per weight. Columns are written a chunk of elements
 at a time. A column block depends on no other column, so any split of
@@ -29,8 +32,8 @@ the elements gives bit-identical matrices, and a parallel run gives
 each worker a contiguous range of field elements. After the sweep one
 pass sets the diagonal blocks: H_ii from the rigid-body identity over
 the finished rows, G_ii from the table's closed-form self-integrals
-(computed in one call per assembly) or, for paper-faithful, left at the
-row's own D = 0 entry, which is exactly the quadrature over the element.
+or, for paper-faithful, left at the row's own D = 0 entry, which is
+exactly the quadrature over the element.
 
 integrate_self_g evaluates one diagonal block G_ii on its own and
 serves as the reference for the assembled diagonal.
@@ -54,15 +57,16 @@ from .errors import (
 )
 from .kernels import (
     N_FEATURES,
+    N_MONOMIALS,
     Material,
     QuadratureRule,
     centroid_self_integrals,
     collapsed_map,
-    element_factors,
     kelvin_blocks,
     kelvin_self_g,
     kelvin_u_points,
     radial_moments,
+    triangle_transforms,
 )
 from .mesh import SurfaceMesh
 
@@ -133,31 +137,33 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class QuadratureTable:
-    """The mesh's mapped quadrature in moment form, read-only.
+    """The mesh's moment-form factors, read-only.
 
-    ``distance`` (N, 5, Q) holds [2 rho; 1; |rho|^2] and ``features``
-    (N, Q, N_FEATURES) holds w [1, rho, rho rho^T], with rho measured
-    from each element's centroid (:func:`element_factors`). ``self_i1``
-    (N,) and ``self_m`` (N, 3, 3) are each element's closed-form
-    singular integrals from its own centroid
-    (:func:`centroid_self_integrals`). Built once per assembly and
-    shared by every worker.
+    ``rule`` carries the factors shared by every element. The rest is
+    per element, O(N) whatever the rule's size: ``jacobians`` (N, 3, 2),
+    ``gram`` (N, 3) and ``transforms`` (N, N_MONOMIALS, N_FEATURES) from
+    :func:`triangle_transforms`, and ``self_i1`` (N,) and ``self_m``
+    (N, 3, 3), each element's closed-form singular integrals from its
+    own centroid (:func:`centroid_self_integrals`). Built once per
+    assembly and shared by every worker.
     """
 
-    distance: np.ndarray
-    features: np.ndarray
+    rule: QuadratureRule
+    jacobians: np.ndarray
+    gram: np.ndarray
+    transforms: np.ndarray
     self_i1: np.ndarray
     self_m: np.ndarray
 
 
 def quadrature_table(mesh: SurfaceMesh, rule: QuadratureRule) -> QuadratureTable:
-    """Map ``rule`` onto every element and tabulate its moment-form
-    factors and its singular self-integrals."""
+    """Tabulate every element's moment-form factors and its singular
+    self-integrals for assembly under ``rule``."""
     v = mesh.vertices
-    pts, w = collapsed_map(rule, v[:, 0], v[:, 1], v[:, 2])
-    distance, features = element_factors(pts, w, mesh.centroids[:, None, :])
-    table = QuadratureTable(distance, features, *centroid_self_integrals(v, mesh.centroids))
-    for arr in (table.distance, table.features, table.self_i1, table.self_m):
+    table = QuadratureTable(
+        rule, *triangle_transforms(v), *centroid_self_integrals(v, mesh.centroids)
+    )
+    for arr in (table.jacobians, table.gram, table.transforms, table.self_i1, table.self_m):
         arr.setflags(write=False)
     return table
 
@@ -231,18 +237,19 @@ def assemble_columns(
     (a contiguous range) in preallocated C-ordered H and G.
 
     For each field element j, r^2 from every collocation point to its
-    quadrature points is one (N x 5)(5 x Q) product against the
-    element's distance factor from ``table`` (from
-    :func:`quadrature_table` for the same mesh), the radial weights
-    follow pointwise, and their moments are one (3N x Q)(Q x 10)
-    product (:func:`radial_moments`). Blocks then follow from the
-    moments, the centroid offsets D and the element normals (flat
-    elements: d.n_j = D.n_j), a chunk of elements per call, and each
-    chunk is written with one slice assignment. Every element's
-    products have the same shapes and writes are disjoint, so any
-    partition of elements across workers, and any chunking within one,
-    yields bit-identical matrices. The diagonal blocks hold the D = 0
-    entries until :func:`set_diagonal_blocks` runs.
+    quadrature points is one (N x 6)(6 x Q) product against the rule's
+    monomials, the radial weights follow pointwise, and their moments
+    are one (3N x Q)(Q x 6) product against the rule's features and one
+    (3N x 6)(6 x 10) product against the element's transform from
+    ``table`` (from :func:`quadrature_table` for the same mesh; see
+    :func:`radial_moments`). Blocks then follow from the moments, the
+    centroid offsets D and the element normals (flat elements:
+    d.n_j = D.n_j), a chunk of elements per call, and each chunk is
+    written with one slice assignment. Every element's products have the
+    same shapes and writes are disjoint, so any partition of elements
+    across workers, and any chunking within one, yields bit-identical
+    matrices. The diagonal blocks hold the D = 0 entries until
+    :func:`set_diagonal_blocks` runs.
     """
     degenerate = np.flatnonzero(mesh.areas[elements.start : elements.stop] <= 0.0)
     if len(degenerate):
@@ -251,22 +258,24 @@ def assemble_columns(
     n = mesh.n_elements
     h4, g4 = _block_view(h_out, n), _block_view(g_out, n)
     chunk = max(1, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
-    work = np.empty((3, n) + table.features.shape[1:2])
+    work = np.empty((3, n, table.rule.n_points))
     moments = np.empty((chunk, 3, n, N_FEATURES))
-    sources = np.empty((chunk, n, 5))
-    sources[..., 4] = 1.0
+    sources = np.empty((chunk, n, N_MONOMIALS))
 
     for start in range(elements.start, elements.stop, chunk):
         cols = slice(start, min(start + chunk, elements.stop))
         k = cols.stop - cols.start
         d = mesh.centroids[cols, None, :] - mesh.centroids  # (k, N, 3): D = C_j - c_i
-        sources[:k, :, :3] = d
-        sources[:k, :, 3] = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        # each source's row [|D|^2, 2 J^T D, Gram entries]; the stacked
+        # product is one (N x 3)(3 x 2) product per element, whatever k is
+        sources[:k, :, 0] = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
+        np.matmul(d, 2.0 * table.jacobians[cols], out=sources[:k, :, 1:3])
+        sources[:k, :, 3:] = table.gram[cols, None, :]
         # Each column's own row is evaluated too (D = 0): that is its
         # paper-faithful G_ii. It stays finite because every supported
         # order is even, so no Gauss point maps onto the centroid.
         for m, j in enumerate(range(cols.start, cols.stop)):
-            radial_moments(sources[m], table.distance[j], table.features[j], work, moments[m])
+            radial_moments(sources[m], table.rule, table.transforms[j], work, moments[m])
         h, g = kelvin_blocks(
             np.moveaxis(moments[:k], 1, 2), d, mesh.normals[cols, None, :], mat
         )

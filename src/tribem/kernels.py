@@ -17,7 +17,7 @@ onto triangles by collapsing one square edge to a vertex (Duffy-style),
 which clusters points towards that vertex and tames weakly singular
 integrands placed there.
 
-Moment form. Over a flat triangle with centre C and a source x, write
+Moment form. Over a flat triangle with centroid C and a source x, write
 d = y - x = D + rho with D = C - x and rho = y - C. Because rho lies in
 the triangle's plane, d.n = D.n is one number per (source, triangle),
 and every weighted sum the integrated kernels need,
@@ -25,23 +25,37 @@ and every weighted sum the integrated kernels need,
     sum w f(r) d d^T = D D^T m0 + D m1^T + m1 D^T + m2,
 
 follows from the moments m = sum w f(r) [1, rho, rho rho^T] of the
-three radial weights f = 1/r, 1/r^3, 1/r^5. The features
-w [1, rho, rho rho^T] depend on the triangle alone, and so does the
-right factor of r^2 = |D|^2 + 2 D.rho + |rho|^2, so both are tabulated
-once (:func:`element_factors`). Assembly then sweeps the field
-triangles: for each, every source at once costs one product for r^2,
-one division and one square root per point for the radial weights, and
-one product for the moments (:func:`radial_moments`), after which
-:func:`kelvin_blocks` gives the integrated blocks.
+three radial weights f = 1/r, 1/r^3, 1/r^5.
+
+Both factors are split in the collapsed map's reference coordinates
+(u, v). With J = [v1 - v0, v2 - v1] and p = (u - 2/3, v - 1/3), the
+offset is exactly rho = J p and the weight w = area w_ref, so
+
+    r^2 = |D|^2 + 2 (J^T D).p + p^T (J^T J) p,
+    m   = mu T^T,   mu = sum w_ref f [1, p_u, p_v, p_u^2, p_u p_v, p_v^2],
+
+with T (10 x 6) built from J and the area. The six monomials of p and
+their products with w_ref depend on the rule alone and are computed
+once per rule (:func:`gauss_rule`); per triangle there are only J, its
+Gram entries and T (:func:`triangle_transforms`). Assembly then sweeps
+the field triangles: for each, every source at once costs one
+(M x 6)(6 x Q) product for r^2, one division and one square root per
+point for the radial weights, and one (3M x Q)(Q x 6) and one
+(3M x 6)(6 x 10) product for the moments (:func:`radial_moments`),
+after which :func:`kelvin_blocks` gives the integrated blocks.
 
 The expanded r^2 rounds to within about eps (|D|^2 + |rho|^2) of the
 true value, where subtracting coordinates gives about eps |y| r. The
 two agree while no quadrature point comes much closer to a source than
-the triangle's size, as on well-shaped meshes, and on a sliver whose
-apex lies 1e-4 past its neighbour's edge the blocks still match direct
-subtraction to 1e-13. On nearly touching, nearly parallel triangles the
-expansion loses digits: a triangle hovering 3e-5 of its size above
-another matches to about 1e-13 at 16 points instead of 1e-15.
+the triangle's size, as on well-shaped meshes. Measured against direct
+subtraction at 16 points, blocks agree to 1e-15 on the 72 edge-sharing
+pairs of the 24-element cube, to 3e-15 on a sliver whose apex lies 1e-4
+past its neighbour's edge and to 5e-15 on a unit triangle hovering 3e-5
+above a parallel copy. On a skewed triangle away from the origin,
+hovering 3e-5 of its size above its copy, H is up to 6e-14 from an
+extended-precision sum at 16 points and 5e-13 at 32, and direct
+subtraction up to 2e-14 and 2e-13: the normal offset is itself known
+only to eps |y|.
 """
 
 from __future__ import annotations
@@ -53,6 +67,7 @@ import numpy as np
 from .errors import InvalidMaterialError, SingularEvaluationError
 
 SUPPORTED_ORDERS = (4, 8, 16, 32)
+N_MONOMIALS = 6  # [1, p_u, p_v, p_u^2, p_u p_v, p_v^2]
 
 _EYE3 = np.eye(3)
 
@@ -147,19 +162,31 @@ def kelvin_T(source, field, normal_at_field, mat: Material):
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor-product Gauss-Legendre rule on the square [-1,1]^2."""
+    """Tensor-product Gauss-Legendre rule on the square [-1,1]^2, with
+    its moment-form factors on the triangle (:func:`gauss_rule`)."""
 
     order: int
     points: np.ndarray  # (order^2, 2)
     weights: np.ndarray  # (order^2,)
+    monomials: np.ndarray  # (N_MONOMIALS, order^2): the right factor of r^2
+    features: np.ndarray  # (order^2, N_MONOMIALS): the right factor of the moments
 
     def __post_init__(self):
-        self.points.setflags(write=False)
-        self.weights.setflags(write=False)
+        for arr in (self.points, self.weights, self.monomials, self.features):
+            arr.setflags(write=False)
 
     @property
     def n_points(self):
         return self.order * self.order
+
+
+def _collapse(points):
+    """Reference coordinates (u, v) of square points under the collapsed
+    map y = v0 + u (v1 - v0) + v (v2 - v1). u is also the map's area
+    factor: a square weight w becomes w u area / 2 on the triangle."""
+    a = 0.5 * (points[:, 0] + 1.0)
+    b = 0.5 * (points[:, 1] + 1.0)
+    return a, a * b
 
 
 def gauss_rule(n) -> QuadratureRule:
@@ -168,14 +195,25 @@ def gauss_rule(n) -> QuadratureRule:
     Supported orders are 4, 8, 16 and 32 (the 16x16 rule with its 256
     points per element is the default throughout). Nodes and weights are
     computed, not tabulated.
+
+    The rule also carries the triangle-independent factors of the moment
+    form. With p = (u - 2/3, v - 1/3) the offset of a mapped point from
+    the centroid of its triangle in reference coordinates,
+    ``monomials`` holds [1, p_u, p_v, p_u^2, p_u p_v, p_v^2] at each point
+    and ``features`` their products with w_ref, the point's weight on a
+    triangle of unit area (w = area w_ref).
     """
     if n not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported quadrature order {n}; pick one of {SUPPORTED_ORDERS}")
     x, w = np.polynomial.legendre.leggauss(n)
     xi, eta = np.meshgrid(x, x, indexing="ij")
-    wij = np.outer(w, w)
     points = np.column_stack([xi.ravel(), eta.ravel()])
-    return QuadratureRule(n, points, wij.ravel())
+    weights = np.outer(w, w).ravel()
+    u, v = _collapse(points)
+    pu, pv = u - 2.0 / 3.0, v - 1.0 / 3.0
+    monomials = np.stack([np.ones_like(pu), pu, pv, pu * pu, pu * pv, pv * pv])
+    features = (monomials * (0.5 * weights * u)).T.copy()
+    return QuadratureRule(n, points, weights, monomials, features)
 
 
 def collapsed_map(rule: QuadratureRule, v0, v1, v2):
@@ -191,13 +229,10 @@ def collapsed_map(rule: QuadratureRule, v0, v1, v2):
     v0 = np.asarray(v0, dtype=float)[..., None, :]
     v1 = np.asarray(v1, dtype=float)[..., None, :]
     v2 = np.asarray(v2, dtype=float)[..., None, :]
-    a = 0.5 * (rule.points[:, 0] + 1.0)
-    b = 0.5 * (rule.points[:, 1] + 1.0)
-    u = a
-    v = a * b
+    u, v = _collapse(rule.points)
     pts = v0 + u[:, None] * (v1 - v0) + v[:, None] * (v2 - v1)
     area2 = np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=-1)
-    weights = rule.weights * a * (area2 / 4.0)
+    weights = rule.weights * u * (area2 / 4.0)
     return pts, weights
 
 
@@ -206,53 +241,71 @@ _OUTER_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _OUTER_INDEX = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])  # moment index of rho_a rho_b
 
 
-def element_factors(points, weights, centres):
-    """The per-triangle tables of the moment form, with rho = y - centre.
+def triangle_transforms(vertices):
+    """The per-triangle factors of the moment form.
 
-    ``points`` (..., Q, 3) and ``weights`` (..., Q) as returned by
-    :func:`collapsed_map`; ``centres`` (..., 1, 3) is each triangle's
-    reference point. Returns
+    ``vertices`` (..., 3, 3). With J = [v1 - v0, v2 - v1] the Jacobian of
+    :func:`collapsed_map`, the offset from the centroid is rho = J p.
+    Returns
 
-    - ``distance`` (..., 5, Q), rows [2 rho; 1; |rho|^2]: the right
-      factor of r^2, whose left factor is [D, |D|^2, 1] per source;
-    - ``features`` (..., Q, N_FEATURES), columns w [1, rho, rho rho^T]:
-      the right factor of the moments.
+    - ``jacobians`` (..., 3, 2), J;
+    - ``gram`` (..., 3), [G_uu, 2 G_uv, G_vv] of G = J^T J, so that
+      |rho|^2 = p^T G p;
+    - ``transforms`` (..., N_MONOMIALS, N_FEATURES), T^T with T the map
+      from the moments of [1, p, p p^T] under w_ref to the moments of
+      [1, rho, rho rho^T] under w = area w_ref.
     """
-    rho = points - centres
-    distance = np.empty(weights.shape[:-1] + (5,) + weights.shape[-1:])
-    np.multiply(np.moveaxis(rho, -1, -2), 2.0, out=distance[..., :3, :])
-    distance[..., 3, :] = 1.0
-    distance[..., 4, :] = rho[..., 0] ** 2 + rho[..., 1] ** 2 + rho[..., 2] ** 2
-    features = np.empty(weights.shape + (N_FEATURES,))
-    features[..., 0] = weights
-    np.multiply(weights[..., None], rho, out=features[..., 1:4])
+    v = np.asarray(vertices, dtype=float)
+    jac = np.stack([v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 1, :]], axis=-1)
+    ju, jv = jac[..., 0], jac[..., 1]
+    area = 0.5 * np.linalg.norm(np.cross(ju, v[..., 2, :] - v[..., 0, :]), axis=-1)
+    gram = np.stack(
+        [
+            np.einsum("...i,...i->...", ju, ju),
+            2.0 * np.einsum("...i,...i->...", ju, jv),
+            np.einsum("...i,...i->...", jv, jv),
+        ],
+        axis=-1,
+    )
+    t = np.zeros(area.shape + (N_MONOMIALS, N_FEATURES))
+    t[..., 0, 0] = area
+    a_ju = area[..., None] * ju
+    a_jv = area[..., None] * jv
+    t[..., 1, 1:4] = a_ju
+    t[..., 2, 1:4] = a_jv
     for col, (a, b) in enumerate(_OUTER_ENTRIES, start=4):
-        np.multiply(features[..., 1 + a], rho[..., b], out=features[..., col])
-    return distance, features
+        t[..., 3, col] = a_ju[..., a] * ju[..., b]
+        t[..., 4, col] = a_ju[..., a] * jv[..., b] + a_jv[..., a] * ju[..., b]
+        t[..., 5, col] = a_jv[..., a] * jv[..., b]
+    return jac, gram, t
 
 
-def radial_moments(sources, distance, features, work, out):
+def radial_moments(sources, rule: QuadratureRule, transform, work, out):
     """Moments of 1/r, 1/r^3, 1/r^5 from M sources over one triangle.
 
-    ``sources`` (M, 5) holds the rows [D, |D|^2, 1] with D = C - x, and
-    ``distance`` (5, Q) and ``features`` (Q, N_FEATURES) are the
-    triangle's tables from :func:`element_factors`, so that r^2 is one
-    (M x 5)(5 x Q) product. The weights then take one division and one
-    square root per point: 1/r^2, 1/r = sqrt(1/r^2), and 1/r^3, 1/r^5
-    by multiplication. ``work`` is a C-contiguous (3, M, Q) buffer for
-    the weights and ``out`` a C-contiguous (3, M, N_FEATURES) one, which
-    receives the moments from one (3M x Q)(Q x N_FEATURES) product.
-    Every product has the same shape whatever else is being assembled,
-    so a result does not depend on how the triangles are split. No
-    point may coincide with its source.
+    ``sources`` (M, N_MONOMIALS) holds the rows [|D|^2, 2 J^T D, G_uu,
+    2 G_uv, G_vv] with D = C - x and J, G the triangle's Jacobian and
+    its Gram matrix (:func:`triangle_transforms`), so that r^2 is one
+    (M x 6)(6 x Q) product against ``rule.monomials``. The weights then
+    take one division and one square root per point: 1/r^2,
+    1/r = sqrt(1/r^2), and 1/r^3, 1/r^5 by multiplication. ``work`` is a
+    C-contiguous (3, M, Q) buffer for the weights. Their reference
+    moments are one (3M x Q)(Q x 6) product against ``rule.features``,
+    and the triangle's ``transform`` (N_MONOMIALS, N_FEATURES) turns
+    them into the moments of [1, rho, rho rho^T], written to ``out``, a
+    C-contiguous (3, M, N_FEATURES) buffer. Every product has the same
+    shape whatever else is being assembled, so a result does not depend
+    on how the triangles are split. No point may coincide with its
+    source.
     """
     m = sources.shape[0]
-    inv_r2 = np.matmul(sources, distance, out=work[2])
+    inv_r2 = np.matmul(sources, rule.monomials, out=work[2])
     np.divide(1.0, inv_r2, out=inv_r2)
     np.sqrt(inv_r2, out=work[0])
     np.multiply(work[0], inv_r2, out=work[1])
     np.multiply(work[1], inv_r2, out=work[2])  # 1/r^5 replaces 1/r^2
-    np.matmul(work.reshape(3 * m, -1), features, out=out.reshape(3 * m, -1))
+    reference = work.reshape(3 * m, -1) @ rule.features
+    np.matmul(reference, transform, out=out.reshape(3 * m, -1))
     return out
 
 

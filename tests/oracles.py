@@ -5,7 +5,7 @@ the package internals it verifies. The one exception is
 :func:`integrate_pair`, the per-block reference for the moment-form
 assembly: it evaluates the point kernels at every quadrature point of
 the package's triangle map, sharing neither the moments nor the
-feature table it checks.
+reference-coordinate factors it checks.
 """
 
 import math

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -200,6 +201,21 @@ class TestRigidBodyDiagonal:
             assert np.abs(hg.h @ v).max() <= 1e-12 * scale
 
 
+def _sliver_pair(gap):
+    """A regular element and a sliver on its edge, the sliver's apex
+    ``gap`` past the edge's midpoint: its centroid nearly touches the
+    regular element."""
+    regular = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
+    sliver = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.5 + gap, 0.5 + gap, 0.0)]
+    return SurfaceMesh(np.array([regular, sliver]))
+
+
+def _hovering_pair(lift):
+    """A unit right triangle and a parallel copy ``lift`` above it."""
+    base = np.array([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)])
+    return SurfaceMesh(np.stack([base, base + (0.0, 0.0, lift)]))
+
+
 class TestAssemble:
     def test_cube_dimensions(self):
         hg = assemble(generate_cube(4, 2), MAT, RULE)
@@ -228,9 +244,10 @@ class TestAssemble:
         assert np.array_equal(g, full.g)
 
     def test_matches_integrate_pair(self):
-        # r^2 is expanded as |D|^2 + 2 D.rho + |rho|^2, whose cancellation
-        # is worst where the field element touches the collocation point's
-        # own element: check every edge-sharing pair, and one far pair
+        # r^2 is expanded as |D|^2 + 2 (J^T D).p + p^T J^T J p, whose
+        # cancellation is worst where the field element touches the
+        # collocation point's own element: check every edge-sharing pair,
+        # and one far pair
         mesh = generate_cube(4, 1)
         hg = assemble(mesh, MAT, RULE)
         keys = [{tuple(v) for v in tri} for tri in mesh.vertices]
@@ -250,14 +267,14 @@ class TestAssemble:
             assert np.abs(got_h - h_ij).max() <= 1e-13 * np.abs(h_ij).max()
             assert np.abs(got_g - g_ij).max() <= 1e-13 * np.abs(g_ij).max()
 
-    @pytest.mark.parametrize("gap", [1e-2, 1e-4])
-    def test_sliver_matches_integrate_pair(self, gap):
-        # a sliver on the edge of a regular element, its apex ``gap`` past
-        # the edge's midpoint: the sliver's centroid nearly touches the
-        # regular element, which the expanded r^2 handles worst
-        regular = [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)]
-        sliver = [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.5 + gap, 0.5 + gap, 0.0)]
-        mesh = SurfaceMesh(np.array([regular, sliver]))
+    @pytest.mark.parametrize(
+        "mesh",
+        [_sliver_pair(1e-2), _sliver_pair(1e-4), _hovering_pair(3e-5)],
+        ids=["0.01", "0.0001", "hovering"],
+    )
+    def test_sliver_matches_integrate_pair(self, mesh):
+        # the expanded r^2 handles worst a source nearly touching the
+        # field element's plane, as in these pairs
         hg = assemble(mesh, MAT, RULE)
         for i, j in ((0, 1), (1, 0)):
             h_ij, g_ij = integrate_pair(i, j, mesh, MAT, RULE)
@@ -265,6 +282,19 @@ class TestAssemble:
             got_g = hg.g[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
             assert np.abs(got_h - h_ij).max() <= 1e-13 * np.abs(h_ij).max()
             assert np.abs(got_g - g_ij).max() <= 1e-13 * np.abs(g_ij).max()
+
+    def test_table_size_does_not_depend_on_the_rule(self):
+        # per-element data is O(N); everything sized by the rule lives in
+        # the rule, once, and is read-only
+        mesh = generate_cube(4, 1)
+        sizes = []
+        for order in (4, 32):
+            table = quadrature_table(mesh, gauss_rule(order))
+            arrays = [getattr(table, f.name) for f in fields(table)]
+            sizes.append(sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)))
+            for arr in (table.rule.monomials, table.rule.features):
+                assert not arr.flags.writeable
+        assert sizes[0] == sizes[1]
 
     def test_scale_invariance_of_h(self):
         mesh = generate_cube(4, 1)

@@ -3,7 +3,16 @@ import pytest
 
 from oracles import kelvin_t_reference, kelvin_u_reference, random_triangle
 from tribem.errors import InvalidMaterialError, SingularEvaluationError
-from tribem.kernels import collapsed_map, gauss_rule, kelvin_T, kelvin_U, make_material
+from tribem.kernels import (
+    N_FEATURES,
+    collapsed_map,
+    gauss_rule,
+    kelvin_T,
+    kelvin_U,
+    make_material,
+    radial_moments,
+    triangle_transforms,
+)
 
 MAT = make_material(200000.0, 0.33)
 
@@ -188,3 +197,54 @@ class TestTriangleMap:
             )[0]
             u, s = t[0], t[1]
             assert (u > 0).all() and (s > 0).all() and (u + s < 1).all()
+
+
+def _reference_triangles():
+    """Random well-shaped triangles and a sliver 1e-4 of its length wide."""
+    rng = np.random.default_rng(12)
+    tris = [random_triangle(rng, scale=3.0) for _ in range(10)]
+    tris.append(np.array([(0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.5 + 1e-4, 0.5 + 1e-4, 0.0)]))
+    return tris
+
+
+class TestReferenceForm:
+    """The moment form in the collapsed map's reference coordinates
+    against the mapped points and weights of :func:`collapsed_map`."""
+
+    @pytest.mark.parametrize("order", [4, 16])
+    @pytest.mark.parametrize("v", _reference_triangles())
+    def test_points_and_weights(self, v, order):
+        rule = gauss_rule(order)
+        pts, w = collapsed_map(rule, *v)
+        jac, _, _ = triangle_transforms(v)
+        size = np.abs(v).max()
+        mapped = v.mean(axis=0) + (jac @ rule.monomials[1:3]).T
+        assert np.abs(mapped - pts).max() <= 1e-14 * size
+        area = 0.5 * np.linalg.norm(np.cross(v[1] - v[0], v[2] - v[0]))
+        assert np.abs(area * rule.features[:, 0] - w).max() <= 1e-14 * w.max()
+
+    @pytest.mark.parametrize("v", _reference_triangles())
+    def test_distance_and_moments(self, v):
+        # r^2 and the ten moments of 1/r, 1/r^3, 1/r^5 for sources around
+        # the triangle, against direct subtraction and a brute-force sum
+        rule = gauss_rule(16)
+        pts, w = collapsed_map(rule, *v)
+        centre = v.mean(axis=0)
+        size = np.linalg.norm(v - np.roll(v, 1, axis=0), axis=-1).max()
+        sources = centre + size * np.random.default_rng(5).uniform(-2.0, 2.0, (20, 3))
+        jac, gram, transform = triangle_transforms(v)
+        d = centre - sources
+        rows = np.column_stack([(d * d).sum(axis=1), 2.0 * d @ jac, np.tile(gram, (20, 1))])
+        r2 = ((pts[None] - sources[:, None]) ** 2).sum(axis=-1)
+        assert np.abs(rows @ rule.monomials - r2).max() <= 1e-13 * r2.max()
+
+        work = np.empty((3, 20, rule.n_points))
+        got = radial_moments(rows, rule, transform, work, np.empty((3, 20, N_FEATURES)))
+        rho = pts - centre
+        outer = [rho[:, a] * rho[:, b] for a in range(3) for b in range(a, 3)]
+        features = w[:, None] * np.column_stack([np.ones(len(w)), rho] + outer)
+        r = np.sqrt(r2)
+        want = np.stack([(1.0 / r**p) @ features for p in (1, 3, 5)])
+        # each moment against the size of its order in rho
+        scale = want[..., :1] * np.array([1.0] + [size] * 3 + [size * size] * 6)
+        assert (np.abs(got - want) <= 1e-13 * scale).all()
