@@ -259,14 +259,7 @@ def triangle_transforms(vertices):
     jac = np.stack([v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 1, :]], axis=-1)
     ju, jv = jac[..., 0], jac[..., 1]
     area = 0.5 * np.linalg.norm(np.cross(ju, v[..., 2, :] - v[..., 0, :]), axis=-1)
-    gram = np.stack(
-        [
-            np.einsum("...i,...i->...", ju, ju),
-            2.0 * np.einsum("...i,...i->...", ju, jv),
-            np.einsum("...i,...i->...", jv, jv),
-        ],
-        axis=-1,
-    )
+    gram = np.stack([(ju * ju).sum(-1), 2.0 * (ju * jv).sum(-1), (jv * jv).sum(-1)], axis=-1)
     t = np.zeros(area.shape + (N_MONOMIALS, N_FEATURES))
     t[..., 0, 0] = area
     a_ju = area[..., None] * ju
