@@ -26,11 +26,13 @@ for element j, r^2 at every quadrature point from every collocation
 point is one product, the radial weights 1/r, 1/r^3, 1/r^5 follow with
 one division and one square root per point, and two more products give
 their moments, after which every block of the column follows from D,
-n_j and ten moments per weight. Columns are written a chunk of elements
-at a time. A column block depends on no other column, so any split of
-the elements gives bit-identical matrices, and a parallel run gives
-each worker a contiguous range of field elements. After the sweep one
-pass sets the diagonal blocks: H_ii from the rigid-body identity over
+n_j and ten moments per weight. H and G are column-major (Fortran
+order), the layout LAPACK reads, so a chunk of elements is written as
+one contiguous slab of columns, and the system matrix A built from them
+reaches the LU with no conversion. A column block depends on no other
+column, so any split of the elements gives bit-identical matrices, and
+a parallel run gives each worker a contiguous range of field elements.
+After the sweep one pass sets the diagonal blocks: H_ii from the rigid-body identity over
 the finished rows, G_ii from the table's closed-form self-integrals
 or, for paper-faithful, left at the row's own D = 0 entry, which is
 exactly the quadrature over the element.
@@ -109,11 +111,6 @@ class BoundarySpec:
     @property
     def n_dofs(self):
         return self.displacement_known.shape[0]
-
-    @classmethod
-    def all_traction(cls, n_dofs, values=None):
-        vals = np.zeros(n_dofs) if values is None else np.asarray(values, dtype=float)
-        return cls(np.zeros(n_dofs, dtype=bool), vals)
 
     def constrained_axes(self):
         """Which of x, y, z have at least one prescribed displacement."""
@@ -222,19 +219,27 @@ def rigid_body_diagonal(off_diagonal_blocks):
 _CHUNK_BYTES = 1 << 18
 
 
+def allocate_influence(n_dofs):
+    """Empty H and G for ``n_dofs`` DOFs, column-major: the layout
+    :func:`assemble_columns` fills and LAPACK reads, so nothing
+    downstream converts them."""
+    return np.empty((n_dofs, n_dofs), order="F"), np.empty((n_dofs, n_dofs), order="F")
+
+
 def _block_view(m, n):
-    """A C-ordered (3n, 3n) matrix as its (n, 3, n, 3) blocks, a view
-    through which writes reach ``m``."""
-    if not m.flags.c_contiguous:
-        raise ValueError("H and G must be C-contiguous to be filled in place")
-    return m.reshape(n, 3, n, 3)
+    """A column-major (3n, 3n) matrix as the (n, 3, n, 3) blocks of its
+    transpose: [j, b, i, a] is entry (3i + a, 3j + b), and writes reach
+    ``m``."""
+    if not m.flags.f_contiguous:
+        raise ValueError("H and G must be F-contiguous to be filled in place")
+    return m.T.reshape(n, 3, n, 3)
 
 
 def assemble_columns(
     mesh: SurfaceMesh, mat: Material, table: QuadratureTable, elements: range, h_out, g_out
 ):
     """Fill the off-diagonal column blocks of field elements ``elements``
-    (a contiguous range) in preallocated C-ordered H and G.
+    (a contiguous range) in H and G from :func:`allocate_influence`.
 
     For each field element j, r^2 from every collocation point to its
     quadrature points is one (N x 6)(6 x Q) product against the rule's
@@ -245,10 +250,10 @@ def assemble_columns(
     :func:`radial_moments`). Blocks then follow from the moments, the
     centroid offsets D and the element normals (flat elements:
     d.n_j = D.n_j), a chunk of elements per call, and each chunk is
-    written with one slice assignment. Every element's products have the
-    same shapes and writes are disjoint, so any partition of elements
-    across workers, and any chunking within one, yields bit-identical
-    matrices. The diagonal blocks hold the D = 0 entries until
+    written with one slice assignment into one contiguous slab of
+    columns. Every element's products have the same shapes and writes
+    are disjoint, so any partition of elements across workers, and any
+    chunking within one, yields bit-identical matrices. The diagonal blocks hold the D = 0 entries until
     :func:`set_diagonal_blocks` runs.
     """
     degenerate = np.flatnonzero(mesh.areas[elements.start : elements.stop] <= 0.0)
@@ -279,15 +284,15 @@ def assemble_columns(
         h, g = kelvin_blocks(
             np.moveaxis(moments[:k], 1, 2), d, mesh.normals[cols, None, :], mat
         )
-        h4[:, :, cols, :] = h.transpose(1, 2, 0, 3)
-        g4[:, :, cols, :] = g.transpose(1, 2, 0, 3)
+        h4[cols] = h.transpose(0, 3, 1, 2)
+        g4[cols] = g.transpose(0, 3, 1, 2)
 
 
 def set_diagonal_blocks(mat: Material, table: QuadratureTable, h, g, strategy="analytic"):
     """Set every diagonal block of H and G, once all columns are filled.
 
     H_ii comes from the rigid-body identity, summed over the row's
-    off-diagonal blocks as one (n, n, 3, 3) view of the whole of H, whose
+    off-diagonal blocks as one (n, 3, n, 3) view of the whole of H, whose
     shape and layout do not depend on the worker count; G_ii from singular
     integration (``strategy``, as in :func:`integrate_self_g`): the
     table's closed-form self-integrals for "analytic", while
@@ -297,10 +302,13 @@ def set_diagonal_blocks(mat: Material, table: QuadratureTable, h, g, strategy="a
     n = len(table.self_i1)
     h4, g4 = _block_view(h, n), _block_view(g, n)
     diag = np.arange(n)
+    # h4[j, b, i, a] is entry (3i + a, 3j + b): the sum over j leaves
+    # [b, i, a], and a diagonal selection [i, b, a] holds blocks transposed
     h4[diag, :, diag, :] = 0.0  # so that the sum over every column skips it
-    h4[diag, :, diag, :] = rigid_body_diagonal(np.moveaxis(h4, 2, 0))
+    h4[diag, :, diag, :] = rigid_body_diagonal(h4).transpose(1, 0, 2)
     if strategy == "analytic":
-        g4[diag, :, diag, :] = kelvin_self_g(table.self_i1, table.self_m, mat)
+        g_ii = kelvin_self_g(table.self_i1, table.self_m, mat)
+        g4[diag, :, diag, :] = g_ii.swapaxes(1, 2)
 
 
 def assemble(
@@ -316,9 +324,7 @@ def assemble(
     bad = mesh.degenerate_indices()
     if len(bad):
         raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
-    n3 = mesh.n_dofs
-    h = np.empty((n3, n3))
-    g = np.empty((n3, n3))
+    h, g = allocate_influence(mesh.n_dofs)
     table = quadrature_table(mesh, rule)
     assemble_columns(mesh, mat, table, range(mesh.n_elements), h, g)
     set_diagonal_blocks(mat, table, h, g, strategy)
@@ -344,6 +350,7 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     sends G[:,d] * t_d to the right-hand side; displacement-known DOF d
     swaps in -G[:,d] (unknown t_d) and sends -H[:,d] * u_d to the
     right-hand side. b reads only the columns of the nonzero values.
+    A has H's column-major layout.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
@@ -352,7 +359,7 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     _warn_if_underconstrained(bc)
     disp = bc.displacement_known
     v = bc.values
-    a = hg.h.copy()
+    a = hg.h.copy(order="K")  # keeps H's column-major layout for the LU
     np.negative(hg.g, out=a, where=disp)  # column-wise, with no gathered copy
     nonzero = v != 0.0
     t_cols = np.flatnonzero(nonzero & ~disp)
@@ -365,7 +372,7 @@ def rhs_matrix(hg: InfluenceMatrices, bc: BoundarySpec):
     """Matrix B with b = B @ values: G columns where traction is known,
     -H columns where displacement is known. Pairs with A for the
     precomputed-operator path, whose in-place solve needs it
-    Fortran-ordered, as it is returned."""
+    column-major, as it is returned."""
     disp = bc.displacement_known
     m = np.array(hg.g, order="F")
     m[:, disp] = -hg.h[:, disp]
@@ -407,11 +414,3 @@ def read_matrix(path):
             raise ValueError(f"{path}: file shrank while being read")
     return data
 
-
-def matrix_summary(arr):
-    arr = np.asarray(arr)
-    return (
-        f"shape {arr.shape[0]}x{arr.shape[1]}, "
-        f"fro norm {np.linalg.norm(arr):.6e}, "
-        f"max |entry| {np.abs(arr).max():.6e}"
-    )

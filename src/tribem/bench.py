@@ -160,9 +160,11 @@ def estimate_nonlinear(linear_seconds, iterations=100) -> NonlinearEstimate:
 
 def _dummy_system(n):
     """Random diagonally dominant system seeded by its size: well
-    conditioned at any size, so timing reflects size alone."""
+    conditioned at any size, so timing reflects size alone. A is
+    column-major, the layout the assembled A has and the solver reads."""
     rng = np.random.default_rng(SEED + n)
-    a = rng.random((n, n)) + n * np.eye(n)
+    a = n * np.eye(n, order="F")
+    a += rng.random((n, n))
     b = rng.random(n)
     return LinearSystem(a, b, np.zeros(n, dtype=bool))
 

@@ -30,11 +30,10 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .assembly import (
     BoundarySpec,
     InfluenceMatrices,
+    allocate_influence,
     assemble_columns,
     check_self_strategy,
     quadrature_table,
@@ -196,8 +195,7 @@ def distributed_assemble_solve(
         raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
 
     n = mesh.n_elements
-    h = np.empty((mesh.n_dofs, mesh.n_dofs))
-    g = np.empty((mesh.n_dofs, mesh.n_dofs))
+    h, g = allocate_influence(mesh.n_dofs)
     active = [r for r in partition_rows(n, workers) if len(r)]
 
     t0 = time.perf_counter()

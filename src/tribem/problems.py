@@ -37,6 +37,8 @@ from .kernels import Material, make_material
 from .mesh import SurfaceMesh, generate_box
 
 _AXES = {"x": 0, "y": 1, "z": 2}
+# prescribed-quantity names, matched case-insensitively -> displacement known
+_KINDS = {"displacement": True, "u": True, "traction": False, "t": False}
 
 
 @dataclass
@@ -60,12 +62,17 @@ class BcBuilder:
         self.values = np.zeros(n)
 
     def set(self, element_ids, axes, kind, value):
+        """Prescribe ``kind`` (a key of ``_KINDS``, any case) at ``value``
+        on ``axes`` of the given elements."""
+        known = _KINDS.get(kind.lower())
+        if known is None:
+            raise ValueError(f"unknown kind {kind!r}")
         ids = np.asarray(element_ids, dtype=int)
         if ids.size and (ids.min() < 0 or ids.max() >= self.mesh.n_elements):
             raise ValueError("element id outside mesh")
         for ax in axes:
             dofs = 3 * ids + _AXES[ax]
-            self.displacement_known[dofs] = kind == "displacement"
+            self.displacement_known[dofs] = known
             self.values[dofs] = value
         return self
 
@@ -133,14 +140,6 @@ def _parse_axes(token):
     raise ValueError(f"bad axis spec {token!r}")
 
 
-_KINDS = {
-    "displacement": "displacement",
-    "u": "displacement",
-    "traction": "traction",
-    "t": "traction",
-}
-
-
 def parse_bc_file(text, mesh: SurfaceMesh) -> BoundarySpec:
     """Parse the BC text format (see module docstring) against a mesh."""
     builder = BcBuilder(mesh)
@@ -161,10 +160,7 @@ def parse_bc_file(text, mesh: SurfaceMesh) -> BoundarySpec:
                 fields = spec.split()
                 if len(fields) != 2:
                     raise ValueError(f"assignment needs '<kind> <value>', got {spec.strip()!r}")
-                kind_token, value_token = fields
-                kind = _KINDS.get(kind_token.lower())
-                if kind is None:
-                    raise ValueError(f"unknown kind {kind_token!r}")
+                kind, value_token = fields
                 value = float(value_token)
                 if not math.isfinite(value):
                     raise ValueError(f"value must be finite, got {value_token!r}")

@@ -7,9 +7,11 @@ float64 A and adds the single-precision solve of A d = r, until
 max|r| is within ``REFINE_TOL`` of max|b|, the level the double LU
 itself leaves (Langou et al., SC 2006; Buttari et al., IJHPCA 2007;
 LAPACK dsgesv). The single-precision LU costs about half the time
-and memory of the double one. A system that single precision cannot
-decide -- a pivot at its rounding level, or a residual that does not
-shrink, or shrinks too slowly to reach the tolerance within
+and memory of the double one. A arrives column-major from assembly,
+the layout LAPACK reads, so its float32 copy is a plain cast and the
+precomputed path factors it in place. A system that single precision
+cannot decide -- a pivot at its rounding level, or a residual that
+does not shrink, or shrinks too slowly to reach the tolerance within
 ``REFINE_STEPS`` steps -- is solved by the double LU instead, so
 singular and ill-conditioned systems meet the same checks as before.
 
@@ -69,11 +71,6 @@ REFINE_STEPS = 10
 # leaves 2.0-3.6e-15 of max|b| on the cube and the box, and the float64
 # residual's own rounding floor there is 3e-16 to 1e-15.
 REFINE_TOL = 16 * np.finfo(float).eps
-# Rows copied at a time into the column-major float32 A: 256 rows keep
-# the source cache lines of one column block (16 KB) in L1 while it is
-# transposed; a 3000-DOF copy took 27 ms this way and 71 ms in one call
-# on a 2-vCPU VM.
-_COPY_ROWS = 256
 
 log = logging.getLogger(__name__)
 
@@ -148,10 +145,7 @@ def _refined_single_solve(a, scales, b):
     because A's columns mix the scales of H and G.
     """
     n = a.shape[0]
-    a32 = np.empty((n, n), dtype=np.float32, order="F")
-    for start in range(0, n, _COPY_ROWS):
-        a32[start : start + _COPY_ROWS] = a[start : start + _COPY_ROWS]
-    lu, piv, _ = lapack.sgetrf(a32, overwrite_a=True)
+    lu, piv, _ = lapack.sgetrf(a.astype(np.float32, order="F"), overwrite_a=True)
     small = np.flatnonzero(np.abs(lu.diagonal()) <= n * np.finfo(np.float32).eps * scales)
     if small.size:
         return None, f"pivot {small[0]} is zero to single precision"
@@ -185,7 +179,12 @@ def solve_direct(system: LinearSystem):
     refined in double to the double LU's residual, or the double LU
     itself (:func:`_checked_lu`) when single precision cannot decide
     the system. Leaves ``system`` unchanged and copies A in double only
-    for that fallback."""
+    for that fallback.
+
+    A is expected column-major, as :func:`apply_boundary_conditions`
+    returns it: LAPACK reads that layout, so the float32 copy is a
+    straight conversion. Another layout is transposed on the way, which
+    at 3000 DOF took 65 ms against 16 ms (2-vCPU VM)."""
     a, scales = _checked_square(system.a)
     b = np.asarray(system.b, dtype=float)
     x, reason = _refined_single_solve(a, scales, b)
@@ -260,14 +259,13 @@ class PrecomputedOperator:
 
     @classmethod
     def build(cls, hg: InfluenceMatrices, bc: BoundarySpec, fingerprint=None):
-        """Factor A once and solve it against R, both in place on
-        Fortran-ordered copies, so the solution's transpose is the
-        C-contiguous M^T; R is made only after the C-ordered A is freed,
-        so at most two N x N arrays exist beside H and G. A itself is
-        factored, not A^T: its columns mix the scales of H and G, and
-        row pivoting, as in :func:`solve_direct`, is blind to that."""
-        a = np.asfortranarray(apply_boundary_conditions(hg, bc).a)
-        lu_piv = _checked_lu(a, overwrite_a=True)
+        """Factor A once and solve it against R, both in place on their
+        column-major copies, so the solution's transpose is the
+        C-contiguous M^T and at most two N x N arrays exist beside H and
+        G. A itself is factored, not A^T: its columns mix the scales of
+        H and G, and row pivoting, as in :func:`solve_direct`, is blind
+        to that."""
+        lu_piv = _checked_lu(apply_boundary_conditions(hg, bc).a, overwrite_a=True)
         m = scipy.linalg.lu_solve(
             lu_piv, rhs_matrix(hg, bc), overwrite_b=True, check_finite=False
         )

@@ -22,6 +22,7 @@ from tribem.distribution import (
 from tribem.errors import DegenerateElementError
 from tribem.kernels import gauss_rule
 from tribem.problems import cube_problem
+from tribem.solver import solve
 
 
 class TestBlockMap:
@@ -162,6 +163,18 @@ class TestDistributedAssembleSolve:
         finally:
             sys.setswitchinterval(interval)
         assert len(hashes) == 1
+
+    def test_matrices_column_major(self, prob, monkeypatch):
+        seen = []
+
+        def spy(hg, bc):
+            seen.append(hg)
+            return solve(hg, bc)
+
+        monkeypatch.setattr("tribem.distribution.solve", spy)
+        distributed_assemble_solve(prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=2)
+        (hg,) = seen
+        assert hg.h.flags.f_contiguous and hg.g.flags.f_contiguous
 
     def test_one_process_whole_matrix_block(self, prob):
         # the single-process configuration: one 288x288 block, same result

@@ -3,7 +3,7 @@ import pytest
 
 from tribem.errors import BcFileError
 from tribem.mesh import generate_cube
-from tribem.problems import box_problem, cube_problem, parse_bc_file
+from tribem.problems import BcBuilder, box_problem, cube_problem, parse_bc_file
 
 
 class TestCubeProblem:
@@ -47,6 +47,25 @@ class TestBoxProblem:
         assert prob.mesh.n_dofs == 3000
         # fixed face x=0 spans y,z: 5*10 squares, 4 triangles each
         assert prob.bc.displacement_known.sum() == 3 * 4 * 5 * 10
+
+
+class TestBcBuilder:
+    @pytest.mark.parametrize(
+        "kind, known",
+        [("displacement", True), ("Displacement", True), ("u", True), ("U", True),
+         ("traction", False), ("T", False)],
+    )
+    def test_kind_names(self, kind, known):
+        bc = BcBuilder(generate_cube(4, 1)).set([0, 2], "xz", kind, 0.5).build()
+        dofs = [0, 2, 6, 8]
+        assert np.array_equal(bc.displacement_known[dofs], [known] * 4)
+        assert np.all(bc.values[dofs] == 0.5)
+
+    def test_unknown_kind_rejected(self):
+        builder = BcBuilder(generate_cube(4, 1))
+        with pytest.raises(ValueError, match="unknown kind 'wobble'"):
+            builder.set([0], "x", "wobble", 1.0)
+        assert not builder.displacement_known.any() and not builder.values.any()
 
 
 class TestBcFile:

@@ -174,6 +174,14 @@ class TestMixedPrecision:
             record.getMessage(),
         )
 
+    def test_c_and_f_ordered_a_agree(self, cube_setup):
+        # the assembled A is column-major; another layout is converted
+        prob, hg, _ = cube_setup
+        system = apply_boundary_conditions(hg, prob.bc)
+        x_f = solve_direct(system)
+        x_c = solve_direct(LinearSystem(np.ascontiguousarray(system.a), system.b, system.swapped))
+        assert np.abs(x_c - x_f).max() <= 1e-13 * np.abs(x_f).max()
+
     def test_no_float64_copy_of_a(self):
         system = random_system(np.random.default_rng(50), 400)
         tracemalloc.start()
