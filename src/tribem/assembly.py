@@ -26,12 +26,15 @@ for element j, r^2 at every quadrature point from every collocation
 point is one product, the radial weights 1/r, 1/r^3, 1/r^5 follow with
 one division and one square root per point, and two more products give
 their moments, after which every block of the column follows from D,
-n_j and ten moments per weight. H and G are column-major (Fortran
-order), the layout LAPACK reads, so a chunk of elements is written as
-one contiguous slab of columns, and the system matrix A built from them
-reaches the LU with no conversion. A column block depends on no other
-column, so any split of the elements gives bit-identical matrices, and
-a parallel run gives each worker a contiguous range of field elements.
+n_j and ten moments per weight. For a chunk of a few field elements,
+each of the nine entries (a, b) of the blocks is one array over
+(element, collocation point), written straight into its place. H and G
+are column-major (Fortran order), the layout LAPACK reads, so a chunk's
+entries land in one contiguous slab of columns, and the system matrix
+A built from them reaches the LU with no conversion. A column block
+depends on no other column, so any split of the elements gives
+bit-identical matrices, and a parallel run gives each worker a
+contiguous range of field elements.
 After the sweep one pass sets the diagonal blocks: H_ii from the rigid-body identity over
 the finished rows, G_ii from the table's closed-form self-integrals
 or, for paper-faithful, left at the row's own D = 0 entry, which is
@@ -64,7 +67,7 @@ from .kernels import (
     QuadratureRule,
     centroid_self_integrals,
     collapsed_map,
-    kelvin_blocks,
+    kelvin_block_columns,
     kelvin_self_g,
     kelvin_u_points,
     radial_moments,
@@ -210,13 +213,17 @@ def rigid_body_diagonal(off_diagonal_blocks):
     return -np.sum(blocks, axis=0)
 
 
-# Field elements per kelvin_blocks call: their moments, 240 bytes per
-# collocation point each, take about this much (11 elements on the
-# 96-element box, 1 on the 1000-element one). Over 60 two-worker
-# requests on 96-element boxes at q=16 (2-vCPU VM), peak RSS read
-# 70.4 MB with 512 KB chunks, 68.8 MB with 256 KB and 67.9 MB with
-# 128 KB; 512 KB assembled no faster than 256 KB, 128 KB ~6% slower.
+# Field elements per kelvin_block_columns call: their moments, 240 bytes
+# per collocation point each, take about this much (11 elements on the
+# 96-element box), but never fewer than _MIN_CHUNK elements, since each
+# call costs ~130 numpy calls whatever its size (4 on the 1000-element
+# box, where 256 KB holds one). Over 60 two-worker requests on
+# 96-element boxes at q=16 (2-vCPU VM, two runs each), peak RSS read
+# 63.7-64.4 MB with 128 KB chunks, 64.2-65.3 MB with 256 KB and
+# 64.2-64.3 MB with 512 KB; a request took a median 28-35 ms, 24.0 ms
+# and 24.0-24.6 ms.
 _CHUNK_BYTES = 1 << 18
+_MIN_CHUNK = 4
 
 
 def allocate_influence(n_dofs):
@@ -247,14 +254,15 @@ def assemble_columns(
     are one (3N x Q)(Q x 6) product against the rule's features and one
     (3N x 6)(6 x 10) product against the element's transform from
     ``table`` (from :func:`quadrature_table` for the same mesh; see
-    :func:`radial_moments`). Blocks then follow from the moments, the
-    centroid offsets D and the element normals (flat elements:
-    d.n_j = D.n_j), a chunk of elements per call, and each chunk is
-    written with one slice assignment into one contiguous slab of
-    columns. Every element's products have the same shapes and writes
-    are disjoint, so any partition of elements across workers, and any
-    chunking within one, yields bit-identical matrices. The diagonal blocks hold the D = 0 entries until
-    :func:`set_diagonal_blocks` runs.
+    :func:`radial_moments`). :func:`kelvin_block_columns` then turns
+    the moments, the centroid offsets D and the element normals (flat
+    elements: d.n_j = D.n_j) of a chunk of elements into the nine
+    entries of their blocks, each written straight into the chunk's
+    contiguous slab of columns. Every element's products have the same
+    shapes, the entries are elementwise and writes are disjoint, so any
+    partition of elements across workers, and any chunking within one,
+    yields bit-identical matrices. The diagonal blocks hold the D = 0
+    entries until :func:`set_diagonal_blocks` runs.
     """
     degenerate = np.flatnonzero(mesh.areas[elements.start : elements.stop] <= 0.0)
     if len(degenerate):
@@ -262,7 +270,7 @@ def assemble_columns(
         raise DegenerateElementError(f"elements {bad} are degenerate")
     n = mesh.n_elements
     h4, g4 = _block_view(h_out, n), _block_view(g_out, n)
-    chunk = max(1, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
+    chunk = max(_MIN_CHUNK, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
     work = np.empty((3, n, table.rule.n_points))
     moments = np.empty((chunk, 3, n, N_FEATURES))
     sources = np.empty((chunk, n, N_MONOMIALS))
@@ -281,11 +289,9 @@ def assemble_columns(
         # order is even, so no Gauss point maps onto the centroid.
         for m, j in enumerate(range(cols.start, cols.stop)):
             radial_moments(sources[m], table.rule, table.transforms[j], work, moments[m])
-        h, g = kelvin_blocks(
-            np.moveaxis(moments[:k], 1, 2), d, mesh.normals[cols, None, :], mat
+        kelvin_block_columns(
+            moments[:k], d, mesh.normals[cols], mat, h4[cols], g4[cols]
         )
-        h4[cols] = h.transpose(0, 3, 1, 2)
-        g4[cols] = g.transpose(0, 3, 1, 2)
 
 
 def set_diagonal_blocks(mat: Material, table: QuadratureTable, h, g, strategy="analytic"):

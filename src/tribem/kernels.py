@@ -41,8 +41,10 @@ Gram entries and T (:func:`triangle_transforms`). Assembly then sweeps
 the field triangles: for each, every source at once costs one
 (M x 6)(6 x Q) product for r^2, one division and one square root per
 point for the radial weights, and one (3M x Q)(Q x 6) and one
-(3M x 6)(6 x 10) product for the moments (:func:`radial_moments`),
-after which :func:`kelvin_blocks` gives the integrated blocks.
+(3M x 6)(6 x 10) product for the moments (:func:`radial_moments`).
+:func:`kelvin_block_columns` then forms the integrated blocks entry by
+entry: each of the nine entries (a, b) of H and G over F triangles is
+one (F, M) array, written straight into the columns of H and G.
 
 The expanded r^2 rounds to within about eps (|D|^2 + |rho|^2) of the
 true value, where subtracting coordinates gives about eps |y| r. The
@@ -238,7 +240,6 @@ def collapsed_map(rule: QuadratureRule, v0, v1, v2):
 
 N_FEATURES = 10  # w [1, rho (3), rho rho^T (6 distinct entries)]
 _OUTER_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-_OUTER_INDEX = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])  # moment index of rho_a rho_b
 
 
 def triangle_transforms(vertices):
@@ -302,20 +303,6 @@ def radial_moments(sources, rule: QuadratureRule, transform, work, out):
     return out
 
 
-def _weighted_outer(offsets, m):
-    """sum w f d d^T from the moments m (..., N_FEATURES) of one weight f:
-    m0 = m[..., 0], m1 = m[..., 1:4] and m2 the rho rho^T entries.
-
-    Written D s^T + s D^T + m2 with s = D m0 / 2 + m1, which equals
-    D D^T m0 + D m1^T + m1 D^T + m2 and is exactly symmetric.
-    """
-    s = offsets * (0.5 * m[..., :1]) + m[..., 1:4]
-    out = offsets[..., :, None] * s[..., None, :]
-    out += out.swapaxes(-1, -2).copy()
-    out += m[..., _OUTER_INDEX]
-    return out
-
-
 def centroid_self_integrals(vertices, centres):
     """Closed-form weakly singular integrals over flat triangles.
 
@@ -368,40 +355,75 @@ def kelvin_self_g(i1, m, mat: Material):
     return g
 
 
-def kelvin_blocks(moments, offsets, normals, mat: Material):
-    """Integrated T* and U* blocks from :func:`radial_moments` output.
+def kelvin_block_columns(moments, offsets, normals, mat: Material, h_out, g_out):
+    """Integrated T* and U* blocks from :func:`radial_moments` output,
+    written entry by entry into column slabs of H and G.
 
-    ``moments`` (..., 3, N_FEATURES), one row per radial weight;
-    ``offsets`` (..., 3) is D = C - x from the source to the centre the
-    features were taken about, and
-    ``normals`` (..., 3) the triangle's unit normal. The centre must lie
-    in the triangle's plane, so that d.n = D.n at every point. Returns
-    (H, G), each (..., 3, 3):
+    ``moments`` (F, 3, M, N_FEATURES) holds, for each of F field
+    triangles, the moments of 1/r, 1/r^3 and 1/r^5 from M sources;
+    ``offsets`` (F, M, 3) is D = C - x from each source to the centre the
+    moments were taken about, and ``normals`` (F, 3) each triangle's unit
+    normal. The centre must lie in the triangle's plane, so that
+    d.n = D.n at every point. Entry (a, b) of the block from source i
+    over triangle j is written to ``h_out[j, b, i, a]`` and
+    ``g_out[j, b, i, a]``:
 
         G = c_u [(3-4nu) sum w/r I + sum w d d^T / r^3]
         H = c_t [k (D.n) sum w/r^3 I + 3 (D.n) sum w d d^T / r^5
                  - k (v n^T - n v^T)],   v = sum w d / r^3, k = 1-2nu
+
+    with sum w f d d^T = D s^T + s D^T + m2, s = D m0 / 2 + m1, from the
+    moments m0, m1 and m2 of f (exactly symmetric). Each entry is one
+    (F, M) array, so no (F, M, 3, 3) block is formed, and it takes the
+    same floating-point operations as the dense 3 x 3 form, so the two
+    agree bit for bit, signed zeros included.
     """
     nu = mat.nu
     k = 1.0 - 2.0 * nu
-    m_r1, m_r3, m_r5 = moments[..., 0, :], moments[..., 1, :], moments[..., 2, :]
+    d = np.moveaxis(offsets, -1, 0).copy()  # one contiguous (F, M) array per axis
+    m_r1, m_r3, m_r5 = moments.transpose(1, 3, 0, 2)  # [feature] is an (F, M) view
+    n = [normals[:, a, None] for a in range(3)]
 
-    g = _weighted_outer(offsets, m_r3)
-    g += ((3.0 - 4.0 * nu) * m_r1[..., 0])[..., None, None] * _EYE3
-    g *= 1.0 / (16.0 * np.pi * mat.mu * (1.0 - nu))
+    def outer_sums(m):
+        """sum w f d d^T as its six distinct entries (a, b), a <= b."""
+        half = 0.5 * m[0]
+        s = [d[a] * half + m[1 + a] for a in range(3)]
+        out = {}
+        for col, (a, b) in enumerate(_OUTER_ENTRIES, start=4):
+            w = d[a] * s[b]
+            w += w if a == b else d[b] * s[a]
+            w += m[col]
+            out[a, b] = w
+        return out
 
-    dn = (
-        offsets[..., 0] * normals[..., 0]
-        + offsets[..., 1] * normals[..., 1]
-        + offsets[..., 2] * normals[..., 2]
-    )
-    h = _weighted_outer(offsets, m_r5)
-    h *= (3.0 * dn)[..., None, None]
-    h += (k * dn * m_r3[..., 0])[..., None, None] * _EYE3
-    v = offsets * m_r3[..., :1] + m_r3[..., 1:4]
-    skew = v[..., :, None] * normals[..., None, :]
-    skew -= skew.swapaxes(-1, -2).copy()
-    h -= k * skew
-    h *= -1.0 / (8.0 * np.pi * (1.0 - nu))
-    return h, g
+    c_u = 1.0 / (16.0 * np.pi * mat.mu * (1.0 - nu))
+    g_diag = (3.0 - 4.0 * nu) * m_r1[0]
+    for (a, b), w in outer_sums(m_r3).items():
+        if a == b:
+            w += g_diag
+        np.multiply(w, c_u, out=g_out[:, b, :, a])
+        if a != b:
+            g_out[:, a, :, b] = g_out[:, b, :, a]
 
+    c_t = -1.0 / (8.0 * np.pi * (1.0 - nu))
+    dn = d[0] * n[0] + d[1] * n[1] + d[2] * n[2]
+    t = 3.0 * dn
+    h_diag = k * dn * m_r3[0]
+    # the off-diagonal entries of h_diag I, which fix the sign of a zero
+    # entry between coplanar triangles
+    zero = h_diag * 0.0
+    v = [d[a] * m_r3[0] + m_r3[1 + a] for a in range(3)]
+    for (a, b), w in outer_sums(m_r5).items():
+        w *= t
+        if a == b:
+            w += h_diag
+            np.multiply(w, c_t, out=h_out[:, a, :, a])
+            continue
+        w += zero
+        p, q = v[a] * n[b], v[b] * n[a]
+        # entries (a, b) and (b, a) take v_a n_b - v_b n_a and its
+        # negation, computed apart: for p = q both are +0
+        for skew, out in ((p - q, h_out[:, b, :, a]), (q - p, h_out[:, a, :, b])):
+            skew *= k
+            np.subtract(w, skew, out=skew)
+            np.multiply(skew, c_t, out=out)

@@ -63,10 +63,13 @@ class BcBuilder:
 
     def set(self, element_ids, axes, kind, value):
         """Prescribe ``kind`` (a key of ``_KINDS``, any case) at ``value``
-        on ``axes`` of the given elements."""
+        on ``axes`` (distinct letters of ``xyz``, or ``all``, any case) of
+        the given elements. Raises ``ValueError`` before changing anything
+        if either is unknown."""
         known = _KINDS.get(kind.lower())
         if known is None:
             raise ValueError(f"unknown kind {kind!r}")
+        axes = _parse_axes(axes)
         ids = np.asarray(element_ids, dtype=int)
         if ids.size and (ids.min() < 0 or ids.max() >= self.mesh.n_elements):
             raise ValueError("element id outside mesh")

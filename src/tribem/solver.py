@@ -12,8 +12,9 @@ the layout LAPACK reads, so its float32 copy is a plain cast and the
 precomputed path factors it in place. A system that single precision
 cannot decide -- a pivot at its rounding level, or a residual that
 does not shrink, or shrinks too slowly to reach the tolerance within
-``REFINE_STEPS`` steps -- is solved by the double LU instead, so
-singular and ill-conditioned systems meet the same checks as before.
+``REFINE_STEPS`` steps, or a tolerance below the float64 residual's own
+rounding -- is solved by the double LU instead, so singular and
+ill-conditioned systems meet the same checks as before.
 
 The precomputed path solves the system offline against the
 right-hand-side builder R (b = R @ values), which gives M = A^-1 R: the
@@ -69,7 +70,12 @@ OPERATOR_FORMAT = 2
 REFINE_STEPS = 10
 # Refinement stops at max|b - A x| <= REFINE_TOL * max|b|. The double LU
 # leaves 2.0-3.6e-15 of max|b| on the cube and the box, and the float64
-# residual's own rounding floor there is 3e-16 to 1e-15.
+# residual's own rounding floor there is 3e-16 to 1e-15. That floor
+# measured 0.9 to 23 times eps/2 max|a_ij x_j| on BEM and random systems,
+# so refinement gives up once eps/2 max|a_ij x_j| exceeds the tolerance,
+# i.e. max|a_ij x_j| > 32 max|b|: random systems of condition 1e4 and
+# above get there, while BEM systems of 24 to 3000 elements stay below
+# 8 max|b|.
 REFINE_TOL = 16 * np.finfo(float).eps
 
 log = logging.getLogger(__name__)
@@ -142,7 +148,10 @@ def _refined_single_solve(a, scales, b):
     A pivot within n * eps32 of its column's largest entry means A is
     singular to single precision, and then a small residual would not
     show whether it is singular in double; the test is per column
-    because A's columns mix the scales of H and G.
+    because A's columns mix the scales of H and G. After each step the
+    residual must shrink fast enough to reach the tolerance in the steps
+    left, and the tolerance must lie above eps/2 of the largest product
+    |a_ij x_j|, the rounding of the float64 residual itself.
     """
     n = a.shape[0]
     lu, piv, _ = lapack.sgetrf(a.astype(np.float32, order="F"), overwrite_a=True)
@@ -170,6 +179,14 @@ def _refined_single_solve(a, scales, b):
             return None, (
                 f"residual shrank only {1 / rate:.2g}-fold at step {step}, too slowly "
                 f"to reach the tolerance in {REFINE_STEPS} steps"
+            )
+        # max_ij |a_ij x_j| = max_j scales_j |x_j|: the float64 residual
+        # rounds at about eps/2 of it, and no step gets below that
+        top = (scales * np.abs(x)).max()
+        if 0.5 * np.finfo(float).eps * top > REFINE_TOL * b_max:
+            return None, (
+                f"max|a_ij x_j| is {top / b_max:.2g} max|b| at step {step}, so the "
+                f"float64 residual rounds above the tolerance"
             )
     return None, f"no convergence in {REFINE_STEPS} steps (max|r| = {res / b_max:.2g} max|b|)"
 

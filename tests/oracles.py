@@ -1,11 +1,13 @@
 """Independent reference implementations used to cross-check production
 code. Everything here is deliberately written from the defining formulas
 with plain loops or generic adaptive refinement, sharing no code with
-the package internals it verifies. The one exception is
+the package internals it verifies. Two exceptions:
 :func:`integrate_pair`, the per-block reference for the moment-form
-assembly: it evaluates the point kernels at every quadrature point of
-the package's triangle map, sharing neither the moments nor the
-reference-coordinate factors it checks.
+assembly, evaluates the point kernels at every quadrature point of the
+package's triangle map, sharing neither the moments nor the
+reference-coordinate factors it checks; and :func:`kelvin_blocks`, the
+dense (..., 3, 3) form of the blocks from their moments, is the
+reference that the per-entry evaluator must match bit for bit.
 """
 
 import math
@@ -30,6 +32,58 @@ def integrate_pair(i, j, mesh, mat, rule):
     h_ij = np.einsum("q,qab->ab", w, t_blocks)
     g_ij = np.einsum("q,qab->ab", w, u_blocks)
     return h_ij, g_ij
+
+
+_EYE3 = np.eye(3)
+_OUTER_INDEX = np.array([[4, 5, 6], [5, 7, 8], [6, 8, 9]])  # moment index of rho_a rho_b
+
+
+def _weighted_outer(offsets, m):
+    """sum w f d d^T from the moments m (..., 10) of one weight f:
+    m0 = m[..., 0], m1 = m[..., 1:4] and m2 the rho rho^T entries.
+
+    Written D s^T + s D^T + m2 with s = D m0 / 2 + m1, which equals
+    D D^T m0 + D m1^T + m1 D^T + m2 and is exactly symmetric.
+    """
+    s = offsets * (0.5 * m[..., :1]) + m[..., 1:4]
+    out = offsets[..., :, None] * s[..., None, :]
+    out += out.swapaxes(-1, -2).copy()
+    out += m[..., _OUTER_INDEX]
+    return out
+
+
+def kelvin_blocks(moments, offsets, normals, mat):
+    """Integrated T* and U* blocks as whole 3 x 3 blocks, from moments
+    (..., 3, 10) of 1/r, 1/r^3, 1/r^5 about a centre in the triangle's
+    plane, offsets D (..., 3) from the source to that centre and unit
+    normals (..., 3). Returns (H, G), each (..., 3, 3):
+
+        G = c_u [(3-4nu) sum w/r I + sum w d d^T / r^3]
+        H = c_t [k (D.n) sum w/r^3 I + 3 (D.n) sum w d d^T / r^5
+                 - k (v n^T - n v^T)],   v = sum w d / r^3, k = 1-2nu
+    """
+    nu = mat.nu
+    k = 1.0 - 2.0 * nu
+    m_r1, m_r3, m_r5 = moments[..., 0, :], moments[..., 1, :], moments[..., 2, :]
+
+    g = _weighted_outer(offsets, m_r3)
+    g += ((3.0 - 4.0 * nu) * m_r1[..., 0])[..., None, None] * _EYE3
+    g *= 1.0 / (16.0 * np.pi * mat.mu * (1.0 - nu))
+
+    dn = (
+        offsets[..., 0] * normals[..., 0]
+        + offsets[..., 1] * normals[..., 1]
+        + offsets[..., 2] * normals[..., 2]
+    )
+    h = _weighted_outer(offsets, m_r5)
+    h *= (3.0 * dn)[..., None, None]
+    h += (k * dn * m_r3[..., 0])[..., None, None] * _EYE3
+    v = offsets * m_r3[..., :1] + m_r3[..., 1:4]
+    skew = v[..., :, None] * normals[..., None, :]
+    skew -= skew.swapaxes(-1, -2).copy()
+    h -= k * skew
+    h *= -1.0 / (8.0 * np.pi * (1.0 - nu))
+    return h, g
 
 
 def gauss_eliminate(a, b):

@@ -241,6 +241,22 @@ class TestAssemble:
         assert np.array_equal(h, full.h)
         assert np.array_equal(g, full.g)
 
+    @pytest.mark.parametrize("length", [1, 3, 5])
+    def test_short_ranges_bit_exact(self, length):
+        # 384 elements: the chunk byte budget allows two field elements, so
+        # the chunk floor of four sets the whole range's chunks, while
+        # ranges of 1, 3 and 5 elements take chunks of 1, 3, and 4 and 1
+        mesh = generate_cube(4, 4)
+        table = quadrature_table(mesh, gauss_rule(4))
+        h_full, g_full = allocate_influence(mesh.n_dofs)
+        assemble_columns(mesh, MAT, table, range(mesh.n_elements), h_full, g_full)
+        h, g = allocate_influence(mesh.n_dofs)
+        for start in range(0, mesh.n_elements, length):
+            stop = min(start + length, mesh.n_elements)
+            assemble_columns(mesh, MAT, table, range(start, stop), h, g)
+        assert h.tobytes() == h_full.tobytes()
+        assert g.tobytes() == g_full.tobytes()
+
     def test_matches_integrate_pair(self):
         # r^2 is expanded as |D|^2 + 2 (J^T D).p + p^T J^T J p, whose
         # cancellation is worst where the field element touches the

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from oracles import kelvin_t_reference, kelvin_u_reference, random_triangle
+from oracles import kelvin_blocks, kelvin_t_reference, kelvin_u_reference, random_triangle
 from tribem.errors import InvalidMaterialError, SingularEvaluationError
 from tribem.kernels import (
     N_FEATURES,
     collapsed_map,
     gauss_rule,
+    kelvin_block_columns,
     kelvin_T,
     kelvin_U,
     make_material,
@@ -248,3 +249,64 @@ class TestReferenceForm:
         # each moment against the size of its order in rho
         scale = want[..., :1] * np.array([1.0] + [size] * 3 + [size * size] * 6)
         assert (np.abs(got - want) <= 1e-13 * scale).all()
+
+
+def _block_inputs(k, m, seed, coplanar=False):
+    """Seeded moments (k, 3, m, N_FEATURES), offsets (k, m, 3) and unit
+    normals (k, 3). ``coplanar`` puts every source in the z = 0 plane of
+    triangles with normal +z or -z, so that D.n, the out-of-plane
+    moments and several products vanish and entries come out as signed
+    zeros."""
+    rng = np.random.default_rng(seed)
+    moments = rng.standard_normal((k, 3, m, N_FEATURES))
+    offsets = rng.standard_normal((k, m, 3))
+    normals = rng.standard_normal((k, 3))
+    if coplanar:
+        moments[..., [3, 6, 8, 9]] = 0.0  # rho_z, rho_x rho_z, rho_y rho_z, rho_z^2
+        moments[:, :, ::2, 1] *= -0.0  # some zero in-plane moments, of either sign
+        offsets[..., 2] = 0.0
+        offsets[:, ::3, 0] = -0.0
+        normals = np.zeros((k, 3))
+        normals[:, 2] = np.where(np.arange(k) % 2, -1.0, 1.0)
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return moments, offsets, normals
+
+
+class TestKelvinBlockColumns:
+    """The per-entry evaluator against the dense (k, M, 3, 3) form."""
+
+    @pytest.mark.parametrize("coplanar", [False, True], ids=["general", "coplanar"])
+    @pytest.mark.parametrize("k,m", [(1, 1), (1, 17), (5, 13)])
+    def test_bit_identical_to_dense_blocks(self, k, m, coplanar):
+        moments, offsets, normals = _block_inputs(k, m, 40 + 7 * k + m, coplanar)
+        h = np.full((k, 3, m, 3), np.nan)
+        g = np.full((k, 3, m, 3), np.nan)
+        kelvin_block_columns(moments, offsets, normals, MAT, h, g)
+        want_h, want_g = kelvin_blocks(
+            np.moveaxis(moments, 1, 2), offsets, normals[:, None, :], MAT
+        )
+        # [j, b, i, a] is entry (a, b) of block (i, j); tobytes also
+        # compares the sign of zero entries
+        assert h.transpose(0, 2, 3, 1).tobytes() == want_h.tobytes()
+        assert g.transpose(0, 2, 3, 1).tobytes() == want_g.tobytes()
+        if coplanar:
+            assert (want_h == 0.0).any() and np.signbit(want_h[want_h == 0.0]).any()
+
+    def test_writes_through_strided_views(self):
+        # as assembly passes them: the column slab of a column-major matrix
+        k, m = 3, 8
+        moments, offsets, normals = _block_inputs(k, m, 60)
+        h = np.zeros((3 * m, 3 * m), order="F")
+        g = np.zeros((3 * m, 3 * m), order="F")
+        cols = slice(2, 2 + k)
+        kelvin_block_columns(
+            moments, offsets, normals, MAT,
+            h.T.reshape(m, 3, m, 3)[cols], g.T.reshape(m, 3, m, 3)[cols],
+        )
+        want_h, want_g = kelvin_blocks(
+            np.moveaxis(moments, 1, 2), offsets, normals[:, None, :], MAT
+        )
+        for got, want in ((h, want_h), (g, want_g)):
+            blocks = got.reshape(m, 3, m, 3)[:, :, cols]  # [i, a, j, b]
+            assert np.array_equal(blocks, want.transpose(1, 2, 0, 3))
+            assert not got[:, : 3 * cols.start].any() and not got[:, 3 * cols.stop :].any()

@@ -67,6 +67,21 @@ class TestBcBuilder:
             builder.set([0], "x", "wobble", 1.0)
         assert not builder.displacement_known.any() and not builder.values.any()
 
+    @pytest.mark.parametrize(
+        "axes, dofs", [("X", [0]), ("zy", [1, 2]), ("all", [0, 1, 2]), ("ALL", [0, 1, 2])]
+    )
+    def test_axis_names(self, axes, dofs):
+        bc = BcBuilder(generate_cube(4, 1)).set([0], axes, "u", 0.5).build()
+        assert np.flatnonzero(bc.displacement_known).tolist() == dofs
+        assert np.flatnonzero(bc.values).tolist() == dofs
+
+    @pytest.mark.parametrize("axes", ["w", "xx", "", "x y"])
+    def test_unknown_axes_rejected(self, axes):
+        builder = BcBuilder(generate_cube(4, 1))
+        with pytest.raises(ValueError, match="bad axis spec"):
+            builder.set([0], axes, "u", 1.0)
+        assert not builder.displacement_known.any() and not builder.values.any()
+
 
 class TestBcFile:
     def test_cube_equivalent_via_file(self):

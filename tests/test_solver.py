@@ -208,14 +208,13 @@ class TestMixedPrecision:
         )
 
     def test_stalled_residual_falls_back(self, caplog):
-        # cond 1e5: x is so large that the float64 residual's rounding
-        # floor lies above the tolerance, and refinement stalls there
-        self.assert_falls_back(conditioned_system(50, 5, 52), caplog, "residual grew")
+        # cond 1e2 at n = 300: no product a_ij x_j is large against b
+        # (2.7 max|b| at most), yet the float64 residual stalls at ~30 eps
+        # max|b|, above the tolerance, and refinement sees it stall
+        self.assert_falls_back(conditioned_system(300, 2, 3), caplog, "residual grew")
 
-    def test_slow_refinement_falls_back_early(self, caplog, monkeypatch):
-        # cond 1e6 with a tenth of the spectrum at the bottom: each step
-        # shrinks the residual only a few-fold, so ten steps cannot reach the
-        # tolerance, and the solver must see that from the first steps
+    @staticmethod
+    def count_single_solves(monkeypatch):
         solves = []
         sgetrs = lapack.sgetrs
 
@@ -224,8 +223,37 @@ class TestMixedPrecision:
             return sgetrs(*args, **kwargs)
 
         monkeypatch.setattr(lapack, "sgetrs", counted)
+        return solves
+
+    def test_slow_refinement_falls_back_early(self, caplog, monkeypatch):
+        # cond 1e6 with a tenth of the spectrum at the bottom: each step
+        # shrinks the residual only a few-fold, so ten steps cannot reach the
+        # tolerance, and the solver must see that from the first steps
+        solves = self.count_single_solves(monkeypatch)
         self.assert_falls_back(clustered_system(200, 6, 70), caplog, "too slowly")
         assert 1 <= len(solves) <= 3
+
+    @pytest.mark.parametrize(
+        "n, log_cond, seed", [(50, 5, 52), (200, 5, 71), (200, 5, 72), (200, 6, 73), (200, 6, 74)]
+    )
+    def test_residual_floor_falls_back_at_once(self, caplog, monkeypatch, n, log_cond, seed):
+        # cond 1e5 and 1e6: x is so large against b that the float64
+        # residual rounds above the tolerance, where refinement would stall
+        # after four or more steps. The first step shows it, and the solve
+        # falls back after one step, with x equal to the double LU's
+        solves = self.count_single_solves(monkeypatch)
+        self.assert_falls_back(
+            conditioned_system(n, log_cond, seed), caplog,
+            "float64 residual rounds above the tolerance",
+        )
+        assert len(solves) == 1
+
+    def test_cube_takes_three_steps(self, cube_setup, monkeypatch):
+        # the floor test leaves the BEM systems to refinement
+        prob, hg, _ = cube_setup
+        solves = self.count_single_solves(monkeypatch)
+        self.assert_double_quality(apply_boundary_conditions(hg, prob.bc))
+        assert len(solves) == 3
 
     def test_step_limit_falls_back(self, cube_setup, caplog, monkeypatch):
         prob, hg, _ = cube_setup
