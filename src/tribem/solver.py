@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .assembly import (
     BoundarySpec,
@@ -55,18 +55,22 @@ from .kernels import Material
 from .mesh import SurfaceMesh
 
 # Share of nonzero values above which an apply makes one dense product
-# instead of gathering rows. Measured at 3000 DOF with a cold cache on a
-# 2-vCPU VM: the dense product 3.5 ms; gathering 1/8 of the rows 2.4 ms,
-# 1/5 of them 3.6 ms and all of them 34 ms, so the two cross near 1/5.
-DENSE_SHARE = 1 / 5
+# instead of one axpy per loaded row. Measured at 3000 DOF with a cold
+# cache on a 2-vCPU VM, medians of 25-41 applies: the dense product
+# 2.9-3.7 ms at any share; axpys over scattered rows 0.29 ms for 51 rows,
+# 2.1-2.2 ms for 600, 2.6-3.2 ms for 900, 3.7-4.3 ms for 1200 and 10 ms
+# for all of them, and over whole elements' rows within 20% of that, so
+# the two cross near 3/10.
+DENSE_SHARE = 3 / 10
 # Layout of a saved operator; an unversioned directory holds the older
 # explicit inverse and right-hand-side builder.
 OPERATOR_FORMAT = 2
 # Single-precision solves solve_direct makes before it factors in double
-# instead. Each step shrinks the residual about 1e6-fold on the 288-DOF
-# cube and the 3000-DOF box, which take three. LAPACK's dsgesv allows 30,
-# but at 3000 DOF a step costs ~15 ms against ~150 ms saved by the
-# single-precision LU, so ten more steps would cost more than they save.
+# instead. The 288-DOF cube takes three, the 3000-DOF box three or four
+# with the BCs of the box workloads, and cubes of 216 and 384 elements
+# four or five. LAPACK's dsgesv allows 30, but at 3000 DOF a step costs
+# ~15 ms against ~150 ms saved by the single-precision LU, so ten more
+# steps would cost more than they save.
 REFINE_STEPS = 10
 # Refinement stops at max|b - A x| <= REFINE_TOL * max|b|. The double LU
 # leaves 2.0-3.6e-15 of max|b| on the cube and the box, and the float64
@@ -291,8 +295,8 @@ class PrecomputedOperator:
     def rebuild_rhs(self, values):
         """The load as :meth:`apply_to_rhs` reads it: the indices of the
         nonzero values and those values, or, when more than
-        ``DENSE_SHARE`` of the values are nonzero, every row and every
-        value."""
+        ``DENSE_SHARE`` of the values are nonzero, ``slice(None)`` for
+        every row and every value."""
         values = np.asarray(values, dtype=float)
         rows = np.flatnonzero(values)
         if rows.size > DENSE_SHARE * values.size:
@@ -300,9 +304,17 @@ class PrecomputedOperator:
         return rows, values[rows]
 
     def apply_to_rhs(self, load):
-        """x = sum of v_d M^T[d] over the load's rows."""
+        """x = sum of v_d M^T[d] over the load's rows. For every row it
+        is one dense product; otherwise x starts at zero and takes one
+        BLAS axpy per loaded row, which reads the row in place: a
+        contiguous block of M^T, copied nowhere."""
         rows, v = load
-        return v @ self.greens[rows]
+        if isinstance(rows, slice):
+            return v @ self.greens[rows]
+        x = np.zeros(self.n_dofs)
+        for d, v_d in zip(rows.tolist(), v.tolist()):
+            x = blas.daxpy(self.greens[d], x, a=v_d)
+        return x
 
     def save(self, directory):
         """Persist to a directory: ``greens.mat``, a binary matrix dump

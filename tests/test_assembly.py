@@ -517,6 +517,14 @@ class TestApplyBoundaryConditions:
         system = apply_boundary_conditions(hg, bc)
         b2 = rhs_matrix(hg, bc) @ vals
         assert np.allclose(system.b, b2, rtol=1e-13, atol=1e-13)
+        # G with -H in the displacement-known columns, bit for bit, also
+        # when runs of them touch the first and last column
+        ends = disp.copy()
+        ends[[0, 1, -1]] = True
+        for mask in (disp, ends, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)):
+            want = np.array(hg.g, order="F")
+            want[:, mask] = -hg.h[:, mask]
+            assert rhs_matrix(hg, BoundarySpec(mask, vals)).tobytes() == want.tobytes()
 
 
 class TestColumnMajorLayout:

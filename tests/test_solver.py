@@ -370,7 +370,7 @@ class TestPrecomputedOperator:
         dense = BoundarySpec(
             prob.bc.displacement_known, np.random.default_rng(46).standard_normal(op.n_dofs)
         )
-        for bc in (prob.bc, dense):  # the gather branch, then the dense one
+        for bc in (prob.bc, dense):  # the row branch, then the dense one
             assert isinstance(op.rebuild_rhs(bc.values)[0], slice) == (bc is dense)
             sol = apply_precomputed(back, bc)
             ref = apply_precomputed(op, bc)
@@ -468,14 +468,43 @@ def _load_on(bc, rows, rng):
     return BoundarySpec(bc.displacement_known, values)
 
 
+def _load_rows(shape, mesh, rng):
+    """Loaded rows of one shape on ``mesh``, sorted as rebuild_rhs gives
+    them."""
+    n = mesh.n_dofs
+    if shape == "one":
+        return np.array([17])
+    if shape == "ends":
+        return np.array([0, n - 1])
+    if shape == "scattered":
+        return np.sort(rng.choice(n, 20, replace=False))
+    if shape == "elements":
+        elements = np.sort(rng.choice(mesh.n_elements, 7, replace=False))
+    else:  # a probe patch, as box-haptic loads it
+        c = mesh.centroids
+        elements = np.flatnonzero(np.linalg.norm(c - c[40], axis=1) <= 1.5)
+    return (3 * elements[:, None] + np.arange(3)).ravel()
+
+
 class TestGreensApply:
-    """The two apply branches: a gather of the loaded rows of M^T, and one
+    """The two apply branches: one axpy per loaded row of M^T, and one
     dense product once more than DENSE_SHARE of the values are nonzero."""
 
     @staticmethod
     def switch(n):
-        """Largest nonzero count that still takes the gather branch."""
+        """Largest nonzero count that still takes the row branch."""
         return int(DENSE_SHARE * n)
+
+    @pytest.mark.parametrize("shape", ["one", "ends", "scattered", "elements", "patch"])
+    def test_load_shapes_match_dense_product(self, cube_setup, shape):
+        prob, _, op = cube_setup
+        rng = np.random.default_rng(49)
+        rows = _load_rows(shape, prob.mesh, rng)
+        values = _load_on(prob.bc, rows, rng).values
+        load = op.rebuild_rhs(values)
+        assert np.array_equal(load[0], rows)
+        dense = op.apply_to_rhs((slice(None), values))
+        assert np.abs(op.apply_to_rhs(load) - dense).max() <= 1e-12 * np.abs(dense).max()
 
     @pytest.mark.parametrize("branch", ["gather", "dense"])
     def test_branch_matches_direct_solve(self, cube_setup, branch):
