@@ -54,6 +54,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import (
     BoundaryConditionError,
@@ -349,14 +350,31 @@ def _warn_if_underconstrained(bc: BoundarySpec):
         )
 
 
+def _signed_columns(keep, negate, swapped):
+    """Column-major matrix with ``keep``'s columns where ``swapped`` is
+    False and ``-negate``'s where it is True, written in one pass over
+    the runs of equal kind: each run is one copy or one negation of a
+    block of columns, read where it sits, whatever layout the inputs
+    have."""
+    out = np.empty(keep.shape, order="F")
+    edges = (np.flatnonzero(swapped[1:] != swapped[:-1]) + 1).tolist()
+    for start, stop in zip([0, *edges], [*edges, swapped.shape[0]]):
+        if swapped[start]:
+            np.negative(negate[:, start:stop], out=out[:, start:stop])
+        else:
+            out[:, start:stop] = keep[:, start:stop]
+    return out
+
+
 def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> LinearSystem:
     """Rearrange H u = G t into A x = b under mixed boundary conditions.
 
     Traction-known DOF d keeps column d of H in A (unknown u_d) and
     sends G[:,d] * t_d to the right-hand side; displacement-known DOF d
     swaps in -G[:,d] (unknown t_d) and sends -H[:,d] * u_d to the
-    right-hand side. b reads only the columns of the nonzero values.
-    A has H's column-major layout.
+    right-hand side. A is column-major, the layout the LU reads. b
+    starts at zero and takes one BLAS axpy per nonzero value, which
+    reads that value's column of G or H in place.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
@@ -365,12 +383,11 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     _warn_if_underconstrained(bc)
     disp = bc.displacement_known
     v = bc.values
-    a = hg.h.copy(order="K")  # keeps H's column-major layout for the LU
-    np.negative(hg.g, out=a, where=disp)  # column-wise, with no gathered copy
-    nonzero = v != 0.0
-    t_cols = np.flatnonzero(nonzero & ~disp)
-    u_cols = np.flatnonzero(nonzero & disp)
-    b = hg.g[:, t_cols] @ v[t_cols] - hg.h[:, u_cols] @ v[u_cols]
+    a = _signed_columns(hg.h, hg.g, disp)
+    b = np.zeros(hg.n_dofs)
+    for d in np.flatnonzero(v).tolist():
+        col, scale = (hg.h, -v[d]) if disp[d] else (hg.g, v[d])
+        b = blas.daxpy(col[:, d], b, a=scale)
     return LinearSystem(a, b, disp.copy())
 
 
@@ -379,10 +396,7 @@ def rhs_matrix(hg: InfluenceMatrices, bc: BoundarySpec):
     -H columns where displacement is known. Pairs with A for the
     precomputed-operator path, whose in-place solve needs it
     column-major, as it is returned."""
-    m = np.array(hg.g, order="F")
-    # column-wise, as for A: a gathered -H[:, D] would cost two N x |D| copies
-    np.negative(hg.h, out=m, where=bc.displacement_known)
-    return m
+    return _signed_columns(hg.g, hg.h, bc.displacement_known)
 
 
 # ---------------------------------------------------------------------------

@@ -68,9 +68,10 @@ OPERATOR_FORMAT = 2
 # Single-precision solves solve_direct makes before it factors in double
 # instead. The 288-DOF cube takes three, the 3000-DOF box three or four
 # with the BCs of the box workloads, and cubes of 216 and 384 elements
-# four or five. LAPACK's dsgesv allows 30, but at 3000 DOF a step costs
-# ~15 ms against ~150 ms saved by the single-precision LU, so ten more
-# steps would cost more than they save.
+# four or five. LAPACK's dsgesv allows 30, but at 3000 DOF a step (one
+# float32 solve, ~3-4 ms, and one float64 dgemv, ~3.5-9 ms) costs ~6-12
+# ms against ~150 ms saved by the single-precision LU, so twenty more
+# steps would cost about as much as they save.
 REFINE_STEPS = 10
 # Refinement stops at max|b - A x| <= REFINE_TOL * max|b|. The double LU
 # leaves 2.0-3.6e-15 of max|b| on the cube and the box, and the float64
@@ -106,34 +107,41 @@ class Solution:
         return self.u.shape[0] // 3
 
 
-def _checked_square(a):
-    """``a`` as a float64 array and the largest |entry| of each column,
-    after checking that it is square and finite (a NaN or inf leaves a
-    non-finite column maximum). Never copies a float64 ``a``."""
+def _square(a):
+    """``a`` as a float64 array, after checking that it is square. Never
+    copies a float64 ``a``."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scales = np.maximum(a.max(axis=0), -a.min(axis=0))
-    if not np.isfinite(scales).all():
-        raise ValueError("system matrix contains non-finite entries")
-    return a, scales
+    return a
+
+
+def _column_scales(a):
+    """The largest |entry| of each column of ``a``, in ``a``'s own
+    precision; a NaN or inf leaves a non-finite scale."""
+    return np.maximum(a.max(axis=0), -a.min(axis=0))
 
 
 def _checked_lu(a, overwrite_a=False):
-    """LU-factorise and reject matrices singular to working precision.
+    """LU-factorise and reject matrices that are not finite, or singular
+    to working precision.
 
     With ``overwrite_a`` a Fortran-ordered ``a`` is factorised in its own
     memory, which then holds the factors. scipy warns on exactly-zero
     pivots; the explicit pivot check below turns that condition into a
-    typed error carrying the pivot index.
+    typed error carrying the pivot index. The check is per column, as in
+    :func:`_refined_single_solve`: A's columns mix the scales of H and
+    G, and a column scaled by any factor must not make the pivots of
+    the others look singular.
     """
-    a, _ = _checked_square(a)
+    a = _square(a)
+    scales = _column_scales(a)
+    if not np.isfinite(scales).all():
+        raise ValueError("system matrix contains non-finite entries")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=False)
-    diag = np.abs(np.diag(lu))
-    tol = a.shape[0] * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
-    bad = np.flatnonzero(diag <= tol)
+    bad = np.flatnonzero(np.abs(np.diag(lu)) <= a.shape[0] * np.finfo(float).eps * scales)
     if bad.size:
         raise SingularSystemError(int(bad[0]))
     return lu, piv
@@ -145,29 +153,42 @@ def _max_abs(v):
     return max(v.max(), -v.min())
 
 
-def _refined_single_solve(a, scales, b):
+def _refined_single_solve(a, b):
     """x from a float32 LU of ``a`` refined in float64, and None; or None
     and the reason single precision cannot decide the system.
 
-    A pivot within n * eps32 of its column's largest entry means A is
-    singular to single precision, and then a small residual would not
-    show whether it is singular in double; the test is per column
-    because A's columns mix the scales of H and G. After each step the
-    residual must shrink fast enough to reach the tolerance in the steps
-    left, and the tolerance must lie above eps/2 of the largest product
-    |a_ij x_j|, the rounding of the float64 residual itself.
+    The float32 copy of A is the one pass over A before the LU: the
+    column scales come from it, and a scale that is not finite (a NaN
+    or inf in A, or a finite entry beyond float32's range) leaves the
+    system to the double LU and its checks. A pivot within n * eps32 of
+    its column's largest entry means A is singular to single precision,
+    and then a small residual would not show whether it is singular in
+    double; the test is per column because A's columns mix the scales
+    of H and G. After each step the residual must shrink fast enough to
+    reach the tolerance in the steps left, and the tolerance must lie
+    above eps/2 of the largest product |a_ij x_j|, the rounding of the
+    float64 residual itself. The residual is one dgemv from scipy's
+    BLAS, the library whose LAPACK factors A, on a column-major operand
+    that reaches it uncopied: A itself, or the transpose of a row-major
+    A.
     """
     n = a.shape[0]
-    lu, piv, _ = lapack.sgetrf(a.astype(np.float32, order="F"), overwrite_a=True)
+    with np.errstate(over="ignore"):  # beyond float32's range: inf, caught below
+        a32 = a.astype(np.float32, order="F")
+    scales = _column_scales(a32)
+    if not np.isfinite(scales).all():
+        return None, "A has entries that are not finite in single precision"
+    lu, piv, _ = lapack.sgetrf(a32, overwrite_a=True)
     small = np.flatnonzero(np.abs(lu.diagonal()) <= n * np.finfo(np.float32).eps * scales)
     if small.size:
         return None, f"pivot {small[0]} is zero to single precision"
+    op, trans = (a, 0) if a.flags.f_contiguous else (a.T, 1)
     b_max = _max_abs(b)
     x = np.zeros(b.shape)
     r, res = b, b_max
     for step in range(1, REFINE_STEPS + 1):
         x += lapack.sgetrs(lu, piv, r.astype(np.float32), overwrite_b=True)[0]
-        r = b - a @ x
+        r = blas.dgemv(-1.0, op, x, beta=1.0, y=b, trans=trans)  # b - A x, b kept
         last, res = res, _max_abs(r)
         if res <= REFINE_TOL * b_max:
             log.debug(
@@ -202,13 +223,17 @@ def solve_direct(system: LinearSystem):
     the system. Leaves ``system`` unchanged and copies A in double only
     for that fallback.
 
-    A is expected column-major, as :func:`apply_boundary_conditions`
-    returns it: LAPACK reads that layout, so the float32 copy is a
-    straight conversion. Another layout is transposed on the way, which
-    at 3000 DOF took 65 ms against 16 ms (2-vCPU VM)."""
-    a, scales = _checked_square(system.a)
+    Besides the LU, it reads A once for the float32 copy, the float32
+    copy once for the column scales, and A once per refinement step for
+    the residual. At 3000 DOF on a 2-vCPU VM these took ~17-24 ms,
+    ~7-9 ms and ~3.5-9 ms, against ~130-150 ms for ``sgetrf`` and ~3-4
+    ms for each float32 solve. A is expected column-major, as
+    :func:`apply_boundary_conditions` returns it: LAPACK reads that
+    layout, so the float32 copy is a straight conversion. Another layout
+    is transposed on the way, which at 3000 DOF took 65-100 ms."""
+    a = _square(system.a)
     b = np.asarray(system.b, dtype=float)
-    x, reason = _refined_single_solve(a, scales, b)
+    x, reason = _refined_single_solve(a, b)
     if x is None:
         log.info("%s; solving with the double-precision LU", reason)
         x = scipy.linalg.lu_solve(_checked_lu(a), b)

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -525,6 +526,37 @@ class TestApplyBoundaryConditions:
             want = np.array(hg.g, order="F")
             want[:, mask] = -hg.h[:, mask]
             assert rhs_matrix(hg, BoundarySpec(mask, vals)).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_one_pass_build_matches_two_passes(self, hg, order):
+        # A and R are written in one pass over runs of equal kind; the
+        # reference copies one matrix and negates the other's columns into
+        # it. From row-major H and G too, A and R come out column-major,
+        # and b reads the same columns.
+        n = hg.n_dofs
+        laid_out = InfluenceMatrices(
+            np.array(hg.h, order=order), np.array(hg.g, order=order), hg.n_elements
+        )
+        rng = np.random.default_rng(36)
+        disp = rng.random(n) < 0.3
+        ends = disp.copy()
+        ends[[0, 1, -1]] = True
+        vals = rng.standard_normal(n)
+        for mask in (disp, ends, np.ones(n, dtype=bool), np.zeros(n, dtype=bool)):
+            bc = BoundarySpec(mask, vals)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", SolvabilityWarning)
+                system = apply_boundary_conditions(laid_out, bc)
+                want_b = apply_boundary_conditions(hg, bc).b
+            want_a = hg.h.copy(order="F")
+            np.negative(hg.g, out=want_a, where=mask)
+            want_r = hg.g.copy(order="F")
+            np.negative(hg.h, out=want_r, where=mask)
+            r = rhs_matrix(laid_out, bc)
+            assert system.a.flags.f_contiguous and r.flags.f_contiguous
+            assert system.a.tobytes() == want_a.tobytes()
+            assert r.tobytes() == want_r.tobytes()
+            assert system.b.tobytes() == want_b.tobytes()
 
 
 class TestColumnMajorLayout:

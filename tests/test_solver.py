@@ -183,14 +183,30 @@ class TestMixedPrecision:
         assert np.abs(x_c - x_f).max() <= 1e-13 * np.abs(x_f).max()
 
     def test_no_float64_copy_of_a(self):
+        # for either layout: the residual's dgemv reads A, or the transpose
+        # of a row-major A, where it sits
         system = random_system(np.random.default_rng(50), 400)
-        tracemalloc.start()
-        try:
-            solve_direct(system)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 0.75 * system.a.nbytes  # the float32 copy is half of A
+        for order in ("C", "F"):
+            system.a = np.array(system.a, order=order)
+            tracemalloc.start()
+            try:
+                solve_direct(system)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.75 * system.a.nbytes  # the float32 copy is half of A
+
+    def test_column_beyond_single_range_falls_back(self, caplog):
+        # a finite column that overflows float32 leaves the system to the
+        # double LU, which solves it
+        system = random_system(np.random.default_rng(53), 300)
+        system.a[:, 7] *= 1e39
+        with caplog.at_level(logging.INFO, logger="tribem.solver"):
+            self.assert_double_quality(system)
+        (record,) = caplog.records
+        assert record.levelno == logging.INFO
+        assert "not finite in single precision" in record.getMessage()
+        assert "solving with the double-precision LU" in record.getMessage()
 
     def assert_falls_back(self, system, caplog, reason):
         with caplog.at_level(logging.INFO, logger="tribem.solver"):
@@ -311,6 +327,12 @@ class TestPrecomputedOperator:
         a = rng.standard_normal((100, 100)) + 100 * np.eye(100)
         a_inv = precompute_inverse(a)
         assert np.abs(a @ a_inv - np.eye(100)).max() < 1e-8
+
+    def test_scaled_column_not_singular(self):
+        # the pivot check is per column: one column 1e20 larger leaves
+        # the others' pivots nonsingular
+        a = np.diag([1e20, 1.0, 2.0, 3.0])
+        assert np.allclose(precompute_inverse(a), np.diag(1 / np.diag(a)), rtol=1e-14)
 
     def test_identity_and_diagonal(self):
         assert np.allclose(precompute_inverse(np.eye(4)), np.eye(4))
