@@ -17,10 +17,10 @@ Off-diagonal blocks use the moment form of the kernels (see
 c_i and field element j with centroid C_j, D = C_j - c_i gives
 d.n_j = D.n_j at every quadrature point. The quadrature enters through
 factors that depend on the rule alone (its monomials of the reference
-offset p and their weighted products), computed once per rule; per
-element the table built once per assembly holds only the map's
-Jacobian J_j, its Gram entries, the moment transform T_j and the
-closed-form self-integrals, O(N) numbers whatever the rule's size.
+offset p and their weighted products), computed once per rule and
+passed to the sweep as it is; per element the sweep derives from the
+mesh's vertices only the map's Jacobian J_j, its Gram entries and the
+moment transform T_j, a few numbers whatever the rule's size.
 The sweep then runs over field elements, the column blocks of H and G:
 for element j, r^2 at every quadrature point from every collocation
 point is one product, the radial weights 1/r, 1/r^3, 1/r^5 follow with
@@ -36,7 +36,7 @@ depends on no other column, so any split of the elements gives
 bit-identical matrices, and a parallel run gives each worker a
 contiguous range of field elements.
 After the sweep one pass sets the diagonal blocks: H_ii from the rigid-body identity over
-the finished rows, G_ii from the table's closed-form self-integrals
+the finished rows, G_ii from the mesh's closed-form self-integrals
 or, for paper-faithful, left at the row's own D = 0 entry, which is
 exactly the quadrature over the element.
 
@@ -136,39 +136,6 @@ class LinearSystem:
     swapped: np.ndarray  # (3N,) bool
 
 
-@dataclass(frozen=True)
-class QuadratureTable:
-    """The mesh's moment-form factors, read-only.
-
-    ``rule`` carries the factors shared by every element. The rest is
-    per element, O(N) whatever the rule's size: ``jacobians`` (N, 3, 2),
-    ``gram`` (N, 3) and ``transforms`` (N, N_MONOMIALS, N_FEATURES) from
-    :func:`triangle_transforms`, and ``self_i1`` (N,) and ``self_m``
-    (N, 3, 3), each element's closed-form singular integrals from its
-    own centroid (:func:`centroid_self_integrals`). Built once per
-    assembly and shared by every worker.
-    """
-
-    rule: QuadratureRule
-    jacobians: np.ndarray
-    gram: np.ndarray
-    transforms: np.ndarray
-    self_i1: np.ndarray
-    self_m: np.ndarray
-
-
-def quadrature_table(mesh: SurfaceMesh, rule: QuadratureRule) -> QuadratureTable:
-    """Tabulate every element's moment-form factors and its singular
-    self-integrals for assembly under ``rule``."""
-    v = mesh.vertices
-    table = QuadratureTable(
-        rule, *triangle_transforms(v), *centroid_self_integrals(v, mesh.centroids)
-    )
-    for arr in (table.jacobians, table.gram, table.transforms, table.self_i1, table.self_m):
-        arr.setflags(write=False)
-    return table
-
-
 SELF_STRATEGIES = ("analytic", "paper-faithful")
 
 
@@ -177,6 +144,16 @@ def check_self_strategy(strategy):
     before any work is spent on it."""
     if strategy not in SELF_STRATEGIES:
         raise ValueError(f"unknown self-integration strategy {strategy!r}")
+
+
+def reject_degenerate(mesh: SurfaceMesh, elements: range):
+    """Raise :class:`DegenerateElementError` naming those of ``elements``
+    (a contiguous range) that fail the mesh's scale-relative area
+    threshold (:meth:`SurfaceMesh.degenerate_indices`)."""
+    bad = mesh.degenerate_indices()
+    bad = bad[(bad >= elements.start) & (bad < elements.stop)]
+    if len(bad):
+        raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
 
 
 def integrate_self_g(
@@ -190,8 +167,7 @@ def integrate_self_g(
     quadrature over the whole element, relying on point count alone.
     """
     check_self_strategy(strategy)
-    if mesh.areas[i] <= 0.0:
-        raise DegenerateElementError(f"element {i} is degenerate")
+    reject_degenerate(mesh, range(i, i + 1))
     v = mesh.vertices[i]
     c = mesh.centroids[i]
     if strategy == "analytic":
@@ -244,7 +220,7 @@ def _block_view(m, n):
 
 
 def assemble_columns(
-    mesh: SurfaceMesh, mat: Material, table: QuadratureTable, elements: range, h_out, g_out
+    mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, elements: range, h_out, g_out
 ):
     """Fill the off-diagonal column blocks of field elements ``elements``
     (a contiguous range) in H and G from :func:`allocate_influence`.
@@ -253,60 +229,64 @@ def assemble_columns(
     quadrature points is one (N x 6)(6 x Q) product against the rule's
     monomials, the radial weights follow pointwise, and their moments
     are one (3N x Q)(Q x 6) product against the rule's features and one
-    (3N x 6)(6 x 10) product against the element's transform from
-    ``table`` (from :func:`quadrature_table` for the same mesh; see
-    :func:`radial_moments`). :func:`kelvin_block_columns` then turns
-    the moments, the centroid offsets D and the element normals (flat
-    elements: d.n_j = D.n_j) of a chunk of elements into the nine
-    entries of their blocks, each written straight into the chunk's
-    contiguous slab of columns. Every element's products have the same
-    shapes, the entries are elementwise and writes are disjoint, so any
-    partition of elements across workers, and any chunking within one,
-    yields bit-identical matrices. The diagonal blocks hold the D = 0
+    (3N x 6)(6 x 10) product against the element's transform (see
+    :func:`radial_moments`). The transforms of the range's elements
+    come from one :func:`triangle_transforms` call over their vertices.
+    :func:`kelvin_block_columns` then turns the moments, the centroid
+    offsets D and the element normals (flat elements: d.n_j = D.n_j) of
+    a chunk of elements into the nine entries of their blocks, each
+    written straight into the chunk's contiguous slab of columns. Every
+    element's products have the same shapes, the transforms and the
+    entries are elementwise and writes are disjoint, so any partition
+    of elements across workers, and any chunking within one, yields
+    bit-identical matrices. The diagonal blocks hold the D = 0
     entries until :func:`set_diagonal_blocks` runs.
     """
-    degenerate = np.flatnonzero(mesh.areas[elements.start : elements.stop] <= 0.0)
-    if len(degenerate):
-        bad = (degenerate + elements.start).tolist()
-        raise DegenerateElementError(f"elements {bad} are degenerate")
+    reject_degenerate(mesh, elements)
     n = mesh.n_elements
     h4, g4 = _block_view(h_out, n), _block_view(g_out, n)
     chunk = max(_MIN_CHUNK, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
-    work = np.empty((3, n, table.rule.n_points))
+    work = np.empty((3, n, rule.n_points))
     moments = np.empty((chunk, 3, n, N_FEATURES))
     sources = np.empty((chunk, n, N_MONOMIALS))
+    # indexed relative to elements.start: element j is row j - elements.start
+    jacobians, gram, transforms = triangle_transforms(
+        mesh.vertices[elements.start : elements.stop]
+    )
 
-    for start in range(elements.start, elements.stop, chunk):
-        cols = slice(start, min(start + chunk, elements.stop))
-        k = cols.stop - cols.start
+    for lo in range(0, len(elements), chunk):
+        local = slice(lo, min(lo + chunk, len(elements)))
+        cols = slice(elements.start + local.start, elements.start + local.stop)
+        k = local.stop - local.start
         d = mesh.centroids[cols, None, :] - mesh.centroids  # (k, N, 3): D = C_j - c_i
         # each source's row [|D|^2, 2 J^T D, Gram entries]; the stacked
         # product is one (N x 3)(3 x 2) product per element, whatever k is
         sources[:k, :, 0] = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
-        np.matmul(d, 2.0 * table.jacobians[cols], out=sources[:k, :, 1:3])
-        sources[:k, :, 3:] = table.gram[cols, None, :]
+        np.matmul(d, 2.0 * jacobians[local], out=sources[:k, :, 1:3])
+        sources[:k, :, 3:] = gram[local, None, :]
         # Each column's own row is evaluated too (D = 0): that is its
         # paper-faithful G_ii. It stays finite because every supported
         # order is even, so no Gauss point maps onto the centroid.
-        for m, j in enumerate(range(cols.start, cols.stop)):
-            radial_moments(sources[m], table.rule, table.transforms[j], work, moments[m])
+        for m in range(k):
+            radial_moments(sources[m], rule, transforms[lo + m], work, moments[m])
         kelvin_block_columns(
             moments[:k], d, mesh.normals[cols], mat, h4[cols], g4[cols]
         )
 
 
-def set_diagonal_blocks(mat: Material, table: QuadratureTable, h, g, strategy="analytic"):
+def set_diagonal_blocks(mesh: SurfaceMesh, mat: Material, h, g, strategy="analytic"):
     """Set every diagonal block of H and G, once all columns are filled.
 
     H_ii comes from the rigid-body identity, summed over the row's
     off-diagonal blocks as one (n, 3, n, 3) view of the whole of H, whose
     shape and layout do not depend on the worker count; G_ii from singular
     integration (``strategy``, as in :func:`integrate_self_g`): the
-    table's closed-form self-integrals for "analytic", while
-    "paper-faithful" keeps the D = 0 quadrature entry the sweep wrote.
+    closed-form self-integrals of every element from its centroid for
+    "analytic", while "paper-faithful" keeps the D = 0 quadrature entry
+    the sweep wrote.
     """
     check_self_strategy(strategy)
-    n = len(table.self_i1)
+    n = mesh.n_elements
     h4, g4 = _block_view(h, n), _block_view(g, n)
     diag = np.arange(n)
     # h4[j, b, i, a] is entry (3i + a, 3j + b): the sum over j leaves
@@ -314,7 +294,8 @@ def set_diagonal_blocks(mat: Material, table: QuadratureTable, h, g, strategy="a
     h4[diag, :, diag, :] = 0.0  # so that the sum over every column skips it
     h4[diag, :, diag, :] = rigid_body_diagonal(h4).transpose(1, 0, 2)
     if strategy == "analytic":
-        g_ii = kelvin_self_g(table.self_i1, table.self_m, mat)
+        i1, m = centroid_self_integrals(mesh.vertices, mesh.centroids)
+        g_ii = kelvin_self_g(i1, m, mat)
         g4[diag, :, diag, :] = g_ii.swapaxes(1, 2)
 
 
@@ -328,13 +309,9 @@ def assemble(
     rejected up front.
     """
     check_self_strategy(strategy)
-    bad = mesh.degenerate_indices()
-    if len(bad):
-        raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
     h, g = allocate_influence(mesh.n_dofs)
-    table = quadrature_table(mesh, rule)
-    assemble_columns(mesh, mat, table, range(mesh.n_elements), h, g)
-    set_diagonal_blocks(mat, table, h, g, strategy)
+    assemble_columns(mesh, mat, rule, range(mesh.n_elements), h, g)
+    set_diagonal_blocks(mesh, mat, h, g, strategy)
     return InfluenceMatrices(h, g, mesh.n_elements)
 
 

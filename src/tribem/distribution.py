@@ -36,10 +36,9 @@ from .assembly import (
     allocate_influence,
     assemble_columns,
     check_self_strategy,
-    quadrature_table,
+    reject_degenerate,
     set_diagonal_blocks,
 )
-from .errors import DegenerateElementError
 from .kernels import Material, QuadratureRule
 from .mesh import SurfaceMesh
 from .solver import solve
@@ -171,8 +170,9 @@ def distributed_assemble_solve(
     shared memory.
 
     Workers own disjoint contiguous ranges of field elements (block
-    distribution), that is the column blocks of H and G, and share one
-    read-only quadrature table; the pool maps the element-major sweep
+    distribution), that is the column blocks of H and G, each deriving
+    its own elements' factors from the mesh; the pool maps the
+    element-major sweep
     (:func:`assemble_columns`) over the ranges, and once every range is
     written the main thread sets the diagonal blocks, applies the
     boundary conditions and solves. An error in any worker reaches the
@@ -181,8 +181,8 @@ def distributed_assemble_solve(
     every entry is written once, so the Solution is bit-identical for
     any worker count or block size.
 
-    Timings: ``assembly`` covers the table, the sweep up to the last
-    range's completion and the diagonal pass; ``barrier`` runs from the
+    Timings: ``assembly`` covers the sweep up to the last range's
+    completion and the diagonal pass; ``barrier`` runs from the
     last range's completion until the map returns; ``solve`` covers
     boundary-condition application, LU and scatter. They are logged at
     DEBUG on ``tribem.distribution``.
@@ -190,25 +190,22 @@ def distributed_assemble_solve(
     if block_size < 1:
         raise ValueError("block size must be positive")
     check_self_strategy(strategy)
-    bad = mesh.degenerate_indices()
-    if len(bad):
-        raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
-
     n = mesh.n_elements
+    reject_degenerate(mesh, range(n))
+
     h, g = allocate_influence(mesh.n_dofs)
     active = [r for r in partition_rows(n, workers) if len(r)]
 
     t0 = time.perf_counter()
-    table = quadrature_table(mesh, rule)
 
     def job(elements):
-        assemble_columns(mesh, mat, table, elements, h, g)
+        assemble_columns(mesh, mat, rule, elements, h, g)
         return time.perf_counter()
 
     with ThreadPoolExecutor(max_workers=len(active)) as pool:
         t_swept = max(pool.map(job, active))
         t_joined = time.perf_counter()
-    set_diagonal_blocks(mat, table, h, g, strategy)
+    set_diagonal_blocks(mesh, mat, h, g, strategy)
     t_diagonal = time.perf_counter() - t_joined
 
     t_solve_start = time.perf_counter()

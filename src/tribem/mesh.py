@@ -54,12 +54,15 @@ class SurfaceMesh:
         normals = np.zeros((n, 3))
         ok = norms > 0.0
         normals[ok] = cross[ok] / norms[ok, None]
+        spans = v.max(axis=1) - v.min(axis=1)
+        diag2 = np.einsum("ij,ij->i", spans, spans)
 
         self.vertices = v
         self.centroids = centroids
         self.areas = areas
         self.normals = normals
-        for arr in (self.vertices, self.centroids, self.areas, self.normals):
+        self._degenerate = np.flatnonzero(areas <= DEGENERACY_RATIO * diag2)
+        for arr in (self.vertices, self.centroids, self.areas, self.normals, self._degenerate):
             arr.setflags(write=False)
 
     @property
@@ -72,10 +75,9 @@ class SurfaceMesh:
         return 3 * self.n_elements
 
     def degenerate_indices(self):
-        """Indices of facets failing the scale-relative area threshold."""
-        spans = self.vertices.max(axis=1) - self.vertices.min(axis=1)
-        diag2 = np.einsum("ij,ij->i", spans, spans)
-        return np.flatnonzero(self.areas <= DEGENERACY_RATIO * diag2)
+        """Indices of facets failing the scale-relative area threshold,
+        found once at construction (read-only)."""
+        return self._degenerate
 
     def closure_residual(self):
         """Vector sum of area-weighted normals; ~0 for a closed surface."""

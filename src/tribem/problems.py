@@ -86,7 +86,7 @@ class BcBuilder:
             hi = self.mesh.vertices.reshape(-1, 3).max(axis=0)
             tol = 1e-9 * float(np.linalg.norm(hi - lo))
         return np.flatnonzero(
-            np.abs(self.mesh.centroids[:, _AXES[axis]] - coord) <= tol
+            np.abs(self.mesh.centroids[:, _axis_index(axis)] - coord) <= tol
         )
 
     def build(self) -> BoundarySpec:
@@ -123,15 +123,24 @@ def box_problem(
     load_axis="y",
 ) -> Problem:
     """Box analogue of :func:`cube_problem`, which is its equal-sided case."""
+    extent = lengths[_axis_index(fixed_axis)]
     mesh = generate_box(lengths, divisions)
     mat = make_material(e, nu)
-    extent = lengths[_AXES[fixed_axis]]
     builder = BcBuilder(mesh)
     builder.set(builder.on_plane(fixed_axis, 0.0), "xyz", "displacement", 0.0)
     builder.set(builder.on_plane(fixed_axis, extent), load_axis, "traction", traction)
     return Problem(
         mesh, mat, builder.build(), f"box {lengths[0]:g}x{lengths[1]:g}x{lengths[2]:g}"
     )
+
+
+def _axis_index(axis):
+    """Index of one axis letter; a bad one raises ``ValueError`` naming
+    it, as :func:`_parse_axes` does."""
+    index = _AXES.get(axis)
+    if index is None:
+        raise ValueError(f"bad axis {axis!r}")
+    return index
 
 
 def _parse_axes(token):

@@ -1,6 +1,5 @@
 import tracemalloc
 import warnings
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,7 +20,6 @@ from tribem.assembly import (
     assemble,
     assemble_columns,
     integrate_self_g,
-    quadrature_table,
     read_matrix,
     rhs_matrix,
     rigid_body_diagonal,
@@ -217,6 +215,47 @@ def _hovering_pair(lift):
     return SurfaceMesh(np.stack([base, base + (0.0, 0.0, lift)]))
 
 
+def _near_degenerate_cube():
+    # element 3's apex 4e-13 off its base edge: area 8e-13, positive but
+    # far below the mesh's threshold, 1e-12 x its bounding-box diagonal
+    # squared (16)
+    v = generate_cube(4, 1).vertices.copy()
+    a, b, c = v[3]
+    foot = a + np.dot(c - a, b - a) / np.dot(b - a, b - a) * (b - a)
+    v[3, 2] = foot + 4e-13 * (c - foot) / np.linalg.norm(c - foot)
+    mesh = SurfaceMesh(v)
+    assert 0.0 < mesh.areas[3] < 1e-12
+    return mesh
+
+
+class TestScaleRelativeDegeneracy:
+    """Every entry point rejects an element by the mesh's one rule
+    (SurfaceMesh.degenerate_indices), not only a zero area."""
+
+    def test_assemble(self):
+        with pytest.raises(DegenerateElementError, match=r"degenerate elements \[3\]"):
+            assemble(_near_degenerate_cube(), MAT, RULE)
+
+    @pytest.mark.parametrize("elements", [range(0, 24), range(2, 4)])
+    def test_assemble_columns(self, elements):
+        mesh = _near_degenerate_cube()
+        h, g = allocate_influence(mesh.n_dofs)
+        with pytest.raises(DegenerateElementError, match=r"degenerate elements \[3\]"):
+            assemble_columns(mesh, MAT, gauss_rule(4), elements, h, g)
+
+    def test_assemble_columns_outside_range(self):
+        mesh = _near_degenerate_cube()
+        h, g = allocate_influence(mesh.n_dofs)
+        assemble_columns(mesh, MAT, gauss_rule(4), range(4, mesh.n_elements), h, g)
+
+    @pytest.mark.parametrize("strategy", ["analytic", "paper-faithful"])
+    def test_integrate_self_g(self, strategy):
+        mesh = _near_degenerate_cube()
+        with pytest.raises(DegenerateElementError, match=r"degenerate elements \[3\]"):
+            integrate_self_g(3, mesh, MAT, RULE, strategy)
+        assert np.isfinite(integrate_self_g(2, mesh, MAT, RULE, strategy)).all()
+
+
 class TestAssemble:
     def test_cube_dimensions(self):
         hg = assemble(generate_cube(4, 2), MAT, RULE)
@@ -235,10 +274,9 @@ class TestAssemble:
         full = assemble(mesh, MAT, RULE)
         h, g = allocate_influence(mesh.n_dofs)
         # simulate two workers with an uneven split of the field elements
-        table = quadrature_table(mesh, RULE)
-        assemble_columns(mesh, MAT, table, range(0, 5), h, g)
-        assemble_columns(mesh, MAT, table, range(5, mesh.n_elements), h, g)
-        set_diagonal_blocks(MAT, table, h, g)
+        assemble_columns(mesh, MAT, RULE, range(0, 5), h, g)
+        assemble_columns(mesh, MAT, RULE, range(5, mesh.n_elements), h, g)
+        set_diagonal_blocks(mesh, MAT, h, g)
         assert np.array_equal(h, full.h)
         assert np.array_equal(g, full.g)
 
@@ -248,13 +286,13 @@ class TestAssemble:
         # the chunk floor of four sets the whole range's chunks, while
         # ranges of 1, 3 and 5 elements take chunks of 1, 3, and 4 and 1
         mesh = generate_cube(4, 4)
-        table = quadrature_table(mesh, gauss_rule(4))
+        rule = gauss_rule(4)
         h_full, g_full = allocate_influence(mesh.n_dofs)
-        assemble_columns(mesh, MAT, table, range(mesh.n_elements), h_full, g_full)
+        assemble_columns(mesh, MAT, rule, range(mesh.n_elements), h_full, g_full)
         h, g = allocate_influence(mesh.n_dofs)
         for start in range(0, mesh.n_elements, length):
             stop = min(start + length, mesh.n_elements)
-            assemble_columns(mesh, MAT, table, range(start, stop), h, g)
+            assemble_columns(mesh, MAT, rule, range(start, stop), h, g)
         assert h.tobytes() == h_full.tobytes()
         assert g.tobytes() == g_full.tobytes()
 
@@ -297,19 +335,6 @@ class TestAssemble:
             got_g = hg.g[3 * i : 3 * i + 3, 3 * j : 3 * j + 3]
             assert np.abs(got_h - h_ij).max() <= 1e-13 * np.abs(h_ij).max()
             assert np.abs(got_g - g_ij).max() <= 1e-13 * np.abs(g_ij).max()
-
-    def test_table_size_does_not_depend_on_the_rule(self):
-        # per-element data is O(N); everything sized by the rule lives in
-        # the rule, once, and is read-only
-        mesh = generate_cube(4, 1)
-        sizes = []
-        for order in (4, 32):
-            table = quadrature_table(mesh, gauss_rule(order))
-            arrays = [getattr(table, f.name) for f in fields(table)]
-            sizes.append(sum(a.nbytes for a in arrays if isinstance(a, np.ndarray)))
-            for arr in (table.rule.monomials, table.rule.features):
-                assert not arr.flags.writeable
-        assert sizes[0] == sizes[1]
 
     def test_scale_invariance_of_h(self):
         mesh = generate_cube(4, 1)
@@ -573,10 +598,9 @@ class TestColumnMajorLayout:
     def test_c_ordered_output_rejected(self):
         mesh = generate_cube(4, 1)
         n3 = mesh.n_dofs
-        table = quadrature_table(mesh, RULE)
         with pytest.raises(ValueError, match="F-contiguous"):
             assemble_columns(
-                mesh, MAT, table, range(mesh.n_elements), np.empty((n3, n3)), np.empty((n3, n3))
+                mesh, MAT, RULE, range(mesh.n_elements), np.empty((n3, n3)), np.empty((n3, n3))
             )
 
 

@@ -241,10 +241,10 @@ class TestDistributedAssembleSolve:
     def test_worker_error_reaches_caller(self, prob, monkeypatch, workers):
         # the failing range is not the first, so the other workers finish
         # normally; the caller must see the typed error, not a secondary one
-        def failing(mesh, mat, table, elements, *args):
+        def failing(mesh, mat, rule, elements, *args):
             if 50 in elements:
                 raise DegenerateElementError("element 50 has zero area")
-            return assemble_columns(mesh, mat, table, elements, *args)
+            return assemble_columns(mesh, mat, rule, elements, *args)
 
         monkeypatch.setattr("tribem.distribution.assemble_columns", failing)
         outcome = []

@@ -5,6 +5,7 @@ from oracles import kelvin_blocks, kelvin_t_reference, kelvin_u_reference, rando
 from tribem.errors import InvalidMaterialError, SingularEvaluationError
 from tribem.kernels import (
     N_FEATURES,
+    SUPPORTED_ORDERS,
     collapsed_map,
     gauss_rule,
     kelvin_block_columns,
@@ -159,6 +160,15 @@ class TestGaussRule:
     def test_unsupported_order(self):
         with pytest.raises(ValueError):
             gauss_rule(7)
+
+    @pytest.mark.parametrize("n", SUPPORTED_ORDERS)
+    def test_arrays_read_only(self, n):
+        # one rule is shared by every worker of an assembly
+        rule = gauss_rule(n)
+        for arr in (rule.points, rule.weights, rule.monomials, rule.features):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
 
 
 class TestTriangleMap:

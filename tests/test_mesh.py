@@ -29,6 +29,8 @@ class TestElementGeometry:
     def test_collinear_vertices_rejected(self):
         mesh = facet([(0, 0, 0), (2, 0, 0), (4, 0, 0)])
         assert mesh.degenerate_indices().tolist() == [0]
+        # found once and shared with every caller, so no caller may edit it
+        assert not mesh.degenerate_indices().flags.writeable
 
     def test_winding_flips_normal(self):
         mesh = facet([(0, 0, 0), (0, 0, 1), (0, 1, 0)])

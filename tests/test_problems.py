@@ -48,6 +48,12 @@ class TestBoxProblem:
         # fixed face x=0 spans y,z: 5*10 squares, 4 triangles each
         assert prob.bc.displacement_known.sum() == 3 * 4 * 5 * 10
 
+    @pytest.mark.parametrize("make", [box_problem, cube_problem], ids=["box", "cube"])
+    def test_unknown_fixed_axis_rejected(self, make):
+        args = ((4, 4, 8), (1, 1, 2)) if make is box_problem else ()
+        with pytest.raises(ValueError, match="bad axis 'w'"):
+            make(*args, fixed_axis="w")
+
 
 class TestBcBuilder:
     @pytest.mark.parametrize(
@@ -81,6 +87,12 @@ class TestBcBuilder:
         with pytest.raises(ValueError, match="bad axis spec"):
             builder.set([0], axes, "u", 1.0)
         assert not builder.displacement_known.any() and not builder.values.any()
+
+
+    @pytest.mark.parametrize("axis", ["w", "xy", ""])
+    def test_unknown_plane_axis_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"bad axis {axis!r}"):
+            BcBuilder(generate_cube(4, 1)).on_plane(axis, 0.0)
 
 
 class TestBcFile:
