@@ -231,7 +231,8 @@ def assemble_columns(
     are one (3N x Q)(Q x 6) product against the rule's features and one
     (3N x 6)(6 x 10) product against the element's transform (see
     :func:`radial_moments`). The transforms of the range's elements
-    come from one :func:`triangle_transforms` call over their vertices.
+    come from one :func:`triangle_transforms` call over their vertices
+    and the areas the mesh holds.
     :func:`kelvin_block_columns` then turns the moments, the centroid
     offsets D and the element normals (flat elements: d.n_j = D.n_j) of
     a chunk of elements into the nine entries of their blocks, each
@@ -250,9 +251,8 @@ def assemble_columns(
     moments = np.empty((chunk, 3, n, N_FEATURES))
     sources = np.empty((chunk, n, N_MONOMIALS))
     # indexed relative to elements.start: element j is row j - elements.start
-    jacobians, gram, transforms = triangle_transforms(
-        mesh.vertices[elements.start : elements.stop]
-    )
+    own = slice(elements.start, elements.stop)
+    jacobians, gram, transforms = triangle_transforms(mesh.vertices[own], mesh.areas[own])
 
     for lo in range(0, len(elements), chunk):
         local = slice(lo, min(lo + chunk, len(elements)))

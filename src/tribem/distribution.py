@@ -21,15 +21,27 @@ time: the block size only labels a run. What is checked
 is the ownership formulas themselves and result invariance across
 worker counts and block sizes, with per-phase wall timings as the
 measurable output.
+
+One source of parallelism: when more than one range runs, the workers
+are it, and numpy's and scipy's BLAS run one thread until the pool is
+done (:mod:`tribem._blas`); a single range keeps the libraries' threads.
+H and G are bit-identical either way. With threaded BLAS under two
+workers, the 96-element request ran in the slowest of the four
+worker/BLAS-thread combinations. Pinning the workers and the small
+solve (see :mod:`tribem.solver`) took cube-graphics' p50 from 22.6 to
+18.9 ms and its p90 from 27.9 to 21.5 ms on a 2-vCPU VM (``BENCH_5.json``,
+13 pairs).
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+from . import _blas
 from .assembly import (
     BoundarySpec,
     InfluenceMatrices,
@@ -181,6 +193,8 @@ def distributed_assemble_solve(
     every entry is written once, so the Solution is bit-identical for
     any worker count or block size.
 
+    With more than one range the sweep runs on one BLAS thread.
+
     Timings: ``assembly`` covers the sweep up to the last range's
     completion and the diagonal pass; ``barrier`` runs from the
     last range's completion until the map returns; ``solve`` covers
@@ -202,7 +216,13 @@ def distributed_assemble_solve(
         assemble_columns(mesh, mat, rule, elements, h, g)
         return time.perf_counter()
 
-    with ThreadPoolExecutor(max_workers=len(active)) as pool:
+    # with one range the sweep is the caller's only work and keeps the
+    # BLAS threads; with more, the workers are the parallelism
+    pinned = len(active) > 1
+    with (
+        _blas.single_threaded() if pinned else contextlib.nullcontext(),
+        ThreadPoolExecutor(max_workers=len(active)) as pool,
+    ):
         t_swept = max(pool.map(job, active))
         t_joined = time.perf_counter()
     set_diagonal_blocks(mesh, mat, h, g, strategy)
@@ -222,8 +242,8 @@ def distributed_assemble_solve(
     )
     log.debug(
         "%d elements in ranges of %s; assembly %.4f s, barrier %.4f s, "
-        "solve %.4f s, total %.4f s",
+        "solve %.4f s, total %.4f s; workers pinned to one BLAS thread: %s",
         n, [len(r) for r in active], timings.assembly, timings.barrier,
-        timings.solve, timings.total,
+        timings.solve, timings.total, pinned,
     )
     return sol, timings

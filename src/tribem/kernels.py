@@ -242,12 +242,13 @@ N_FEATURES = 10  # w [1, rho (3), rho rho^T (6 distinct entries)]
 _OUTER_ENTRIES = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def triangle_transforms(vertices):
+def triangle_transforms(vertices, areas):
     """The per-triangle factors of the moment form.
 
-    ``vertices`` (..., 3, 3). With J = [v1 - v0, v2 - v1] the Jacobian of
-    :func:`collapsed_map`, the offset from the centroid is rho = J p.
-    Returns
+    ``vertices`` (..., 3, 3) and their triangles' ``areas`` (...), as
+    :class:`~tribem.mesh.SurfaceMesh` holds them. With J = [v1 - v0,
+    v2 - v1] the Jacobian of :func:`collapsed_map`, the offset from the
+    centroid is rho = J p. Returns
 
     - ``jacobians`` (..., 3, 2), J;
     - ``gram`` (..., 3), [G_uu, 2 G_uv, G_vv] of G = J^T J, so that
@@ -259,7 +260,7 @@ def triangle_transforms(vertices):
     v = np.asarray(vertices, dtype=float)
     jac = np.stack([v[..., 1, :] - v[..., 0, :], v[..., 2, :] - v[..., 1, :]], axis=-1)
     ju, jv = jac[..., 0], jac[..., 1]
-    area = 0.5 * np.linalg.norm(np.cross(ju, v[..., 2, :] - v[..., 0, :]), axis=-1)
+    area = np.asarray(areas, dtype=float)
     gram = np.stack([(ju * ju).sum(-1), 2.0 * (ju * jv).sum(-1), (jv * jv).sum(-1)], axis=-1)
     t = np.zeros(area.shape + (N_MONOMIALS, N_FEATURES))
     t[..., 0, 0] = area

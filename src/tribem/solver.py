@@ -24,10 +24,24 @@ reads only the columns of M at the nonzero values, so a load on a few
 DOFs costs a few rows of memory traffic; a load on many DOFs takes one
 dense product. It factors in double precision: against one right-hand
 side per DOF, refinement would cost as much as the factorisation.
+
+BLAS threads: a direct solve below ``SINGLE_THREAD_DOFS`` (1500) runs on
+one BLAS thread (:mod:`tribem._blas`), larger ones on the libraries' own
+count. On a 2-vCPU VM, medians of 15-21 solves of cube systems
+alternating with a numpy product: one thread took 0.84 ms against 1.5
+ms threaded at 288 DOF and 4.7 against 6.7 ms at 648; the two tied
+within the noise at 1152 and 1800 (20-28 and 75-95 ms); threads won
+from 2592 on (min 136 against 147 ms) and by 1.6x at 7200. A threaded
+small solve also woke scipy's OpenBLAS pool, whose threads then spun on
+a core into the next request's assembly. The thread count changes the
+LU's rounding, so the size alone decides: a system solves bit for bit
+the same wherever it was assembled. The precomputed path keeps the
+libraries' count.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -41,6 +55,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
 
+from . import _blas
 from .assembly import (
     BoundarySpec,
     InfluenceMatrices,
@@ -82,6 +97,9 @@ REFINE_STEPS = 10
 # above get there, while BEM systems of 24 to 3000 elements stay below
 # 8 max|b|.
 REFINE_TOL = 16 * np.finfo(float).eps
+# solve_direct solves systems below this many DOFs with one BLAS thread;
+# the measured crossover is in the module docstring
+SINGLE_THREAD_DOFS = 1500
 
 log = logging.getLogger(__name__)
 
@@ -230,13 +248,21 @@ def solve_direct(system: LinearSystem):
     ms for each float32 solve. A is expected column-major, as
     :func:`apply_boundary_conditions` returns it: LAPACK reads that
     layout, so the float32 copy is a straight conversion. Another layout
-    is transposed on the way, which at 3000 DOF took 65-100 ms."""
+    is transposed on the way, which at 3000 DOF took 65-100 ms.
+
+    Below ``SINGLE_THREAD_DOFS`` the whole solve, fallback included,
+    runs with one BLAS thread."""
     a = _square(system.a)
     b = np.asarray(system.b, dtype=float)
-    x, reason = _refined_single_solve(a, b)
-    if x is None:
-        log.info("%s; solving with the double-precision LU", reason)
-        x = scipy.linalg.lu_solve(_checked_lu(a), b)
+    small = a.shape[0] < SINGLE_THREAD_DOFS
+    with _blas.single_threaded() if small else contextlib.nullcontext():
+        log.debug(
+            "solving %d DOFs with BLAS threads %s", a.shape[0], _blas.thread_counts() or "unknown"
+        )
+        x, reason = _refined_single_solve(a, b)
+        if x is None:
+            log.info("%s; solving with the double-precision LU", reason)
+            x = scipy.linalg.lu_solve(_checked_lu(a), b)
     return x
 
 

@@ -23,7 +23,7 @@ def integrate_pair(i, j, mesh, mat, rule):
     integrated over field element j, point by point. Requires i != j."""
     if i == j:
         raise ValueError("integrate_pair is for off-diagonal blocks only (i != j)")
-    if mesh.areas[j] <= 0.0:
+    if j in mesh.degenerate_indices():
         raise DegenerateElementError(f"element {j} is degenerate")
     pts, w = collapsed_map(rule, *mesh.vertices[j])
     c = mesh.centroids[i]

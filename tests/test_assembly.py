@@ -255,6 +255,13 @@ class TestScaleRelativeDegeneracy:
             integrate_self_g(3, mesh, MAT, RULE, strategy)
         assert np.isfinite(integrate_self_g(2, mesh, MAT, RULE, strategy)).all()
 
+    def test_integrate_pair_oracle(self):
+        # the reference for off-diagonal blocks keeps the library's rule
+        mesh = _near_degenerate_cube()
+        with pytest.raises(DegenerateElementError, match=r"element 3 is degenerate"):
+            integrate_pair(0, 3, mesh, MAT, RULE)
+        assert np.isfinite(integrate_pair(0, 2, mesh, MAT, RULE)[1]).all()
+
 
 class TestAssemble:
     def test_cube_dimensions(self):

@@ -6,6 +6,7 @@ import threading
 import numpy as np
 import pytest
 
+from tribem._blas import thread_counts
 from tribem.assembly import assemble_columns
 from tribem.bench import solution_hash
 from tribem.distribution import (
@@ -220,6 +221,32 @@ class TestDistributedAssembleSolve:
         for phase in ("assembly", "barrier", "solve", "total"):
             assert float(logged[phase]) == pytest.approx(getattr(tm, phase), abs=1e-4)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("workers, pinned", [(1, False), (2, True)])
+    def test_worker_pin_logged_at_debug(self, prob, caplog, workers, pinned):
+        with caplog.at_level(logging.DEBUG, logger="tribem.distribution"):
+            distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=workers
+            )
+        (record,) = [r for r in caplog.records if r.name == "tribem.distribution"]
+        assert record.getMessage().endswith(
+            f"; workers pinned to one BLAS thread: {pinned}"
+        )
+
+    def test_workers_run_on_one_blas_thread(self, prob, monkeypatch):
+        own = thread_counts()
+        if not own:
+            pytest.skip("no OpenBLAS of numpy or scipy found")
+        seen = []
+
+        def recorded(*args):
+            seen.append(thread_counts())
+            return assemble_columns(*args)
+
+        monkeypatch.setattr("tribem.distribution.assemble_columns", recorded)
+        distributed_assemble_solve(prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=2)
+        assert seen == [{package: 1 for package in own}] * 2
+        assert thread_counts() == own
 
     def test_unknown_strategy_rejected_before_sweep(self, prob, monkeypatch):
         def sweep(*args):

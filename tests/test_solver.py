@@ -1,3 +1,4 @@
+import contextlib
 import json
 import logging
 import re
@@ -11,6 +12,7 @@ from scipy.linalg import lapack
 
 from oracles import gauss_eliminate
 from tribem import solver
+from tribem._blas import single_threaded, thread_counts
 from tribem.assembly import (
     BoundarySpec,
     InfluenceMatrices,
@@ -139,7 +141,11 @@ def clustered_system(n, log_cond, seed):
 
 
 def double_lu_solve(system):
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.a), system.b)
+    """The double LU as solve_direct runs it: on one BLAS thread below
+    SINGLE_THREAD_DOFS, since the thread count changes its rounding."""
+    small = system.a.shape[0] < solver.SINGLE_THREAD_DOFS
+    with single_threaded() if small else contextlib.nullcontext():
+        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.a), system.b)
 
 
 class TestMixedPrecision:
@@ -167,8 +173,11 @@ class TestMixedPrecision:
         prob, hg, _ = cube_setup
         with caplog.at_level(logging.DEBUG, logger="tribem.solver"):
             solve_direct(apply_boundary_conditions(hg, prob.bc))
-        (record,) = caplog.records
-        assert record.levelno == logging.DEBUG
+        threads, record = caplog.records
+        assert threads.levelno == record.levelno == logging.DEBUG
+        # 288 DOFs: every found library runs one thread
+        pinned = {package: 1 for package in thread_counts()} or "unknown"
+        assert threads.getMessage() == f"solving 288 DOFs with BLAS threads {pinned}"
         assert re.fullmatch(
             r"single-precision LU refined in \d+ steps to max\|r\| = \S+ max\|b\|",
             record.getMessage(),
@@ -291,6 +300,53 @@ class TestMixedPrecision:
             with pytest.raises(SingularSystemError):
                 solve_direct(system)
         assert "zero to single precision" in caplog.text
+
+
+class TestBlasThreads:
+    """solve_direct runs a system below SINGLE_THREAD_DOFS on one BLAS
+    thread, fallback included, and a larger one on the libraries' own
+    count; it leaves the count as it found it."""
+
+    @staticmethod
+    def record_threads(monkeypatch, module, name):
+        seen = []
+        routine = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            seen.append(thread_counts())
+            return routine(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, recorded)
+        return seen
+
+    @pytest.fixture
+    def own(self):
+        counts = thread_counts()
+        if not counts:
+            pytest.skip("no OpenBLAS of numpy or scipy found")
+        return counts
+
+    def test_small_system_on_one_thread(self, own, monkeypatch):
+        seen = self.record_threads(monkeypatch, lapack, "sgetrf")
+        solve_direct(random_system(np.random.default_rng(60), 300))
+        assert seen == [{package: 1 for package in own}]
+        assert thread_counts() == own
+
+    def test_large_system_keeps_the_threads(self, own, monkeypatch, caplog):
+        monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 300)
+        seen = self.record_threads(monkeypatch, lapack, "sgetrf")
+        with caplog.at_level(logging.DEBUG, logger="tribem.solver"):
+            solve_direct(random_system(np.random.default_rng(60), 300))
+        assert seen == [own]
+        assert caplog.records[0].getMessage() == f"solving 300 DOFs with BLAS threads {own}"
+
+    def test_fallback_on_one_thread(self, own, monkeypatch, caplog):
+        seen = self.record_threads(monkeypatch, scipy.linalg, "lu_factor")
+        with caplog.at_level(logging.INFO, logger="tribem.solver"):
+            solve_direct(conditioned_system(200, 9, 51))
+        assert "double-precision LU" in caplog.text
+        assert seen == [{package: 1 for package in own}]
+        assert thread_counts() == own
 
 
 class TestScatter:
