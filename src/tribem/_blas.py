@@ -13,10 +13,16 @@ global count there too). So the pin is reference-counted. The first
 caller to enter records each library's count and sets it to one, and
 the last to leave restores it; while any caller is inside, every thread
 of the process runs those libraries on one thread. Outside the pin
-nothing is changed. Within one tribem call no other BLAS work runs
-while the pin is held, but a caller that runs a large solve in one
-thread and a small one in another gets the large LU on one thread,
-with that LU's rounding.
+nothing is changed.
+
+A call whose rounding depends on the libraries' own count (a large LU)
+runs inside :func:`library_threads`. The two form one gate: pins share
+it with pins and such calls with each other, but a kind waits while a
+thread of the other kind is inside, and while the other kind waits a
+new caller of the first does not join, so neither starves. A thread
+already inside enters again at once, whatever the kind, so it never
+waits on itself; its nested call runs at the count its outer one set.
+Each entry and exit takes the gate's lock once.
 
 Discovery opens only libraries already loaded (``RTLD_NOLOAD``). If none
 is found, or one has no thread-count functions, the reason is logged
@@ -41,10 +47,18 @@ log = logging.getLogger("tribem.blas")
 # them in "<package>.libs" beside the package
 _PACKAGES = ("numpy", "scipy")
 
-# process-wide, as the count it guards: callers inside the pin, and the
-# counts the first of them found
-_lock = threading.Lock()
-_depth = 0
+# process-wide, as the count it guards: the kind of caller inside
+# (_PINNED or _OWN, None when the gate is empty), how many calls of each
+# thread are inside, how many callers of each kind wait, the kind an
+# emptied gate admits first when both wait, and the counts the first pin
+# found
+_PINNED, _OWN = "pinned", "own"
+_OTHER = {_PINNED: _OWN, _OWN: _PINNED}
+_gate = threading.Condition()
+_kind = None
+_inside = {}
+_waiting = {_PINNED: 0, _OWN: 0}
+_turn = _OWN
 _saved = ()
 
 
@@ -113,24 +127,62 @@ def thread_counts():
     return {lib.package: lib.threads() for lib in libraries()}
 
 
+def _admits(kind):
+    """Whether a caller of ``kind`` from a thread not yet inside may enter."""
+    rival = _OTHER[kind]
+    if _kind is None:
+        return not _waiting[rival] or _turn == kind
+    return _kind == kind and not _waiting[rival]
+
+
 @contextmanager
-def single_threaded():
-    """Hold the found libraries at one thread until the last concurrent
-    caller leaves, then restore the counts the first one found, also
-    when the body raises."""
-    global _depth, _saved
+def _enter(kind):
+    """Hold the gate as ``kind`` for the body; the first pin sets the
+    found libraries to one thread and the last caller out restores
+    them."""
+    global _kind, _saved, _turn
     found = libraries()
-    with _lock:
-        if _depth == 0:
-            _saved = tuple(lib.threads() for lib in found)
-            for lib in found:
-                lib.set_threads(1)
-        _depth += 1
+    me = threading.get_ident()
+    with _gate:
+        if me not in _inside:
+            _waiting[kind] += 1
+            try:
+                _gate.wait_for(lambda: _admits(kind))
+            finally:
+                _waiting[kind] -= 1
+            if _kind is None:
+                _kind = kind
+                if kind == _PINNED:
+                    _saved = tuple(lib.threads() for lib in found)
+                    for lib in found:
+                        lib.set_threads(1)
+        _inside[me] = _inside.get(me, 0) + 1
     try:
         yield
     finally:
-        with _lock:
-            _depth -= 1
-            if _depth == 0:
-                for lib, n in zip(found, _saved):
-                    lib.set_threads(n)
+        with _gate:
+            _inside[me] -= 1
+            if not _inside[me]:
+                del _inside[me]
+            if not _inside:
+                if _kind == _PINNED:
+                    for lib, n in zip(found, _saved):
+                        lib.set_threads(n)
+                _turn = _OTHER[_kind]
+                _kind = None
+                _gate.notify_all()
+
+
+def single_threaded():
+    """Hold the found libraries at one thread until the last concurrent
+    caller leaves, then restore the counts the first one found, also
+    when the body raises. Waits while another thread is inside
+    :func:`library_threads`."""
+    return _enter(_PINNED)
+
+
+def library_threads():
+    """Run the body at the libraries' own thread count: wait while
+    another thread holds a pin, and keep other threads' new pins waiting
+    until the body ends."""
+    return _enter(_OWN)

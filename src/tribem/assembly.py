@@ -26,9 +26,10 @@ for element j, r^2 at every quadrature point from every collocation
 point is one product, the radial weights 1/r, 1/r^3, 1/r^5 follow with
 one division and one square root per point, and two more products give
 their moments, after which every block of the column follows from D,
-n_j and ten moments per weight. For a chunk of a few field elements,
-each of the nine entries (a, b) of the blocks is one array over
-(element, collocation point), written straight into its place. H and G
+n_j and ten moments per weight. For a chunk of field elements, the
+entries (a, b) of the blocks are stacked arrays over (entry, element,
+collocation point), and all nine of H's and of G's are written into
+their places in one call each. H and G
 are column-major (Fortran order), the layout LAPACK reads, so a chunk's
 entries land in one contiguous slab of columns, and the system matrix
 A built from them reaches the LU with no conversion. A column block
@@ -62,6 +63,7 @@ from .errors import (
     SolvabilityWarning,
 )
 from .kernels import (
+    BLOCK_WORK,
     N_FEATURES,
     N_MONOMIALS,
     Material,
@@ -191,15 +193,18 @@ def rigid_body_diagonal(off_diagonal_blocks):
 
 
 # Field elements per kelvin_block_columns call: their moments, 240 bytes
-# per collocation point each, take about this much (11 elements on the
-# 96-element box), but never fewer than _MIN_CHUNK elements, since each
-# call costs ~130 numpy calls whatever its size (4 on the 1000-element
-# box, where 256 KB holds one). Over 60 two-worker requests on
-# 96-element boxes at q=16 (2-vCPU VM, two runs each), peak RSS read
-# 63.7-64.4 MB with 128 KB chunks, 64.2-65.3 MB with 256 KB and
-# 64.2-64.3 MB with 512 KB; a request took a median 28-35 ms, 24.0 ms
-# and 24.0-24.6 ms.
-_CHUNK_BYTES = 1 << 18
+# per collocation point each, take at most this much, but never fewer
+# than _MIN_CHUNK elements. A range takes the fewest chunks this allows,
+# of equal width, so no chunk is wider than its range: the 96-element
+# box's two 48-element worker ranges take two chunks of 24 each, and the
+# 1000-element box, where the budget holds two, takes chunks of 4. A call
+# costs ~40 numpy calls whatever its width, and two workers hand each
+# other the GIL at most of them. On a 2-vCPU VM the cube-graphics p50
+# went from 17.8 to 15.2 ms against the earlier 256 KB budget (chunks of
+# 11, five per range; BENCH_6.json), and numpy's peak for one range from
+# 1.09 to 1.47 MiB. One chunk per range, or a 4 MB budget, was faster
+# still but raised the benchmark's peak RSS by 2-6 MB.
+_CHUNK_BYTES = 552960
 _MIN_CHUNK = 4
 
 
@@ -235,8 +240,10 @@ def assemble_columns(
     and the areas the mesh holds.
     :func:`kelvin_block_columns` then turns the moments, the centroid
     offsets D and the element normals (flat elements: d.n_j = D.n_j) of
-    a chunk of elements into the nine entries of their blocks, each
-    written straight into the chunk's contiguous slab of columns. Every
+    a chunk of elements into the nine entries of their blocks, written
+    straight into the chunk's contiguous slab of columns. The range is
+    split into the fewest chunks ``_CHUNK_BYTES`` allows, of equal
+    width, and the buffers are sized for the widest of them. Every
     element's products have the same shapes, the transforms and the
     entries are elementwise and writes are disjoint, so any partition
     of elements across workers, and any chunking within one, yields
@@ -246,16 +253,24 @@ def assemble_columns(
     reject_degenerate(mesh, elements)
     n = mesh.n_elements
     h4, g4 = _block_view(h_out, n), _block_view(g_out, n)
-    chunk = max(_MIN_CHUNK, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
-    work = np.empty((3, n, rule.n_points))
+    # the fewest chunks the budget allows, of equal width, so that none
+    # is wider than the range
+    cap = max(_MIN_CHUNK, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
+    n_chunks = max(1, -(-len(elements) // cap))
+    edges = [len(elements) * c // n_chunks for c in range(n_chunks + 1)]
+    chunk = -(-len(elements) // n_chunks)  # the widest
+    # one buffer holds each element's radial weights, then the chunk's
+    # stacked block entries
+    work = np.empty(max(3 * n * rule.n_points, BLOCK_WORK * chunk * n))
+    weights = work[: 3 * n * rule.n_points].reshape(3, n, rule.n_points)
     moments = np.empty((chunk, 3, n, N_FEATURES))
     sources = np.empty((chunk, n, N_MONOMIALS))
     # indexed relative to elements.start: element j is row j - elements.start
     own = slice(elements.start, elements.stop)
     jacobians, gram, transforms = triangle_transforms(mesh.vertices[own], mesh.areas[own])
 
-    for lo in range(0, len(elements), chunk):
-        local = slice(lo, min(lo + chunk, len(elements)))
+    for lo, hi in zip(edges, edges[1:]):
+        local = slice(lo, hi)
         cols = slice(elements.start + local.start, elements.start + local.stop)
         k = local.stop - local.start
         d = mesh.centroids[cols, None, :] - mesh.centroids  # (k, N, 3): D = C_j - c_i
@@ -268,9 +283,9 @@ def assemble_columns(
         # paper-faithful G_ii. It stays finite because every supported
         # order is even, so no Gauss point maps onto the centroid.
         for m in range(k):
-            radial_moments(sources[m], rule, transforms[lo + m], work, moments[m])
+            radial_moments(sources[m], rule, transforms[lo + m], weights, moments[m])
         kelvin_block_columns(
-            moments[:k], d, mesh.normals[cols], mat, h4[cols], g4[cols]
+            moments[:k], d, mesh.normals[cols], mat, h4[cols], g4[cols], work
         )
 
 

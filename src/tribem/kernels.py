@@ -42,9 +42,10 @@ the field triangles: for each, every source at once costs one
 (M x 6)(6 x Q) product for r^2, one division and one square root per
 point for the radial weights, and one (3M x Q)(Q x 6) and one
 (3M x 6)(6 x 10) product for the moments (:func:`radial_moments`).
-:func:`kelvin_block_columns` then forms the integrated blocks entry by
-entry: each of the nine entries (a, b) of H and G over F triangles is
-one (F, M) array, written straight into the columns of H and G.
+:func:`kelvin_block_columns` then forms the integrated blocks of F
+triangles at once: the entries (a, b) are stacked (3, F, M) and
+(3, 3, F, M) arrays, reached through slices, and all nine of H's and of
+G's are written straight into their columns in one call each.
 
 The expanded r^2 rounds to within about eps (|D|^2 + |rho|^2) of the
 true value, where subtracting coordinates gives about eps |y| r. The
@@ -356,9 +357,13 @@ def kelvin_self_g(i1, m, mat: Material):
     return g
 
 
-def kelvin_block_columns(moments, offsets, normals, mat: Material, h_out, g_out):
+# (F, M) arrays of the buffer kelvin_block_columns works in
+BLOCK_WORK = 30
+
+
+def kelvin_block_columns(moments, offsets, normals, mat: Material, h_out, g_out, work):
     """Integrated T* and U* blocks from :func:`radial_moments` output,
-    written entry by entry into column slabs of H and G.
+    written into column slabs of H and G.
 
     ``moments`` (F, 3, M, N_FEATURES) holds, for each of F field
     triangles, the moments of 1/r, 1/r^3 and 1/r^5 from M sources;
@@ -374,57 +379,75 @@ def kelvin_block_columns(moments, offsets, normals, mat: Material, h_out, g_out)
                  - k (v n^T - n v^T)],   v = sum w d / r^3, k = 1-2nu
 
     with sum w f d d^T = D s^T + s D^T + m2, s = D m0 / 2 + m1, from the
-    moments m0, m1 and m2 of f (exactly symmetric). Each entry is one
-    (F, M) array, so no (F, M, 3, 3) block is formed, and it takes the
-    same floating-point operations as the dense 3 x 3 form, so the two
-    agree bit for bit, signed zeros included.
+    moments m0, m1 and m2 of f (exactly symmetric). The entries are
+    stacked (3, F, M) and (3, 3, F, M) arrays, reached through slices
+    and written in one call per matrix, so no (F, M, 3, 3) block is
+    formed and a chunk costs a fixed few dozen numpy calls. Each entry
+    takes the same floating-point operations as the dense 3 x 3 form,
+    so the two agree bit for bit, signed zeros included. The stacked
+    arrays live in ``work``, a float64 buffer of at least
+    ``BLOCK_WORK`` F M elements whose first ones are used contiguously,
+    so that a caller sweeping many chunks allocates them once.
     """
     nu = mat.nu
     k = 1.0 - 2.0 * nu
-    d = np.moveaxis(offsets, -1, 0).copy()  # one contiguous (F, M) array per axis
-    m_r1, m_r3, m_r5 = moments.transpose(1, 3, 0, 2)  # [feature] is an (F, M) view
-    n = [normals[:, a, None] for a in range(3)]
+    f, m = offsets.shape[:2]
+    work = work[: BLOCK_WORK * f * m].reshape(BLOCK_WORK, f, m)
+    d = work[:3]  # one contiguous (F, M) array per axis
+    d[...] = offsets.transpose(2, 0, 1)
+    n = normals.T[:, :, None]  # (3, F, 1)
+    m_r1, m_r3 = moments.transpose(1, 3, 0, 2)[:2]  # [feature] is an (F, M) view
+    # nine (F, M) arrays, reused: s and m0 / 2, then D.n's terms and v,
+    # then the skew part
+    scratch = work[3:12]
 
-    def outer_sums(m):
-        """sum w f d d^T as its six distinct entries (a, b), a <= b."""
-        half = 0.5 * m[0]
-        s = [d[a] * half + m[1 + a] for a in range(3)]
-        out = {}
-        for col, (a, b) in enumerate(_OUTER_ENTRIES, start=4):
-            w = d[a] * s[b]
-            w += w if a == b else d[b] * s[a]
-            w += m[col]
-            out[a, b] = w
-        return out
+    # sum w f d d^T for f = 1/r^3 and 1/r^5 at once: outer[a, b, f] is
+    # first d_a s_b, then d_a s_b + d_b s_a above the diagonal and
+    # 2 d_a s_a on it, plus m2, and finally mirrored below the diagonal.
+    # With f inside (a, b), the entries an update reads and writes lie in
+    # disjoint stretches of memory, so numpy copies neither.
+    both = moments[:, 1:].transpose(3, 1, 0, 2)  # (N_FEATURES, 2, F, M)
+    half = np.multiply(both[0], 0.5, out=scratch[6:8])
+    s = np.multiply(d[:, None], half, out=scratch[:6].reshape(3, 2, f, m))
+    s += both[1:4]
+    outer = np.multiply(d[:, None, None], s, out=work[12:].reshape(3, 3, 2, f, m))
+    diagonal = outer.reshape(9, 2, f, m)[::4]
+    diagonal += diagonal
+    outer[0, 1:] += outer[1:, 0]
+    outer[1, 2] += outer[2, 1]
+    for a, col in enumerate((4, 7, 9)):  # m2 holds row a's entries (a, a), ..., (a, 2) from col
+        outer[a, a:] += both[col : col + 3 - a]
+    outer[1:, 0] = outer[0, 1:]
+    outer[2, 1] = outer[1, 2]
+    g, h = outer.transpose(2, 0, 1, 3, 4)
+    g_diagonal, h_diagonal = diagonal.swapaxes(0, 1)
+    # [a, b] of a block view is the (F, M) array of entry (a, b)
+    g_entries, h_entries = g_out.transpose(3, 1, 0, 2), h_out.transpose(3, 1, 0, 2)
 
     c_u = 1.0 / (16.0 * np.pi * mat.mu * (1.0 - nu))
-    g_diag = (3.0 - 4.0 * nu) * m_r1[0]
-    for (a, b), w in outer_sums(m_r3).items():
-        if a == b:
-            w += g_diag
-        np.multiply(w, c_u, out=g_out[:, b, :, a])
-        if a != b:
-            g_out[:, a, :, b] = g_out[:, b, :, a]
+    g_diagonal += (3.0 - 4.0 * nu) * m_r1[0]
+    np.multiply(g, c_u, out=g_entries)
 
     c_t = -1.0 / (8.0 * np.pi * (1.0 - nu))
-    dn = d[0] * n[0] + d[1] * n[1] + d[2] * n[2]
-    t = 3.0 * dn
-    h_diag = k * dn * m_r3[0]
-    # the off-diagonal entries of h_diag I, which fix the sign of a zero
-    # entry between coplanar triangles
-    zero = h_diag * 0.0
-    v = [d[a] * m_r3[0] + m_r3[1 + a] for a in range(3)]
-    for (a, b), w in outer_sums(m_r5).items():
-        w *= t
-        if a == b:
-            w += h_diag
-            np.multiply(w, c_t, out=h_out[:, a, :, a])
-            continue
-        w += zero
-        p, q = v[a] * n[b], v[b] * n[a]
-        # entries (a, b) and (b, a) take v_a n_b - v_b n_a and its
-        # negation, computed apart: for p = q both are +0
-        for skew, out in ((p - q, h_out[:, b, :, a]), (q - p, h_out[:, a, :, b])):
-            skew *= k
-            np.subtract(w, skew, out=skew)
-            np.multiply(skew, c_t, out=out)
+    dn_terms = np.multiply(d, n, out=scratch[:3])
+    dn = dn_terms[0] + dn_terms[1]
+    dn += dn_terms[2]
+    h *= 3.0 * dn
+    h_diagonal_term = k * dn * m_r3[0]
+    h_diagonal += h_diagonal_term
+    v = np.multiply(d, m_r3[0], out=scratch[3:6])
+    v += m_r3[1:4]
+    # entry (a, b) takes v_a n_b - v_b n_a and (b, a) its negation,
+    # computed apart: for v_a n_b = v_b n_a both are +0
+    vn = np.multiply(v[:, None], n, out=g)  # G is written out
+    skew = np.subtract(vn, vn.transpose(1, 0, 2, 3), out=scratch.reshape(3, 3, f, m))
+    skew *= k
+    # the off-diagonal entries of k (D.n) sum w/r^3 I, which fix the sign
+    # of a zero entry between coplanar triangles
+    zero = np.multiply(h_diagonal_term, 0.0, out=h_diagonal_term)
+    h9, skew9 = h.reshape(9, f, m), skew.reshape(9, f, m)
+    # entries (0, 1), (0, 2), (1, 0), then (1, 2), (2, 0), (2, 1)
+    for entries in (slice(1, 4), slice(5, 8)):
+        h9[entries] += zero
+        h9[entries] -= skew9[entries]
+    np.multiply(h, c_t, out=h_entries)

@@ -36,12 +36,13 @@ small solve also woke scipy's OpenBLAS pool, whose threads then spun on
 a core into the next request's assembly. The thread count changes the
 LU's rounding, so the size alone decides: a system solves bit for bit
 the same wherever it was assembled. The precomputed path keeps the
-libraries' count.
+libraries' count. A large solve and the precomputed build wait while
+another thread holds a pin, and hold new pins off until they are done,
+so a concurrent small solve cannot change their rounding.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import hashlib
 import io
@@ -251,11 +252,12 @@ def solve_direct(system: LinearSystem):
     is transposed on the way, which at 3000 DOF took 65-100 ms.
 
     Below ``SINGLE_THREAD_DOFS`` the whole solve, fallback included,
-    runs with one BLAS thread."""
+    runs with one BLAS thread; above it, at the libraries' own count,
+    waiting for other threads' pins to leave (:mod:`tribem._blas`)."""
     a = _square(system.a)
     b = np.asarray(system.b, dtype=float)
     small = a.shape[0] < SINGLE_THREAD_DOFS
-    with _blas.single_threaded() if small else contextlib.nullcontext():
+    with _blas.single_threaded() if small else _blas.library_threads():
         log.debug(
             "solving %d DOFs with BLAS threads %s", a.shape[0], _blas.thread_counts() or "unknown"
         )
@@ -336,11 +338,13 @@ class PrecomputedOperator:
         C-contiguous M^T and at most two N x N arrays exist beside H and
         G. A itself is factored, not A^T: its columns mix the scales of
         H and G, and row pivoting, as in :func:`solve_direct`, is blind
-        to that."""
-        lu_piv = _checked_lu(apply_boundary_conditions(hg, bc).a, overwrite_a=True)
-        m = scipy.linalg.lu_solve(
-            lu_piv, rhs_matrix(hg, bc), overwrite_b=True, check_finite=False
-        )
+        to that. Factors and solves at the libraries' own thread count,
+        waiting for other threads' pins to leave (:mod:`tribem._blas`)."""
+        with _blas.library_threads():
+            lu_piv = _checked_lu(apply_boundary_conditions(hg, bc).a, overwrite_a=True)
+            m = scipy.linalg.lu_solve(
+                lu_piv, rhs_matrix(hg, bc), overwrite_b=True, check_finite=False
+            )
         return cls(m.T, bc.displacement_known.copy(), fingerprint)
 
     def rebuild_rhs(self, values):

@@ -12,6 +12,7 @@ from oracles import (
     singular_u_integral_reference,
     subdivided_u_integral,
 )
+from tribem import assembly
 from tribem.assembly import (
     BoundarySpec,
     InfluenceMatrices,
@@ -31,8 +32,9 @@ from tribem.errors import (
     DegenerateElementError,
     SolvabilityWarning,
 )
-from tribem.kernels import gauss_rule, kelvin_U, make_material
-from tribem.mesh import SurfaceMesh, generate_cube
+from tribem.distribution import partition_rows
+from tribem.kernels import gauss_rule, kelvin_block_columns, kelvin_U, make_material
+from tribem.mesh import SurfaceMesh, generate_box, generate_cube
 
 MAT = make_material(200000.0, 0.33)
 RULE = gauss_rule(16)
@@ -287,11 +289,11 @@ class TestAssemble:
         assert np.array_equal(h, full.h)
         assert np.array_equal(g, full.g)
 
-    @pytest.mark.parametrize("length", [1, 3, 5])
+    @pytest.mark.parametrize("length", [1, 3, 5, 7])
     def test_short_ranges_bit_exact(self, length):
-        # 384 elements: the chunk byte budget allows two field elements, so
-        # the chunk floor of four sets the whole range's chunks, while
-        # ranges of 1, 3 and 5 elements take chunks of 1, 3, and 4 and 1
+        # 384 elements: the chunk byte budget allows six field elements, so
+        # the whole range takes 64 chunks of six, ranges of 1, 3 and 5
+        # elements one chunk each and a range of 7 two, of 3 and 4
         mesh = generate_cube(4, 4)
         rule = gauss_rule(4)
         h_full, g_full = allocate_influence(mesh.n_dofs)
@@ -375,6 +377,69 @@ class TestAssemble:
         )
         with pytest.raises(DegenerateElementError):
             assemble(SurfaceMesh(tris), MAT, RULE)
+
+
+class TestChunks:
+    """How assemble_columns splits a range into kelvin_block_columns calls."""
+
+    @staticmethod
+    def widths(monkeypatch, mesh, rule, ranges, compute=True):
+        """The elements each kelvin_block_columns call covers, per range;
+        without ``compute`` no moment or block is evaluated."""
+        calls = []
+
+        def counted(moments, *args):
+            calls[-1].append(moments.shape[0])
+            if compute:
+                kelvin_block_columns(moments, *args)
+
+        monkeypatch.setattr(assembly, "kelvin_block_columns", counted)
+        if not compute:
+            monkeypatch.setattr(assembly, "radial_moments", lambda *args: None)
+        h, g = allocate_influence(mesh.n_dofs)
+        for elements in ranges:
+            calls.append([])
+            assemble_columns(mesh, MAT, rule, elements, h, g)
+        return calls
+
+    def test_two_worker_cube_ranges(self, monkeypatch):
+        # the cube-graphics request: each 48-element range of the
+        # 96-element cube takes two calls of 24
+        mesh = generate_cube(4.0, 2)
+        ranges = partition_rows(mesh.n_elements, 2)
+        assert self.widths(monkeypatch, mesh, RULE, ranges) == [[24, 24], [24, 24]]
+
+    @pytest.mark.parametrize("length", [1, 5, 23, 25, 47, 49, 96])
+    def test_no_call_wider_than_its_range(self, monkeypatch, length):
+        mesh = generate_cube(4.0, 2)
+        ranges = [range(start, min(start + length, 96)) for start in range(0, 96, length)]
+        for elements, widths in zip(ranges, self.widths(monkeypatch, mesh, RULE, ranges)):
+            assert sum(widths) == len(elements)
+            assert max(widths) <= min(len(elements), 24)
+            assert max(widths) - min(widths) <= 1
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_box_keeps_chunks_of_four(self, monkeypatch, workers):
+        # the box workloads' set-up (one range) and C07 check (two)
+        mesh = generate_box((4.0, 4.0, 8.0), (5, 5, 10))
+        ranges = partition_rows(mesh.n_elements, workers)
+        widths = self.widths(monkeypatch, mesh, gauss_rule(4), ranges, compute=False)
+        assert [set(w) for w in widths] == [{4}] * workers
+
+    def test_sweep_footprint(self):
+        # numpy's peak for one worker's range of the cube-graphics request:
+        # 1.47 MiB with chunks of 24 (1.09 MiB with the earlier chunks of
+        # 11), bounded 10% above so that a wider chunk shows here first
+        mesh = generate_cube(4.0, 2)
+        h, g = allocate_influence(mesh.n_dofs)
+        assemble_columns(mesh, MAT, RULE, range(48), h, g)
+        tracemalloc.start()
+        try:
+            assemble_columns(mesh, MAT, RULE, range(48), h, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 1.47 * 2**20
 
 
 def _rotation(x, y, z, angle):

@@ -4,6 +4,7 @@ import pytest
 from oracles import kelvin_blocks, kelvin_t_reference, kelvin_u_reference, random_triangle
 from tribem.errors import InvalidMaterialError, SingularEvaluationError
 from tribem.kernels import (
+    BLOCK_WORK,
     N_FEATURES,
     SUPPORTED_ORDERS,
     collapsed_map,
@@ -287,15 +288,19 @@ def _block_inputs(k, m, seed, coplanar=False):
 
 
 class TestKelvinBlockColumns:
-    """The per-entry evaluator against the dense (k, M, 3, 3) form."""
+    """The stacked evaluator against the dense (k, M, 3, 3) form."""
 
     @pytest.mark.parametrize("coplanar", [False, True], ids=["general", "coplanar"])
-    @pytest.mark.parametrize("k,m", [(1, 1), (1, 17), (5, 13)])
+    # (24, 96) and (4, 3000): the chunks of the 96-element cube's ranges
+    # and of the 1000-element box
+    @pytest.mark.parametrize("k,m", [(1, 1), (1, 17), (5, 13), (24, 96), (4, 3000)])
     def test_bit_identical_to_dense_blocks(self, k, m, coplanar):
         moments, offsets, normals = _block_inputs(k, m, 40 + 7 * k + m, coplanar)
         h = np.full((k, 3, m, 3), np.nan)
         g = np.full((k, 3, m, 3), np.nan)
-        kelvin_block_columns(moments, offsets, normals, MAT, h, g)
+        # a longer buffer than needed, and not cleared
+        work = np.full(BLOCK_WORK * k * m + 7, np.nan)
+        kelvin_block_columns(moments, offsets, normals, MAT, h, g, work)
         want_h, want_g = kelvin_blocks(
             np.moveaxis(moments, 1, 2), offsets, normals[:, None, :], MAT
         )
@@ -316,6 +321,7 @@ class TestKelvinBlockColumns:
         kelvin_block_columns(
             moments, offsets, normals, MAT,
             h.T.reshape(m, 3, m, 3)[cols], g.T.reshape(m, 3, m, 3)[cols],
+            np.empty(BLOCK_WORK * k * m),
         )
         want_h, want_g = kelvin_blocks(
             np.moveaxis(moments, 1, 2), offsets, normals[:, None, :], MAT

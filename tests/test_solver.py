@@ -1,7 +1,10 @@
 import contextlib
+import hashlib
 import json
 import logging
 import re
+import threading
+import time
 import tracemalloc
 import warnings
 
@@ -346,6 +349,41 @@ class TestBlasThreads:
             solve_direct(conditioned_system(200, 9, 51))
         assert "double-precision LU" in caplog.text
         assert seen == [{package: 1 for package in own}]
+        assert thread_counts() == own
+
+
+    def test_large_solve_unmoved_by_concurrent_pins(self, own):
+        # each 200-DOF solve pins the process-wide count; a 2000-DOF solve
+        # beside a loop of them waits for the pin to leave, so its LU runs
+        # at the libraries' count and rounds as it does alone
+        if max(own.values()) == 1:
+            pytest.skip("the libraries run one thread already")
+
+        def digest(x):
+            return hashlib.sha256(x.tobytes()).hexdigest()
+
+        large = random_system(np.random.default_rng(70), 2000)
+        small = random_system(np.random.default_rng(71), 200)
+        alone = digest(solve_direct(large))
+        stop, solved = threading.Event(), []
+
+        def loop():
+            while not stop.is_set():
+                solve_direct(small)
+                solved.append(None)
+
+        looper = threading.Thread(target=loop, daemon=True)
+        looper.start()
+        try:
+            deadline = time.monotonic() + 10
+            while len(solved) < 2 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            beside = [digest(solve_direct(large)) for _ in range(2)]
+        finally:
+            stop.set()
+            looper.join(10)
+        assert len(solved) >= 2
+        assert beside == [alone, alone]
         assert thread_counts() == own
 
 
