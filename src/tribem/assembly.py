@@ -224,8 +224,40 @@ def _block_view(m, n):
     return m.T.reshape(n, 3, n, 3)
 
 
+def _chunks(n, elements):
+    """The edges of the fewest chunks ``_CHUNK_BYTES`` allows over the
+    range ``elements`` of an ``n``-element mesh, of equal width so that
+    none is wider than the range, and the width of the widest."""
+    cap = max(_MIN_CHUNK, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
+    n_chunks = max(1, -(-len(elements) // cap))
+    edges = [len(elements) * c // n_chunks for c in range(n_chunks + 1)]
+    return edges, -(-len(elements) // n_chunks)
+
+
+def _sweep_layout(n, rule: QuadratureRule, chunk):
+    """Items of the sweep buffer's three parts: the work buffer, which
+    holds each element's radial weights and then the chunk's stacked
+    block entries, the chunk's moments and its sources."""
+    work = max(3 * n * rule.n_points, BLOCK_WORK * chunk * n)
+    return work, chunk * 3 * n * N_FEATURES, chunk * n * N_MONOMIALS
+
+
+def sweep_buffer_size(mesh: SurfaceMesh, rule: QuadratureRule, elements: range):
+    """Float64 items of the buffer :func:`assemble_columns` works in for
+    the field elements ``elements``: ~1.25 MB for either half of the
+    96-element box at q=16."""
+    _, chunk = _chunks(mesh.n_elements, elements)
+    return sum(_sweep_layout(mesh.n_elements, rule, chunk))
+
+
 def assemble_columns(
-    mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, elements: range, h_out, g_out
+    mesh: SurfaceMesh,
+    mat: Material,
+    rule: QuadratureRule,
+    elements: range,
+    h_out,
+    g_out,
+    buffer=None,
 ):
     """Fill the off-diagonal column blocks of field elements ``elements``
     (a contiguous range) in H and G from :func:`allocate_influence`.
@@ -249,22 +281,30 @@ def assemble_columns(
     of elements across workers, and any chunking within one, yields
     bit-identical matrices. The diagonal blocks hold the D = 0
     entries until :func:`set_diagonal_blocks` runs.
+
+    The sweep works in one float64 buffer of
+    :func:`sweep_buffer_size` items: the radial weights, the block
+    entries, the moments and the sources. ``buffer``, when given, is a
+    caller-owned flat, contiguous buffer of at least that many items,
+    whose contents are overwritten; without it the sweep allocates its
+    own, the same size, and frees it on return. A caller that assembles
+    often reuses one buffer per concurrent range, as the distributed
+    run does for small systems.
     """
     reject_degenerate(mesh, elements)
     n = mesh.n_elements
     h4, g4 = _block_view(h_out, n), _block_view(g_out, n)
-    # the fewest chunks the budget allows, of equal width, so that none
-    # is wider than the range
-    cap = max(_MIN_CHUNK, _CHUNK_BYTES // (3 * n * N_FEATURES * 8))
-    n_chunks = max(1, -(-len(elements) // cap))
-    edges = [len(elements) * c // n_chunks for c in range(n_chunks + 1)]
-    chunk = -(-len(elements) // n_chunks)  # the widest
-    # one buffer holds each element's radial weights, then the chunk's
-    # stacked block entries
-    work = np.empty(max(3 * n * rule.n_points, BLOCK_WORK * chunk * n))
+    edges, chunk = _chunks(n, elements)
+    sizes = _sweep_layout(n, rule, chunk)
+    if buffer is None:
+        buffer = np.empty(sum(sizes))
+    elif buffer.dtype != float or buffer.ndim != 1 or not buffer.flags.c_contiguous \
+            or buffer.size < sum(sizes):
+        raise ValueError(f"the sweep needs a flat float64 buffer of {sum(sizes)} items")
+    work, moments, sources = np.split(buffer[: sum(sizes)], np.cumsum(sizes[:2]))
     weights = work[: 3 * n * rule.n_points].reshape(3, n, rule.n_points)
-    moments = np.empty((chunk, 3, n, N_FEATURES))
-    sources = np.empty((chunk, n, N_MONOMIALS))
+    moments = moments.reshape(chunk, 3, n, N_FEATURES)
+    sources = sources.reshape(chunk, n, N_MONOMIALS)
     # indexed relative to elements.start: element j is row j - elements.start
     own = slice(elements.start, elements.stop)
     jacobians, gram, transforms = triangle_transforms(mesh.vertices[own], mesh.areas[own])
@@ -342,13 +382,14 @@ def _warn_if_underconstrained(bc: BoundarySpec):
         )
 
 
-def _signed_columns(keep, negate, swapped):
+def _signed_columns(keep, negate, swapped, out=None):
     """Column-major matrix with ``keep``'s columns where ``swapped`` is
     False and ``-negate``'s where it is True, written in one pass over
     the runs of equal kind: each run is one copy or one negation of a
     block of columns, read where it sits, whatever layout the inputs
-    have."""
-    out = np.empty(keep.shape, order="F")
+    have. Written into ``out`` when given, else into a new array."""
+    if out is None:
+        out = np.empty(keep.shape, order="F")
     edges = (np.flatnonzero(swapped[1:] != swapped[:-1]) + 1).tolist()
     for start, stop in zip([0, *edges], [*edges, swapped.shape[0]]):
         if swapped[start]:
@@ -358,15 +399,18 @@ def _signed_columns(keep, negate, swapped):
     return out
 
 
-def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> LinearSystem:
+def apply_boundary_conditions(
+    hg: InfluenceMatrices, bc: BoundarySpec, out=None
+) -> LinearSystem:
     """Rearrange H u = G t into A x = b under mixed boundary conditions.
 
     Traction-known DOF d keeps column d of H in A (unknown u_d) and
     sends G[:,d] * t_d to the right-hand side; displacement-known DOF d
     swaps in -G[:,d] (unknown t_d) and sends -H[:,d] * u_d to the
-    right-hand side. A is column-major, the layout the LU reads. b
-    starts at zero and takes one BLAS axpy per nonzero value, which
-    reads that value's column of G or H in place.
+    right-hand side. A is column-major, the layout the LU reads, and is
+    a new array unless ``out``, a caller-owned (3N, 3N) array, is given
+    to hold it. b starts at zero and takes one BLAS axpy per nonzero
+    value, which reads that value's column of G or H in place.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
@@ -375,7 +419,7 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     _warn_if_underconstrained(bc)
     disp = bc.displacement_known
     v = bc.values
-    a = _signed_columns(hg.h, hg.g, disp)
+    a = _signed_columns(hg.h, hg.g, disp, out)
     b = np.zeros(hg.n_dofs)
     for d in np.flatnonzero(v).tolist():
         col, scale = (hg.h, -v[d]) if disp[d] else (hg.g, v[d])

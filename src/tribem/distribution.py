@@ -31,6 +31,20 @@ worker/BLAS-thread combinations. Pinning the workers and the small
 solve (see :mod:`tribem.solver`) took cube-graphics' p50 from 22.6 to
 18.9 ms and its p90 from 27.9 to 21.5 ms on a 2-vCPU VM (``BENCH_5.json``,
 13 pairs).
+
+A small system's working set stays with the calling thread. Below
+``SINGLE_THREAD_DOFS`` (1500, the solver's gate for small, latency-bound
+systems) H, G, the sweep buffer of each worker range, A and its float32
+copy are arrays the calling thread keeps and reuses on its next call
+(:func:`tribem.solver.working_array`), ~4.8 MB for the 96-element box on
+two workers. Each worker is handed its own range's buffer by the caller,
+so pool threads keep nothing, and two calling threads never share one.
+Fresh arrays cost ~300-840 minor page faults a call in a new process,
+since glibc hands their memory back to the OS after every call; kept,
+~6. Nothing returned refers to a kept array, and nothing is kept at or
+above the gate. Keeping them took cube-graphics' p90 from 17.9 to 14.0
+ms and its p50 from 13.8 to 12.2 ms on a 2-vCPU VM (``BENCH_7.json``, 11
+pairs).
 """
 
 from __future__ import annotations
@@ -41,19 +55,21 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import _blas
 from .assembly import (
     BoundarySpec,
     InfluenceMatrices,
-    allocate_influence,
     assemble_columns,
     check_self_strategy,
     reject_degenerate,
     set_diagonal_blocks,
+    sweep_buffer_size,
 )
 from .kernels import Material, QuadratureRule
 from .mesh import SurfaceMesh
-from .solver import solve
+from .solver import solve, working_array
 
 log = logging.getLogger(__name__)
 
@@ -195,6 +211,11 @@ def distributed_assemble_solve(
 
     With more than one range the sweep runs on one BLAS thread.
 
+    Below ``SINGLE_THREAD_DOFS`` H, G and the ranges' sweep buffers are
+    the calling thread's kept arrays, as A and its float32 copy are in
+    the solve: a call reuses what the thread's previous call paged in.
+    The returned Solution refers to none of them.
+
     Timings: ``assembly`` covers the sweep up to the last range's
     completion and the diagonal pass; ``barrier`` runs from the
     last range's completion until the map returns; ``solve`` covers
@@ -207,13 +228,18 @@ def distributed_assemble_solve(
     n = mesh.n_elements
     reject_degenerate(mesh, range(n))
 
-    h, g = allocate_influence(mesh.n_dofs)
+    n_dofs = mesh.n_dofs
+    h = working_array("h", n_dofs, (n_dofs, n_dofs))
+    g = working_array("g", n_dofs, (n_dofs, n_dofs))
     active = [r for r in partition_rows(n, workers) if len(r)]
+    # one buffer per range, cut from one array; ranges never share memory
+    sizes = [sweep_buffer_size(mesh, rule, r) for r in active]
+    buffers = np.split(working_array("sweep", n_dofs, (sum(sizes),)), np.cumsum(sizes[:-1]))
 
     t0 = time.perf_counter()
 
-    def job(elements):
-        assemble_columns(mesh, mat, rule, elements, h, g)
+    def job(elements, buffer):
+        assemble_columns(mesh, mat, rule, elements, h, g, buffer)
         return time.perf_counter()
 
     # with one range the sweep is the caller's only work and keeps the
@@ -223,7 +249,7 @@ def distributed_assemble_solve(
         _blas.single_threaded() if pinned else contextlib.nullcontext(),
         ThreadPoolExecutor(max_workers=len(active)) as pool,
     ):
-        t_swept = max(pool.map(job, active))
+        t_swept = max(pool.map(job, active, buffers))
         t_joined = time.perf_counter()
     set_diagonal_blocks(mesh, mat, h, g, strategy)
     t_diagonal = time.perf_counter() - t_joined

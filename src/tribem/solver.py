@@ -39,6 +39,16 @@ the same wherever it was assembled. The precomputed path keeps the
 libraries' count. A large solve and the precomputed build wait while
 another thread holds a pin, and hold new pins off until they are done,
 so a concurrent small solve cannot change their rounding.
+
+Below the same gate each thread keeps the arrays of its last small
+system, A from :func:`solve` and the float32 copy from
+:func:`solve_direct`, and the distributed run keeps H, G and its sweep
+buffers beside them (:func:`working_array`). Its next request of that
+size reuses their memory instead of faulting in new pages, which glibc
+would otherwise hand back to the OS after each request. No array
+returned to a caller refers to a kept one. At 3000 DOF a kept A and its
+float32 copy would hold 108 MB per thread, so larger systems keep
+nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +58,9 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -98,11 +110,38 @@ REFINE_STEPS = 10
 # above get there, while BEM systems of 24 to 3000 elements stay below
 # 8 max|b|.
 REFINE_TOL = 16 * np.finfo(float).eps
-# solve_direct solves systems below this many DOFs with one BLAS thread;
-# the measured crossover is in the module docstring
+# solve_direct solves systems below this many DOFs with one BLAS thread,
+# and a thread keeps the working set of such small systems (see
+# working_array); the measured crossover is in the module docstring
 SINGLE_THREAD_DOFS = 1500
 
 log = logging.getLogger(__name__)
+
+# the arrays each thread keeps for its small systems, by name
+_kept = threading.local()
+
+
+def working_array(name, n_dofs, shape, dtype=np.float64):
+    """An uninitialised column-major array of ``shape`` for a system of
+    ``n_dofs`` DOFs.
+
+    Below ``SINGLE_THREAD_DOFS`` it is the calling thread's own array
+    kept under ``name``: the thread's next request of the same size gets
+    the same memory back, already paged in, instead of a fresh
+    allocation that glibc hands back to the OS after each request. A
+    request of another size replaces it; a name always has one dtype,
+    and arrays in use at the same time need names of their own. At or
+    above the gate a new array is returned and nothing is kept. No array
+    a caller receives from tribem may alias a kept one.
+    """
+    size = math.prod(shape)
+    if n_dofs >= SINGLE_THREAD_DOFS:
+        return np.empty(shape, dtype, order="F")
+    kept = vars(_kept)
+    flat = kept.get(name)
+    if flat is None or flat.size != size:
+        flat = kept[name] = np.empty(size, dtype)
+    return flat.reshape(shape, order="F")
 
 
 @dataclass
@@ -192,8 +231,9 @@ def _refined_single_solve(a, b):
     A.
     """
     n = a.shape[0]
+    a32 = working_array("a32", n, (n, n), np.float32)
     with np.errstate(over="ignore"):  # beyond float32's range: inf, caught below
-        a32 = a.astype(np.float32, order="F")
+        np.copyto(a32, a)
     scales = _column_scales(a32)
     if not np.isfinite(scales).all():
         return None, "A has entries that are not finite in single precision"
@@ -252,8 +292,10 @@ def solve_direct(system: LinearSystem):
     is transposed on the way, which at 3000 DOF took 65-100 ms.
 
     Below ``SINGLE_THREAD_DOFS`` the whole solve, fallback included,
-    runs with one BLAS thread; above it, at the libraries' own count,
-    waiting for other threads' pins to leave (:mod:`tribem._blas`)."""
+    runs with one BLAS thread, and the float32 copy is the calling
+    thread's kept array (:func:`working_array`); above it, at the
+    libraries' own count, waiting for other threads' pins to leave
+    (:mod:`tribem._blas`), in a new copy. x is always a new array."""
     a = _square(system.a)
     b = np.asarray(system.b, dtype=float)
     small = a.shape[0] < SINGLE_THREAD_DOFS
@@ -282,8 +324,12 @@ def scatter_solution(x, bc: BoundarySpec) -> Solution:
 
 
 def solve(hg: InfluenceMatrices, bc: BoundarySpec) -> Solution:
-    """Assembled matrices + boundary spec -> full boundary field."""
-    system = apply_boundary_conditions(hg, bc)
+    """Assembled matrices + boundary spec -> full boundary field.
+
+    Below ``SINGLE_THREAD_DOFS`` A is built in the calling thread's kept
+    array (:func:`working_array`), which nothing returned refers to."""
+    n = hg.n_dofs
+    system = apply_boundary_conditions(hg, bc, working_array("a", n, (n, n)))
     x = solve_direct(system)
     return scatter_solution(x, bc)
 

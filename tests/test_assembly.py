@@ -442,6 +442,45 @@ class TestChunks:
         assert peak <= 1.1 * 1.47 * 2**20
 
 
+class TestSweepBuffer:
+    """assemble_columns in a caller-owned buffer, as the distributed run
+    reuses one per range."""
+
+    def test_half_cube_buffer_size(self):
+        # each range of the two-worker cube-graphics request: weights
+        # (3 x 96 x 256), moments (24 x 3 x 96 x 10), sources (24 x 96 x 6)
+        mesh = generate_cube(4.0, 2)
+        size = assembly.sweep_buffer_size(mesh, RULE, range(48))
+        assert size == 3 * 96 * 256 + 24 * 3 * 96 * 10 + 24 * 96 * 6
+
+    @pytest.mark.parametrize("elements", [range(48), range(41, 96), range(0, 7)])
+    def test_dirty_buffer_bit_exact(self, elements):
+        # a longer buffer full of NaN gives the columns the sweep's own
+        # buffer gives, and the buffer is all the sweep writes besides H, G
+        mesh = generate_cube(4.0, 2)
+        h, g = allocate_influence(mesh.n_dofs)
+        h.fill(0.0)
+        g.fill(0.0)
+        assemble_columns(mesh, MAT, RULE, elements, h, g)
+        h2, g2 = allocate_influence(mesh.n_dofs)
+        h2.fill(0.0)
+        g2.fill(0.0)
+        buffer = np.full(assembly.sweep_buffer_size(mesh, RULE, elements) + 17, np.nan)
+        assemble_columns(mesh, MAT, RULE, elements, h2, g2, buffer)
+        assert h2.tobytes() == h.tobytes() and g2.tobytes() == g.tobytes()
+        assert np.isnan(buffer[-17:]).all()
+
+    @pytest.mark.parametrize(
+        "bad", [np.empty(10), np.empty(2 * 10**6)[::2], np.empty(10**6, np.float32)]
+    )
+    def test_unfit_buffer_rejected(self, bad):
+        # too short, not contiguous (writes would go to a copy), not float64
+        mesh = generate_cube(4.0, 2)
+        h, g = allocate_influence(mesh.n_dofs)
+        with pytest.raises(ValueError, match="flat float64 buffer"):
+            assemble_columns(mesh, MAT, RULE, range(48), h, g, bad)
+
+
 def _rotation(x, y, z, angle):
     """Rotation by ``angle`` about the axis (x, y, z) (Rodrigues)."""
     axis = np.array([x, y, z]) / np.linalg.norm([x, y, z])

@@ -1,13 +1,23 @@
 import logging
+import os
 import re
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tribem
+from tribem import solver
 from tribem._blas import thread_counts
-from tribem.assembly import assemble_columns
+from tribem.assembly import (
+    apply_boundary_conditions,
+    assemble,
+    assemble_columns,
+    sweep_buffer_size,
+)
 from tribem.bench import solution_hash
 from tribem.distribution import (
     BlockCyclicParams,
@@ -23,7 +33,7 @@ from tribem.distribution import (
 from tribem.errors import DegenerateElementError
 from tribem.kernels import gauss_rule
 from tribem.problems import cube_problem
-from tribem.solver import solve
+from tribem.solver import solve, solve_direct
 
 
 class TestBlockMap:
@@ -291,3 +301,171 @@ class TestDistributedAssembleSolve:
         assert len(outcome) == 1
         assert type(outcome[0]) is DegenerateElementError
         assert str(outcome[0]) == "element 50 has zero area"
+
+
+def in_new_thread(fn, *args):
+    """fn(*args) on a thread of its own, which starts with nothing kept;
+    returns its result or raises its exception."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((True, fn(*args)))
+        except Exception as exc:
+            outcome.append((False, exc))
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    (ok, value), = outcome
+    if not ok:
+        raise value
+    return value
+
+
+def kept_arrays():
+    """The calling thread's kept arrays, by name."""
+    return dict(vars(solver._kept))
+
+
+class TestWorkingSet:
+    """Below SINGLE_THREAD_DOFS a calling thread keeps H, G, A, the
+    float32 copy and the sweep buffers, and reuses them on its next call."""
+
+    @staticmethod
+    def run(prob, rule, workers=2):
+        sol, _ = distributed_assemble_solve(
+            prob.mesh, prob.material, prob.bc, rule, workers=workers
+        )
+        return sol
+
+    def lone_hash(self, prob, rule, workers=2):
+        return in_new_thread(lambda: solution_hash(self.run(prob, rule, workers)))
+
+    def test_reused_memory_is_not_faulted_again(self):
+        # In a new process, as a benchmark or a user's program starts, glibc
+        # hands the memory of each call's new arrays back to the OS, and the
+        # next call touches it afresh: 540-840 minor faults a call. With the
+        # working set kept, about 6. Counted in this process, the figure
+        # would depend on what earlier tests allocated and freed.
+        script = """
+import resource
+from tribem.distribution import distributed_assemble_solve
+from tribem.kernels import gauss_rule
+from tribem.problems import cube_problem
+prob, rule = cube_problem(), gauss_rule(16)
+def run():
+    distributed_assemble_solve(prob.mesh, prob.material, prob.bc, rule, workers=2)
+for _ in range(3):
+    run()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(10):
+    run()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(tribem.__file__).parents[1]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert float(proc.stdout) <= 50
+
+    def test_what_a_thread_keeps(self, prob):
+        # the 96-element cube on two workers: H, G, A, A in float32 and
+        # one sweep buffer per 48-element range, ~4.8 MB in all
+        rule = gauss_rule(16)
+
+        def kept_after_call():
+            self.run(prob, rule)
+            return sum(a.nbytes for a in kept_arrays().values())
+
+        n = prob.mesh.n_dofs
+        sweep = sum(sweep_buffer_size(prob.mesh, rule, r) for r in partition_rows(96, 2))
+        assert in_new_thread(kept_after_call) == 3 * 8 * n * n + 4 * n * n + 8 * sweep
+
+    def test_nothing_returned_aliases_a_kept_array(self, prob):
+        rule = gauss_rule(8)
+        sol = self.run(prob, rule)
+        before = [a.copy() for a in (sol.u, sol.t, sol.displacement_known)]
+        other = cube_problem(traction=-7.0, fixed_axis="y", load_axis="x")
+        self.run(other, rule)
+        assert all(
+            np.array_equal(a, b) for a, b in zip((sol.u, sol.t, sol.displacement_known), before)
+        )
+        # nor do the public steps' results, which a caller may keep
+        hg = assemble(prob.mesh, prob.material, rule)
+        system = apply_boundary_conditions(hg, prob.bc)
+        x = solve_direct(system)
+        returned = [sol.u, sol.t, hg.h, hg.g, system.a, system.b, x, solve(hg, prob.bc).u]
+        kept = kept_arrays()
+        assert {"h", "g", "a", "a32", "sweep"} <= kept.keys()
+        for array in returned:
+            assert not any(np.shares_memory(array, k) for k in kept.values())
+
+    def test_changing_shapes_hash_as_lone_calls(self):
+        rule = gauss_rule(8)
+        probs = {24: cube_problem(k=1), 96: cube_problem()}
+        calls = [(96, 2), (96, 3), (96, 2), (24, 2), (96, 2), (24, 3), (24, 3)]
+        lone = {(n, w): self.lone_hash(probs[n], rule, w) for n, w in set(calls)}
+        for n, w in calls:
+            assert solution_hash(self.run(probs[n], rule, w)) == lone[n, w]
+
+    def test_concurrent_callers_keep_their_own(self):
+        rule = gauss_rule(8)
+        jobs = [(cube_problem(), 2), (cube_problem(traction=-3.0, load_axis="z"), 3)]
+        want = [self.lone_hash(p, rule, w) for p, w in jobs]
+        got = [[], []]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [
+                threading.Thread(
+                    target=lambda i=i, p=p, w=w: got[i].extend(
+                        solution_hash(self.run(p, rule, w)) for _ in range(4)
+                    ),
+                    daemon=True,
+                )
+                for i, (p, w) in enumerate(jobs)
+            ]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [[want[0]] * 4, [want[1]] * 4]
+
+    def test_call_after_worker_error(self, prob, monkeypatch):
+        # the failing worker leaves NaN in the kept H, G and sweep buffers;
+        # the next call on that thread overwrites every entry it reads
+        rule = gauss_rule(8)
+        want = self.lone_hash(prob, rule)
+        failing = [True]
+
+        def sweep(mesh, mat, rule, elements, h, g, buffer):
+            if failing[0] and 50 in elements:
+                for array in (h, g, buffer):
+                    array.fill(np.nan)
+                raise DegenerateElementError("element 50 has zero area")
+            return assemble_columns(mesh, mat, rule, elements, h, g, buffer)
+
+        monkeypatch.setattr("tribem.distribution.assemble_columns", sweep)
+
+        def fail_then_retry():
+            with pytest.raises(DegenerateElementError):
+                self.run(prob, rule)
+            failing[0] = False
+            return solution_hash(self.run(prob, rule))
+
+        assert in_new_thread(fail_then_retry) == want
+
+    def test_nothing_kept_at_the_gate(self, prob, monkeypatch):
+        monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
+
+        def kept_after_call():
+            self.run(prob, gauss_rule(4))
+            return kept_arrays()
+
+        assert in_new_thread(kept_after_call) == {}

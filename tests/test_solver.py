@@ -283,6 +283,21 @@ class TestMixedPrecision:
         self.assert_double_quality(apply_boundary_conditions(hg, prob.bc))
         assert len(solves) == 3
 
+    @pytest.mark.parametrize("nu", [0.33, 0.49, 0.4999])
+    def test_soft_tissue_refines(self, caplog, monkeypatch, nu):
+        # E = 3 kPa up to near incompressibility: no volumetric locking
+        # reaches the solver, which refines as on steel (three steps)
+        prob = cube_problem(e=3e-3, nu=nu)
+        hg = assemble(prob.mesh, prob.material, gauss_rule(8))
+        system = apply_boundary_conditions(hg, prob.bc)
+        solves = self.count_single_solves(monkeypatch)
+        with caplog.at_level(logging.INFO, logger="tribem.solver"):
+            x = solve_direct(system)
+        assert 1 <= len(solves) <= 4
+        assert "double-precision LU" not in caplog.text
+        res = np.linalg.norm(system.a @ x - system.b) / np.linalg.norm(system.b)
+        assert res <= 1e-14
+
     def test_step_limit_falls_back(self, cube_setup, caplog, monkeypatch):
         prob, hg, _ = cube_setup
         monkeypatch.setattr(solver, "REFINE_STEPS", 1)
