@@ -57,6 +57,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
+from . import _blas
 from .errors import (
     BoundaryConditionError,
     DegenerateElementError,
@@ -410,13 +411,20 @@ def apply_boundary_conditions(
     right-hand side. A is column-major, the layout the LU reads, and is
     a new array unless ``out``, a caller-owned (3N, 3N) array, is given
     to hold it. b starts at zero and takes one BLAS axpy per nonzero
-    value, which reads that value's column of G or H in place.
+    value, which reads that value's column of G or H in place. At or
+    above ``SINGLE_THREAD_DOFS`` it first joins numpy's BLAS pool
+    (:func:`tribem._blas.quiet`), which a caller's numpy product may
+    have left spinning.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
             f"boundary spec covers {bc.n_dofs} DOFs, system has {hg.n_dofs}"
         )
     _warn_if_underconstrained(bc)
+    from .solver import SINGLE_THREAD_DOFS  # solver imports this module
+
+    if hg.n_dofs >= SINGLE_THREAD_DOFS:
+        _blas.quiet()
     disp = bc.displacement_known
     v = bc.values
     a = _signed_columns(hg.h, hg.g, disp, out)

@@ -40,6 +40,19 @@ libraries' count. A large solve and the precomputed build wait while
 another thread holds a pin, and hold new pins off until they are done,
 so a concurrent small solve cannot change their rounding.
 
+A large solve, the precomputed build and a large
+:func:`apply_boundary_conditions` also start with numpy's BLAS pool
+joined, while no other Python thread is alive
+(:func:`tribem._blas.quiet`). These run on scipy's LAPACK and BLAS, so
+numpy's pool spins only because the caller woke it, with a residual
+``a @ x`` after the last request, say; spinning ~0.13 s, it took a core
+from the next regrasp's BC application and LU. numpy's next threaded
+call starts it again at the same count, so x is bit for bit the same.
+scipy's pool, which the solve is about to use, is left alone. Small
+solves join nothing, but a pin that finds numpy's pool joined keeps it
+joined. The guard, its limits and the measurements are in
+:mod:`tribem._blas`.
+
 Below the same gate each thread keeps the arrays of its last small
 system, A from :func:`solve` and the float32 copy from
 :func:`solve_direct`, and the distributed run keeps H, G and its sweep

@@ -1,3 +1,4 @@
+import _thread
 import json
 import logging
 import os
@@ -10,9 +11,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tribem import _blas
+import threadticks
+import tribem
+from tribem import _blas, solver
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 
 @pytest.fixture
@@ -308,3 +312,224 @@ def test_no_process_wide_side_effect(found):
     before, after = json.loads(result.stdout.strip().splitlines()[-1])
     assert None not in before
     assert after == before
+
+
+class _FakePool:
+    """An OpenBLAS pool as the gate sees it: ``set_num_threads`` starts
+    it, ``shutdown`` joins it, and the counts written in place are
+    kept."""
+
+    def __init__(self):
+        self.joined = False
+        self.shutdowns = 0
+        self.written = []
+
+    def set_threads(self, n):
+        self.joined = False
+
+    def shutdown(self):
+        self.joined = True
+        self.shutdowns += 1
+        return 0
+
+    def controls(self):
+        return _blas._Pool(self.shutdown, lambda: self.joined, self.written.append)
+
+
+class TestQuiet:
+    """quiet joins numpy's pool at the start of a large operation while
+    no other Python thread is alive; a pin keeps a joined pool joined."""
+
+    @pytest.fixture
+    def fakes(self, monkeypatch):
+        """Install fake numpy and scipy libraries; ``fakes(without=...)``
+        leaves those without pool controls."""
+
+        def install(without=()):
+            pools = {package: _FakePool() for package in ("numpy", "scipy")}
+            libs = tuple(
+                _blas._Library(
+                    package,
+                    lambda: 2,
+                    pool.set_threads,
+                    None if package in without else pool.controls(),
+                )
+                for package, pool in pools.items()
+            )
+            monkeypatch.setattr(_blas, "_discover", lambda: (libs, None))
+            _blas.libraries.cache_clear()
+            return pools
+
+        assert threading.active_count() == 1, "a thread of an earlier test is alive"
+        yield install
+        _blas.libraries.cache_clear()
+
+    @staticmethod
+    def shutdowns(pools):
+        return {package: pool.shutdowns for package, pool in pools.items()}
+
+    def test_numpy_joined_on_entry_only(self, fakes):
+        pools = fakes()
+        with _blas.library_threads():
+            assert self.shutdowns(pools) == {"numpy": 1, "scipy": 0}
+        assert self.shutdowns(pools) == {"numpy": 1, "scipy": 0}
+
+    def test_nothing_beside_another_thread(self, fakes, caplog):
+        pools = fakes()
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, args=(10,))
+        other.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="tribem.blas"):
+                with _blas.library_threads():
+                    pass
+        finally:
+            release.set()
+            other.join(10)
+        assert self.shutdowns(pools) == {"numpy": 0, "scipy": 0}
+        (record,) = caplog.records
+        assert record.getMessage() == "BLAS pools left running: 1 other Python thread(s) alive"
+
+    def test_raw_thread_not_seen(self, fakes):
+        # the guard's limit: threading does not count a thread started
+        # with _thread, so a BLAS call in one could be cut off
+        pools = fakes()
+        started, release = _thread.allocate_lock(), _thread.allocate_lock()
+        started.acquire()
+        release.acquire()
+
+        def wait():
+            started.release()
+            release.acquire()
+
+        _thread.start_new_thread(wait, ())
+        try:
+            assert started.acquire(timeout=10)
+            with _blas.library_threads():
+                pass
+        finally:
+            release.release()
+        assert self.shutdowns(pools) == {"numpy": 1, "scipy": 0}
+
+    def test_pin_keeps_a_joined_pool_joined(self, fakes, caplog):
+        # set_num_threads would start the joined pool, so its count is
+        # written in place; a live pool is set as before
+        pools = fakes()
+        pools["numpy"].joined = True
+        with caplog.at_level(logging.DEBUG, logger="tribem.blas"):
+            with _blas.single_threaded():
+                with _blas.single_threaded():
+                    inside = {p: pool.joined for p, pool in pools.items()}
+        assert inside == {"numpy": True, "scipy": False}
+        assert pools["numpy"].joined
+        assert pools["numpy"].written == [1, 2]
+        assert pools["scipy"].written == []
+        assert self.shutdowns(pools) == {"numpy": 0, "scipy": 0}
+        assert caplog.records == []
+
+    @pytest.mark.parametrize("large", [False, True])
+    def test_large_apply_boundary_conditions_quiets(self, fakes, monkeypatch, large):
+        prob = tribem.cube_problem()
+        hg = tribem.assemble(prob.mesh, prob.material, tribem.gauss_rule(4))
+        if large:
+            monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", hg.n_dofs)
+        pools = fakes()
+        tribem.apply_boundary_conditions(hg, prob.bc)
+        assert self.shutdowns(pools) == {"numpy": int(large), "scipy": 0}
+
+    def test_pin_leaves_live_pools_alone(self, fakes):
+        pools = fakes()
+        with _blas.single_threaded():
+            pass
+        assert self.shutdowns(pools) == {"numpy": 0, "scipy": 0}
+
+    def test_one_debug_line_per_operation(self, fakes, caplog):
+        pools = fakes()
+        with caplog.at_level(logging.DEBUG, logger="tribem.blas"):
+            for _ in range(3):
+                with _blas.library_threads():
+                    pass
+        assert self.shutdowns(pools) == {"numpy": 3, "scipy": 0}
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == 3 * [
+            (logging.DEBUG, "BLAS pools quieted: numpy")
+        ]
+
+    def test_library_without_the_symbol_skipped(self, fakes, caplog):
+        pools = fakes(without=("numpy",))
+        with caplog.at_level(logging.DEBUG, logger="tribem.blas"):
+            for _ in range(2):
+                with _blas.library_threads():
+                    pass
+            with _blas.single_threaded():
+                pass
+        assert self.shutdowns(pools) == {"numpy": 0, "scipy": 0}
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert info == ["BLAS pools stay awake: no pool controls in numpy"]
+        debug = {r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG}
+        assert debug == {"BLAS pools quieted: none; left running: numpy (no pool controls)"}
+
+
+def test_discovery_finds_the_pools(found):
+    assert all(lib.pool is not None for lib in found)
+
+
+# After a threaded numpy product, or with argv[1] == "alone" without
+# one, solves a seeded, well-conditioned 1600-DOF system (above
+# SINGLE_THREAD_DOFS, so at the libraries' own thread count), then a
+# 100-DOF one (pinned). Prints the threads the product left busy, the
+# ticks each of them gained during the large solve, the threads that
+# were started during the small one and are still there, and the hash
+# of the large solve's x.
+_SPIN = """
+import hashlib, json, sys
+import numpy as np
+from threadticks import busy_threads, thread_ticks
+from tribem.assembly import LinearSystem
+from tribem.solver import solve_direct
+
+def system(n, seed):
+    rng = np.random.default_rng(seed)
+    a = np.asfortranarray(rng.standard_normal((n, n)) + n * np.eye(n))
+    return LinearSystem(a, rng.standard_normal(n), np.zeros(n, dtype=bool))
+
+large, small = system(1600, 19), system(100, 20)
+woken = {}
+if sys.argv[1] == "product":
+    large.a @ large.b
+    woken = busy_threads()
+before = thread_ticks()
+x = solve_direct(large)
+after = thread_ticks()
+spun = [after.get(tid, before[tid]) - before[tid] for tid in woken]
+threads = set(after)
+solve_direct(small)
+started = sorted(set(thread_ticks()) - threads)
+print(json.dumps([len(woken), spun, started, hashlib.sha256(x.tobytes()).hexdigest()]))
+"""
+
+
+def test_large_solve_joins_the_pool_a_product_left_spinning(found):
+    """A numpy product leaves numpy's pool spinning; a large solve joins
+    it on entry, so it takes no CPU from the solve, and the pin of the
+    small solve after it starts no pool thread that stays. x is the one
+    the solve gives without the product."""
+    threadticks.require_proc()
+    if max(counts().values()) == 1:
+        pytest.skip("the libraries run one thread, so they have no pool")
+
+    def run(mode):
+        result = subprocess.run(
+            [sys.executable, "-c", _SPIN, mode],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), str(TESTS)])},
+            check=True,
+        )
+        return json.loads(result.stdout.strip().splitlines()[-1])
+
+    woken, spun, started, x_hash = run("product")
+    assert woken, "the product left no pool spinning, so the check shows nothing"
+    assert spun == [0] * woken
+    assert started == []
+    assert run("alone")[3] == x_hash
