@@ -55,7 +55,6 @@ from .solver import (
     Solution,
     apply_precomputed,
     equilibrium_residual,
-    precompute_inverse,
     scatter_solution,
     solution_to_csv,
     solve,

@@ -7,10 +7,8 @@ H's diagonal blocks come from the rigid-body identity (a rigid
 translation of a bounded body produces zero tractions, which pins each
 row-block sum of H to zero and absorbs the free term together with the
 strongly singular integral); G's diagonal blocks are weakly singular
-and taken either in closed form ("analytic", the default: the centroid
-lies in the flat element's plane, so the integral is exact in polar
-coordinates about it) or by direct brute-force quadrature over the
-whole element ("paper-faithful", the paper's own method).
+and taken in closed form (the centroid lies in the flat element's
+plane, so the integral is exact in polar coordinates about it).
 
 Off-diagonal blocks use the moment form of the kernels (see
 :mod:`tribem.kernels`). Elements are flat, so for collocation point
@@ -37,9 +35,7 @@ depends on no other column, so any split of the elements gives
 bit-identical matrices, and a parallel run gives each worker a
 contiguous range of field elements.
 After the sweep one pass sets the diagonal blocks: H_ii from the rigid-body identity over
-the finished rows, G_ii from the mesh's closed-form self-integrals
-or, for paper-faithful, left at the row's own D = 0 entry, which is
-exactly the quadrature over the element.
+the finished rows, G_ii from the mesh's closed-form self-integrals.
 
 integrate_self_g evaluates one diagonal block G_ii on its own and
 serves as the reference for the assembled diagonal.
@@ -70,10 +66,8 @@ from .kernels import (
     Material,
     QuadratureRule,
     centroid_self_integrals,
-    collapsed_map,
     kelvin_block_columns,
     kelvin_self_g,
-    kelvin_u_points,
     radial_moments,
     triangle_transforms,
 )
@@ -139,16 +133,6 @@ class LinearSystem:
     swapped: np.ndarray  # (3N,) bool
 
 
-SELF_STRATEGIES = ("analytic", "paper-faithful")
-
-
-def check_self_strategy(strategy):
-    """Reject a self-integration strategy outside ``SELF_STRATEGIES``,
-    before any work is spent on it."""
-    if strategy not in SELF_STRATEGIES:
-        raise ValueError(f"unknown self-integration strategy {strategy!r}")
-
-
 def reject_degenerate(mesh: SurfaceMesh, elements: range):
     """Raise :class:`DegenerateElementError` naming those of ``elements``
     (a contiguous range) that fail the mesh's scale-relative area
@@ -159,25 +143,13 @@ def reject_degenerate(mesh: SurfaceMesh, elements: range):
         raise DegenerateElementError(f"mesh contains degenerate elements {bad.tolist()}")
 
 
-def integrate_self_g(
-    i, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, strategy="analytic"
-):
-    """Weakly singular diagonal block G_ii.
-
-    strategy "analytic": the exact integral over the flat element from
-    its centroid, in closed form (:func:`centroid_self_integrals`); the
-    rule is not used. strategy "paper-faithful": direct mapped
-    quadrature over the whole element, relying on point count alone.
-    """
-    check_self_strategy(strategy)
+def integrate_self_g(i, mesh: SurfaceMesh, mat: Material, rule: QuadratureRule):
+    """Weakly singular diagonal block G_ii: the exact integral over the
+    flat element from its centroid, in closed form
+    (:func:`centroid_self_integrals`). ``rule`` is not used; it keeps
+    the signature of the other per-block evaluators."""
     reject_degenerate(mesh, range(i, i + 1))
-    v = mesh.vertices[i]
-    c = mesh.centroids[i]
-    if strategy == "analytic":
-        return kelvin_self_g(*centroid_self_integrals(v, c), mat)
-    pts, w = collapsed_map(rule, *v)
-    blocks = kelvin_u_points(c, pts, mat)
-    return np.einsum("q,qab->ab", w, blocks)
+    return kelvin_self_g(*centroid_self_integrals(mesh.vertices[i], mesh.centroids[i]), mat)
 
 
 def rigid_body_diagonal(off_diagonal_blocks):
@@ -320,9 +292,10 @@ def assemble_columns(
         sources[:k, :, 0] = d[..., 0] ** 2 + d[..., 1] ** 2 + d[..., 2] ** 2
         np.matmul(d, 2.0 * jacobians[local], out=sources[:k, :, 1:3])
         sources[:k, :, 3:] = gram[local, None, :]
-        # Each column's own row is evaluated too (D = 0): that is its
-        # paper-faithful G_ii. It stays finite because every supported
-        # order is even, so no Gauss point maps onto the centroid.
+        # Each column's own row is evaluated too (D = 0), so that every
+        # element's products have the same shapes; set_diagonal_blocks
+        # overwrites it. It stays finite because every supported order
+        # is even, so no Gauss point maps onto the centroid.
         for m in range(k):
             radial_moments(sources[m], rule, transforms[lo + m], weights, moments[m])
         kelvin_block_columns(
@@ -330,18 +303,15 @@ def assemble_columns(
         )
 
 
-def set_diagonal_blocks(mesh: SurfaceMesh, mat: Material, h, g, strategy="analytic"):
+def set_diagonal_blocks(mesh: SurfaceMesh, mat: Material, h, g):
     """Set every diagonal block of H and G, once all columns are filled.
 
     H_ii comes from the rigid-body identity, summed over the row's
     off-diagonal blocks as one (n, 3, n, 3) view of the whole of H, whose
-    shape and layout do not depend on the worker count; G_ii from singular
-    integration (``strategy``, as in :func:`integrate_self_g`): the
-    closed-form self-integrals of every element from its centroid for
-    "analytic", while "paper-faithful" keeps the D = 0 quadrature entry
-    the sweep wrote.
+    shape and layout do not depend on the worker count; G_ii from the
+    closed-form self-integrals of every element from its centroid, as in
+    :func:`integrate_self_g`.
     """
-    check_self_strategy(strategy)
     n = mesh.n_elements
     h4, g4 = _block_view(h, n), _block_view(g, n)
     diag = np.arange(n)
@@ -349,25 +319,20 @@ def set_diagonal_blocks(mesh: SurfaceMesh, mat: Material, h, g, strategy="analyt
     # [b, i, a], and a diagonal selection [i, b, a] holds blocks transposed
     h4[diag, :, diag, :] = 0.0  # so that the sum over every column skips it
     h4[diag, :, diag, :] = rigid_body_diagonal(h4).transpose(1, 0, 2)
-    if strategy == "analytic":
-        i1, m = centroid_self_integrals(mesh.vertices, mesh.centroids)
-        g_ii = kelvin_self_g(i1, m, mat)
-        g4[diag, :, diag, :] = g_ii.swapaxes(1, 2)
+    i1, m = centroid_self_integrals(mesh.vertices, mesh.centroids)
+    g4[diag, :, diag, :] = kelvin_self_g(i1, m, mat).swapaxes(1, 2)
 
 
-def assemble(
-    mesh: SurfaceMesh, mat: Material, rule: QuadratureRule, strategy="analytic"
-) -> InfluenceMatrices:
+def assemble(mesh: SurfaceMesh, mat: Material, rule: QuadratureRule) -> InfluenceMatrices:
     """Assemble dense H and G for the whole mesh (sequentially).
 
     Deterministic: repeated assembly of the same mesh is bit-identical.
     A closed body needs at least 4 elements; degenerate facets are
     rejected up front.
     """
-    check_self_strategy(strategy)
     h, g = allocate_influence(mesh.n_dofs)
     assemble_columns(mesh, mat, rule, range(mesh.n_elements), h, g)
-    set_diagonal_blocks(mesh, mat, h, g, strategy)
+    set_diagonal_blocks(mesh, mat, h, g)
     return InfluenceMatrices(h, g, mesh.n_elements)
 
 

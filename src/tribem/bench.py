@@ -41,7 +41,6 @@ from .solver import (
     PrecomputedOperator,
     Solution,
     apply_precomputed,
-    precompute_inverse,
     solve_direct,
 )
 
@@ -57,11 +56,10 @@ class BenchConfig:
     mode: str = "assemble-and-solve"
     problem: Problem | None = None
     quad_order: int = 16
-    self_strategy: str = "analytic"
     trials: int = 4
     workers: tuple = (1,)
     block_sizes: tuple = (32,)
-    sizes: tuple = ()  # synthetic DOF counts for dummy/matvec modes
+    sizes: tuple = ()  # synthetic DOF counts for the dummy mode
 
     def __post_init__(self):
         if self.mode not in _CELLS:
@@ -72,12 +70,10 @@ class BenchConfig:
             raise ValueError("worker counts and block sizes must be positive")
         if any(n < 1 for n in self.sizes):
             raise ValueError("system sizes must be positive")
-        if self.mode == "assemble-and-solve" and self.problem is None:
-            raise ValueError("assemble-and-solve mode needs a problem")
         if self.mode == "dummy-system" and not self.sizes:
             raise ValueError("dummy-system mode needs at least one size")
-        if self.mode == "precomputed-matvec" and self.problem is None and not self.sizes:
-            raise ValueError("precomputed-matvec mode needs a problem or sizes")
+        if self.mode != "dummy-system" and self.problem is None:
+            raise ValueError(f"{self.mode} mode needs a problem")
 
 
 @dataclass
@@ -190,7 +186,7 @@ def _assemble_cells(config):
             def run(w=w, bs=bs):
                 sol, tm = distributed_assemble_solve(
                     prob.mesh, prob.material, prob.bc, rule,
-                    workers=w, block_size=bs, strategy=config.self_strategy,
+                    workers=w, block_size=bs,
                 )
                 phases = {"assembly": tm.assembly, "barrier": tm.barrier,
                           "solve": tm.solve, "total": tm.total}
@@ -206,17 +202,10 @@ def _dummy_cells(config):
 
 def _matvec_cells(config):
     prob = config.problem
-    if prob is not None:
-        rule = gauss_rule(config.quad_order)
-        hg = assemble(prob.mesh, prob.material, rule, config.self_strategy)
-        op = PrecomputedOperator.build(hg, prob.bc)
-        run = _timed("matvec", partial(apply_precomputed, op, prob.bc), solution_hash)
-        yield f"matvec_n{op.n_dofs}", None, None, run
-        return
-    for n in config.sizes:
-        system = _dummy_system(n)
-        a_inv = precompute_inverse(system.a)
-        yield f"matvec_n{n}", None, None, _timed("matvec", partial(np.matmul, a_inv, system.b))
+    hg = assemble(prob.mesh, prob.material, gauss_rule(config.quad_order))
+    op = PrecomputedOperator.build(hg, prob.bc)
+    run = _timed("matvec", partial(apply_precomputed, op, prob.bc), solution_hash)
+    yield f"matvec_n{op.n_dofs}", None, None, run
 
 
 _CELLS = {
@@ -359,9 +348,9 @@ def _csv_text(summary: SweepSummary):
 def emit_report(summary: SweepSummary, format="text-table", path=None):
     """Render the summary as CSV (raw records) or a Table-1-style text
     table; optionally write it to ``path``."""
-    if format in ("csv",):
+    if format == "csv":
         text = _csv_text(summary)
-    elif format in ("text-table", "table", "text"):
+    elif format in ("text-table", "table"):
         text = _table_text(summary)
     else:
         raise ValueError(f"unknown report format {format!r}")

@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: solve (one problem end to end), sweep (multi-trial timing
-sweeps with reports), precompute / apply (offline Green's-function
-operator and its realtime reuse), validate (mesh checks). Exit codes:
-0 success, 1 usage, 2 numerical failure, 3 I/O failure.
+sweeps with reports: the direct and precomputed modes time a problem,
+the dummy mode synthetic system sizes), precompute / apply (offline
+Green's-function operator and its realtime reuse), validate (mesh
+checks). A flag the sweep's mode does not read is a usage error. Exit
+codes: 0 success, 1 usage, 2 numerical failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 import time
 
 from . import bench
-from .assembly import SELF_STRATEGIES, assemble
+from .assembly import assemble
 from .errors import (
     BcFileError,
     EmptyMeshError,
@@ -78,9 +80,6 @@ def _add_problem_flags(p, bc_required=False):
                    help="boundary-condition file (required with --mesh)")
     p.add_argument("--quad", type=int, choices=SUPPORTED_ORDERS, default=16,
                    help="Gauss order per axis (default 16)")
-    p.add_argument("--self-quad", choices=SELF_STRATEGIES, default="analytic",
-                   help="singular self-integration: analytic (closed form, "
-                        "default) or paper-faithful (plain quadrature)")
 
 
 def _load_problem(args) -> Problem:
@@ -104,7 +103,7 @@ def _cmd_solve(args):
     rule = gauss_rule(args.quad)
     sol, tm = distributed_assemble_solve(
         prob.mesh, prob.material, prob.bc, rule,
-        workers=args.workers, strategy=args.self_quad,
+        workers=args.workers,
     )
     residual = equilibrium_residual(sol, prob.mesh)
     verdict = bench.realtime_verdict(tm.total)
@@ -125,7 +124,7 @@ def _cmd_solve(args):
 # sweep flags left unset on the parser, so that one the mode does not
 # read can be refused; _cmd_sweep fills these in
 _SWEEP_DEFAULTS = {
-    "quad": 16, "self_quad": "analytic", "size": (), "workers": (1,), "block_sizes": (32,),
+    "quad": 16, "size": (), "workers": (1,), "block_sizes": (32,),
 }
 
 
@@ -134,11 +133,9 @@ def _unused_sweep_flags(args):
     if args.mode == "direct":
         unused = ("size",)
     elif args.mode == "dummy":
-        unused = ("cube", "mesh", "bc", "quad", "self_quad", "workers", "block_sizes")
-    elif args.cube is not None or args.mesh is not None:  # precomputed, problem
+        unused = ("cube", "mesh", "bc", "quad", "workers", "block_sizes")
+    else:  # precomputed
         unused = ("size", "workers", "block_sizes")
-    else:  # precomputed, synthetic sizes
-        unused = ("bc", "quad", "self_quad", "workers", "block_sizes")
     return [f"--{name.replace('_', '-')}" for name in unused if getattr(args, name) is not None]
 
 
@@ -161,7 +158,6 @@ def _cmd_sweep(args):
         mode=mode,
         problem=problem,
         quad_order=args.quad,
-        self_strategy=args.self_quad,
         trials=args.trials,
         workers=args.workers,
         block_sizes=args.block_sizes,
@@ -192,7 +188,7 @@ def _cmd_sweep(args):
 def _cmd_precompute(args):
     prob = _load_problem(args)
     rule = gauss_rule(args.quad)
-    hg = assemble(prob.mesh, prob.material, rule, args.self_quad)
+    hg = assemble(prob.mesh, prob.material, rule)
     op = PrecomputedOperator.build(
         hg, prob.bc, problem_fingerprint(prob.mesh, prob.material)
     )
@@ -262,13 +258,10 @@ def build_parser():
     p.add_argument("--bc", metavar="PATH")
     p.add_argument("--quad", type=int, choices=SUPPORTED_ORDERS,
                    help="Gauss order per axis (default 16)")
-    p.add_argument("--self-quad", choices=SELF_STRATEGIES,
-                   help="singular self-integration: analytic (closed form, "
-                        "default) or paper-faithful (plain quadrature)")
     p.add_argument("--mode", choices=("direct", "precomputed", "dummy"),
                    default="direct")
     p.add_argument("--size", type=_int_list, metavar="LIST",
-                   help="synthetic system sizes (dummy/precomputed modes)")
+                   help="synthetic system sizes (dummy mode)")
     p.add_argument("--workers", type=_int_list, metavar="LIST", help="default 1")
     p.add_argument("--block-sizes", type=_int_list, metavar="LIST", help="default 32")
     p.add_argument("--trials", type=int, default=4)

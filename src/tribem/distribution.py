@@ -32,6 +32,19 @@ solve (see :mod:`tribem.solver`) took cube-graphics' p50 from 22.6 to
 18.9 ms and its p90 from 27.9 to 21.5 ms on a 2-vCPU VM (``BENCH_5.json``,
 13 pairs).
 
+The workers' pin pays where OpenBLAS threads the sweep's per-element
+products, which grow with the element count times the rule's points.
+A one-range sweep of the 384-element cube at q=16 kept a pool thread as
+busy as the caller (98 against 97 CPU ticks over three sweeps), and
+without the pin its two-worker run took 468-504 ms against 224-238 ms
+pinned (per-process medians of 8 calls, 5 alternating pairs of
+processes, one solution hash, 2-vCPU VM). The 96-element cube at q=16
+(cube-graphics) and the 1000-element box at q=4 gave the pool no work:
+unpinned they read 10.8-14.5 against 12.1-15.8 ms (15 pairs, medians
+12.8 and 13.3 ms, the interquartile ranges overlapping) and 480-547
+against 460-540 ms (5 pairs). That cube-graphics shows no gain is
+therefore no reason to drop the pin.
+
 A small system's working set stays with the calling thread. Below
 ``SINGLE_THREAD_DOFS`` (1500, the solver's gate for small, latency-bound
 systems) H, G, the sweep buffer of each worker range, A and its float32
@@ -62,7 +75,6 @@ from .assembly import (
     BoundarySpec,
     InfluenceMatrices,
     assemble_columns,
-    check_self_strategy,
     reject_degenerate,
     set_diagonal_blocks,
     sweep_buffer_size,
@@ -192,7 +204,6 @@ def distributed_assemble_solve(
     rule: QuadratureRule,
     workers=1,
     block_size=32,
-    strategy="analytic",
 ):
     """Assemble in parallel over field-element ranges, then solve on
     shared memory.
@@ -224,7 +235,6 @@ def distributed_assemble_solve(
     """
     if block_size < 1:
         raise ValueError("block size must be positive")
-    check_self_strategy(strategy)
     n = mesh.n_elements
     reject_degenerate(mesh, range(n))
 
@@ -251,7 +261,7 @@ def distributed_assemble_solve(
     ):
         t_swept = max(pool.map(job, active, buffers))
         t_joined = time.perf_counter()
-    set_diagonal_blocks(mesh, mat, h, g, strategy)
+    set_diagonal_blocks(mesh, mat, h, g)
     t_diagonal = time.perf_counter() - t_joined
 
     t_solve_start = time.perf_counter()

@@ -105,7 +105,8 @@ def kelvin_u_points(source, points, mat: Material):
     """U* blocks from one source point to many field points: (M, 3, 3).
 
     All distances must be positive; the self-point must never reach this
-    function.
+    function. Assembly uses the moment form instead; this point-by-point
+    evaluator is the reference the test oracles integrate.
     """
     d = np.asarray(points, dtype=float).reshape(-1, 3) - np.asarray(source, dtype=float)
     r = np.sqrt(np.einsum("mi,mi->m", d, d))
@@ -227,7 +228,9 @@ def collapsed_map(rule: QuadratureRule, v0, v1, v2):
     points (n^2, 3) and weights (n^2,) that sum to the triangle area.
     The vertices may also be stacked (..., 3) arrays that broadcast
     against each other, mapping many triangles at once into points
-    (..., n^2, 3) and weights (..., n^2).
+    (..., n^2, 3) and weights (..., n^2). Assembly works in the map's
+    reference coordinates instead; these physical points serve the
+    point-by-point reference integrals of the test oracles.
     """
     v0 = np.asarray(v0, dtype=float)[..., None, :]
     v1 = np.asarray(v1, dtype=float)[..., None, :]

@@ -347,12 +347,6 @@ def solve(hg: InfluenceMatrices, bc: BoundarySpec) -> Solution:
     return scatter_solution(x, bc)
 
 
-def precompute_inverse(a):
-    """Explicit inverse of the system matrix, for the offline stage."""
-    lu, piv = _checked_lu(a)
-    return scipy.linalg.lu_solve((lu, piv), np.eye(a.shape[0]))
-
-
 def problem_fingerprint(mesh: SurfaceMesh, material: Material):
     """sha256 of the mesh vertices and the material constants.
 

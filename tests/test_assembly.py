@@ -88,7 +88,7 @@ class TestIntegratePair:
         with pytest.raises(DegenerateElementError):
             integrate_pair(0, 1, mesh, MAT, RULE)
         with pytest.raises(DegenerateElementError):
-            integrate_self_g(1, mesh, MAT, RULE, "paper-faithful")
+            integrate_self_g(1, mesh, MAT, RULE)
 
 
 class TestIntegrateSelfG:
@@ -134,17 +134,6 @@ class TestIntegrateSelfG:
             got = integrate_self_g(i, mesh, MAT, RULE)
             assert np.abs(got - ref).max() <= 1e-9 * np.abs(ref).max()
 
-    def test_paper_faithful_less_accurate_but_sane(self):
-        v = np.array([(0, 0, 0), (2, 0, 0), (1, 1, 0)])
-        mesh = SurfaceMesh(v[None])
-        ref = singular_u_integral_reference(v, mesh.centroids[0], MAT.e, MAT.nu)
-        exact = integrate_self_g(0, mesh, MAT, RULE, "analytic")
-        direct = integrate_self_g(0, mesh, MAT, RULE, "paper-faithful")
-        err_exact = np.abs(exact - ref).max() / np.abs(ref).max()
-        err_direct = np.abs(direct - ref).max() / np.abs(ref).max()
-        assert err_direct < 0.1  # brute-force points still land in the ballpark
-        assert err_exact < err_direct  # the closed form is strictly more accurate
-
     def test_symmetric(self):
         rng = np.random.default_rng(22)
         for _ in range(5):
@@ -170,11 +159,6 @@ class TestIntegrateSelfG:
             g = integrate_self_g(0, SurfaceMesh(v[None]), MAT, RULE)
             scaled = integrate_self_g(0, SurfaceMesh(scale * v[None]), MAT, RULE)
             assert np.abs(scaled - scale * g).max() <= 1e-14 * np.abs(scale * g).max()
-
-    def test_unknown_strategy(self):
-        mesh = two_triangle_mesh((2, 0, 0))
-        with pytest.raises(ValueError):
-            integrate_self_g(0, mesh, MAT, RULE, "magic")
 
 
 class TestRigidBodyDiagonal:
@@ -250,12 +234,11 @@ class TestScaleRelativeDegeneracy:
         h, g = allocate_influence(mesh.n_dofs)
         assemble_columns(mesh, MAT, gauss_rule(4), range(4, mesh.n_elements), h, g)
 
-    @pytest.mark.parametrize("strategy", ["analytic", "paper-faithful"])
-    def test_integrate_self_g(self, strategy):
+    def test_integrate_self_g(self):
         mesh = _near_degenerate_cube()
         with pytest.raises(DegenerateElementError, match=r"degenerate elements \[3\]"):
-            integrate_self_g(3, mesh, MAT, RULE, strategy)
-        assert np.isfinite(integrate_self_g(2, mesh, MAT, RULE, strategy)).all()
+            integrate_self_g(3, mesh, MAT, RULE)
+        assert np.isfinite(integrate_self_g(2, mesh, MAT, RULE)).all()
 
     def test_integrate_pair_oracle(self):
         # the reference for off-diagonal blocks keeps the library's rule
@@ -512,13 +495,11 @@ class TestMomentEvaluator:
     def test_every_block_matches_oracles(self, mesh, order):
         rule = gauss_rule(order)
         n = mesh.n_elements
-        for strategy in ("paper-faithful", "analytic"):
-            hg = assemble(mesh, MAT, rule, strategy)
-            g = _blocks(hg.g)
-            for i in range(n):
-                ref = integrate_self_g(i, mesh, MAT, rule, strategy)
-                assert np.abs(g[i, i] - ref).max() <= 1e-13 * np.abs(ref).max()
-        # off-diagonal blocks do not depend on the self strategy
+        hg = assemble(mesh, MAT, rule)
+        g = _blocks(hg.g)
+        for i in range(n):
+            ref = integrate_self_g(i, mesh, MAT, rule)
+            assert np.abs(g[i, i] - ref).max() <= 1e-13 * np.abs(ref).max()
         h = _blocks(hg.h)
         for i in range(n):
             for j in range(n):

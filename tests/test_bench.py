@@ -141,16 +141,6 @@ class TestDummySweep:
         assert len(summary.configs) == 3
 
 
-class TestMatvecSweep:
-    def test_synthetic_matvec(self):
-        config = BenchConfig(mode="precomputed-matvec", sizes=(200,), trials=2)
-        records = run_sweep(config)
-        phases = {r.phase for r in records}
-        assert "matvec" in phases
-        summary = summarize(records)
-        assert summary.configs[0].config_id == "matvec_n200"
-
-
 @pytest.fixture(scope="module")
 def sweep():
     config = BenchConfig(
@@ -255,3 +245,5 @@ class TestTimerSanity:
             BenchConfig(mode="dummy-system", sizes=())
         with pytest.raises(ValueError):
             BenchConfig(mode="assemble-and-solve", problem=None)
+        with pytest.raises(ValueError):
+            BenchConfig(mode="precomputed-matvec", sizes=(200,))

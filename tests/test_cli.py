@@ -1,6 +1,9 @@
+import argparse
 import re
+import shlex
 import struct
 import time
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +11,8 @@ from tribem import cli
 from tribem.cli import main
 from tribem.solver import apply_precomputed
 from tribem.mesh import SurfaceMesh, generate_cube, write_stl
+
+README = (Path(__file__).resolve().parent.parent / "README.md").read_text()
 
 
 @pytest.fixture()
@@ -72,9 +77,13 @@ class TestUsageErrors:
     def test_bad_quad_order(self):
         assert main(["solve", "--cube", "4,1", "--quad", "7"]) == 1
 
-    @pytest.mark.parametrize("command", ["solve", "sweep"])
-    def test_subdivided_self_quad_is_gone(self, command):
-        assert main([command, "--cube", "4,1", "--self-quad", "subdivide"]) == 1
+    @pytest.mark.parametrize("value", ["subdivide", "analytic", "paper-faithful"])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "precompute"])
+    def test_self_quad_is_gone(self, command, value, tmp_path):
+        argv = [command, "--cube", "4,1", "--self-quad", value]
+        if command == "precompute":
+            argv += ["--operator", str(tmp_path / "op")]
+        assert main(argv) == 1
 
     @pytest.mark.parametrize("flag", ["--workers"])
     def test_solve_takes_one_value_not_a_list(self, flag):
@@ -158,9 +167,13 @@ class TestSweepCommand:
         assert "--size" in capsys.readouterr().err
 
     def test_precomputed_mode_synthetic(self, capsys):
+        # the precomputed mode times a problem's apply; synthetic sizes
+        # are the dummy mode's
         code = main(["sweep", "--mode", "precomputed", "--size", "120", "--trials", "2"])
-        assert code == 0
-        assert "matvec_n120" in capsys.readouterr().out
+        assert code == 1
+        assert "--size" in capsys.readouterr().err
+        assert main(["sweep", "--mode", "precomputed", "--trials", "2"]) == 1
+        assert "needs a problem" in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["direct", "precomputed"])
     def test_degenerate_facet_is_numerical_error(self, capsys, tmp_path, cube_bc, mode):
@@ -256,3 +269,28 @@ class TestPrecomputeApply:
              "--bc", str(other_bc)]
         )
         assert code == 2
+
+
+class TestReadme:
+    """The README's command lines and flags match the parser, so a
+    removed flag cannot linger in the docs."""
+
+    def test_commands_parse(self):
+        lines = [
+            line.strip()
+            for block in re.findall(r"```sh\n(.*?)```", README, re.DOTALL)
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.strip().startswith("tribem ")
+        ]
+        assert len(lines) >= 7
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+
+    def test_flags_exist(self):
+        section = README.split("## Command line", 1)[1].split("\n## ", 1)[0]
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        options = {flag for p in sub.choices.values() for flag in p._option_string_actions}
+        named = set(re.findall(r"--[a-z][a-z-]*", section))
+        assert named and named <= options, named - options

@@ -258,16 +258,6 @@ class TestDistributedAssembleSolve:
         assert seen == [{package: 1 for package in own}] * 2
         assert thread_counts() == own
 
-    def test_unknown_strategy_rejected_before_sweep(self, prob, monkeypatch):
-        def sweep(*args):
-            raise AssertionError("the sweep ran")
-
-        monkeypatch.setattr("tribem.distribution.assemble_columns", sweep)
-        with pytest.raises(ValueError, match="self-integration strategy 'magic'"):
-            distributed_assemble_solve(
-                prob.mesh, prob.material, prob.bc, gauss_rule(4), strategy="magic"
-            )
-
     def test_block_size_must_be_positive(self, prob):
         with pytest.raises(ValueError, match="block size"):
             distributed_assemble_solve(

@@ -37,7 +37,6 @@ from tribem.solver import (
     PrecomputedOperator,
     apply_precomputed,
     equilibrium_residual,
-    precompute_inverse,
     scatter_solution,
     solution_to_csv,
     solve,
@@ -431,28 +430,16 @@ class TestScatter:
 
 
 class TestPrecomputedOperator:
-    def test_inverse_quality_random(self):
-        rng = np.random.default_rng(43)
-        a = rng.standard_normal((100, 100)) + 100 * np.eye(100)
-        a_inv = precompute_inverse(a)
-        assert np.abs(a @ a_inv - np.eye(100)).max() < 1e-8
-
     def test_scaled_column_not_singular(self):
-        # the pivot check is per column: one column 1e20 larger leaves
-        # the others' pivots nonsingular
+        # the offline LU's pivot check is per column: one column 1e20
+        # larger leaves the others' pivots nonsingular
         a = np.diag([1e20, 1.0, 2.0, 3.0])
-        assert np.allclose(precompute_inverse(a), np.diag(1 / np.diag(a)), rtol=1e-14)
-
-    def test_identity_and_diagonal(self):
-        assert np.allclose(precompute_inverse(np.eye(4)), np.eye(4))
-        assert np.allclose(
-            precompute_inverse(2.0 * np.eye(4)), 0.5 * np.eye(4), rtol=1e-14
-        )
+        inverse = scipy.linalg.lu_solve(solver._checked_lu(a), np.eye(4))
+        assert np.allclose(inverse, np.diag(1 / np.diag(a)), rtol=1e-14)
 
     def test_singular_rejected(self):
-        a = np.ones((4, 4))
         with pytest.raises(SingularSystemError):
-            precompute_inverse(a)
+            solver._checked_lu(np.ones((4, 4)))
 
     def test_matches_direct_solve(self, cube_setup):
         prob, hg, op = cube_setup
