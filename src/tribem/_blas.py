@@ -3,10 +3,10 @@ numpy BLAS pool spinning when a large operation starts.
 
 numpy and scipy each load their own OpenBLAS (``numpy.libs`` and
 ``scipy.libs`` in their wheels). :func:`single_threaded` holds both at
-one thread and restores their counts after, so a small solve or a pool
-worker's products run in the calling thread and wake no BLAS pool. A
-pool's threads busy-wait after a call, so one woken there keeps a core
-spinning into the next request.
+one thread and restores their counts after, so a small solve or a
+distributed run's sweeps run in the calling thread and wake no BLAS
+pool. A pool's threads busy-wait after a call, so one woken there keeps
+a core spinning into the next request.
 
 The libraries' thread count is process-wide: their pthreads builds
 keep no per-thread count (``openblas_set_num_threads_local`` sets the

@@ -171,12 +171,13 @@ def rigid_body_diagonal(off_diagonal_blocks):
 # of equal width, so no chunk is wider than its range: the 96-element
 # box's two 48-element worker ranges take two chunks of 24 each, and the
 # 1000-element box, where the budget holds two, takes chunks of 4. A call
-# costs ~40 numpy calls whatever its width, and two workers hand each
-# other the GIL at most of them. On a 2-vCPU VM the cube-graphics p50
-# went from 17.8 to 15.2 ms against the earlier 256 KB budget (chunks of
-# 11, five per range; BENCH_6.json), and numpy's peak for one range from
-# 1.09 to 1.47 MiB. One chunk per range, or a 4 MB budget, was faster
-# still but raised the benchmark's peak RSS by 2-6 MB.
+# costs ~40 numpy calls whatever its width, and two worker threads, as
+# the distributed run had then, handed each other the GIL at most of
+# them. On a 2-vCPU VM the cube-graphics p50 went from 17.8 to 15.2 ms
+# against the earlier 256 KB budget (chunks of 11, five per range;
+# BENCH_6.json), and numpy's peak for one range from 1.09 to 1.47 MiB.
+# One chunk per range, or a 4 MB budget, was faster still but raised the
+# benchmark's peak RSS by 2-6 MB.
 _CHUNK_BYTES = 552960
 _MIN_CHUNK = 4
 
@@ -189,12 +190,14 @@ def allocate_influence(n_dofs):
 
 
 def _block_view(m, n):
-    """A column-major (3n, 3n) matrix as the (n, 3, n, 3) blocks of its
-    transpose: [j, b, i, a] is entry (3i + a, 3j + b), and writes reach
-    ``m``."""
+    """A column-major (3n, 3k) matrix, the column blocks of k elements,
+    as the (k, 3, n, 3) blocks of its transpose: [j, b, i, a] is entry
+    (3i + a, 3j + b), and writes reach ``m``."""
     if not m.flags.f_contiguous:
         raise ValueError("H and G must be F-contiguous to be filled in place")
-    return m.T.reshape(n, 3, n, 3)
+    if m.shape[0] != 3 * n or m.shape[1] % 3:
+        raise ValueError(f"{m.shape} is no column slab of a {n}-element mesh")
+    return m.T.reshape(-1, 3, n, 3)
 
 
 def _chunks(n, elements):
@@ -233,7 +236,10 @@ def assemble_columns(
     buffer=None,
 ):
     """Fill the off-diagonal column blocks of field elements ``elements``
-    (a contiguous range) in H and G from :func:`allocate_influence`.
+    (a contiguous range) in H and G from :func:`allocate_influence`, or
+    in ``h_out`` and ``g_out`` holding only those columns: column-major
+    (3N, 3 len(elements)) slabs, such as a worker process fills and
+    sends back, or the slice ``h[:, 3 * start:3 * stop]`` of a whole H.
 
     For each field element j, r^2 from every collocation point to its
     quadrature points is one (N x 6)(6 x Q) product against the rule's
@@ -266,7 +272,13 @@ def assemble_columns(
     """
     reject_degenerate(mesh, elements)
     n = mesh.n_elements
+    # indexed relative to elements.start: element j is row j - elements.start
+    own = slice(elements.start, elements.stop)
     h4, g4 = _block_view(h_out, n), _block_view(g_out, n)
+    if h4.shape[0] == n:  # whole matrices: the range's own slab of them
+        h4, g4 = h4[own], g4[own]
+    if h4.shape[0] != len(elements) or g4.shape != h4.shape:
+        raise ValueError(f"H and G hold neither every column nor those of {elements}")
     edges, chunk = _chunks(n, elements)
     sizes = _sweep_layout(n, rule, chunk)
     if buffer is None:
@@ -278,8 +290,6 @@ def assemble_columns(
     weights = work[: 3 * n * rule.n_points].reshape(3, n, rule.n_points)
     moments = moments.reshape(chunk, 3, n, N_FEATURES)
     sources = sources.reshape(chunk, n, N_MONOMIALS)
-    # indexed relative to elements.start: element j is row j - elements.start
-    own = slice(elements.start, elements.stop)
     jacobians, gram, transforms = triangle_transforms(mesh.vertices[own], mesh.areas[own])
 
     for lo, hi in zip(edges, edges[1:]):
@@ -299,7 +309,7 @@ def assemble_columns(
         for m in range(k):
             radial_moments(sources[m], rule, transforms[lo + m], weights, moments[m])
         kelvin_block_columns(
-            moments[:k], d, mesh.normals[cols], mat, h4[cols], g4[cols], work
+            moments[:k], d, mesh.normals[cols], mat, h4[local], g4[local], work
         )
 
 

@@ -28,7 +28,7 @@ import hashlib
 import io
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -49,9 +49,19 @@ HAPTICS_RATE = 1000.0
 SEED = 2014
 
 
+# the fields each mode does not read, which must keep their defaults
+# (the sweep command refuses the matching flags)
+_UNUSED = {
+    "assemble-and-solve": ("sizes",),
+    "precomputed-matvec": ("sizes", "workers", "block_sizes"),
+    "dummy-system": ("problem", "quad_order", "workers", "block_sizes"),
+}
+
+
 @dataclass
 class BenchConfig:
-    """One sweep: problem source, solve mode, and the grid of cells."""
+    """One sweep: problem source, solve mode, and the grid of cells. A
+    field the mode does not read must keep its default."""
 
     mode: str = "assemble-and-solve"
     problem: Problem | None = None
@@ -64,6 +74,12 @@ class BenchConfig:
     def __post_init__(self):
         if self.mode not in _CELLS:
             raise ValueError(f"unknown mode {self.mode!r}")
+        unused = [
+            f.name for f in fields(self)
+            if f.name in _UNUSED[self.mode] and getattr(self, f.name) != f.default
+        ]
+        if unused:
+            raise ValueError(f"{self.mode} mode does not use {', '.join(unused)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if any(w < 1 for w in self.workers) or any(b < 1 for b in self.block_sizes):

@@ -49,5 +49,9 @@ class BcFileError(TriBemError):
     """Boundary-condition file could not be parsed."""
 
 
+class WorkerLostError(TriBemError):
+    """A worker process of a distributed run ended before it replied."""
+
+
 class SolvabilityWarning(UserWarning):
     """Problem leaves one or more rigid translation directions unconstrained."""

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import time
 
 import numpy as np
@@ -247,3 +248,22 @@ class TestTimerSanity:
             BenchConfig(mode="assemble-and-solve", problem=None)
         with pytest.raises(ValueError):
             BenchConfig(mode="precomputed-matvec", sizes=(200,))
+
+        # a field a mode does not read (the sweep command refuses its flag
+        # there) must keep its default, and any other value counts as given
+        defaults = {f.name: f.default for f in dataclasses.fields(BenchConfig)}
+        problem = cube_problem(k=1)
+        for mode, name, value in [
+            ("assemble-and-solve", "sizes", (200,)),
+            ("precomputed-matvec", "sizes", (200,)),
+            ("precomputed-matvec", "workers", (2,)),
+            ("precomputed-matvec", "block_sizes", (1,)),
+            ("dummy-system", "problem", problem),
+            ("dummy-system", "quad_order", 4),
+            ("dummy-system", "workers", (1, 4)),
+            ("dummy-system", "block_sizes", (16,)),
+        ]:
+            needed = dict(sizes=(50,)) if mode == "dummy-system" else dict(problem=problem)
+            with pytest.raises(ValueError, match=f"^{mode} mode does not use {name}$"):
+                BenchConfig(mode=mode, **{**needed, name: value})
+            BenchConfig(mode=mode, **{**needed, name: defaults[name]})

@@ -1,0 +1,105 @@
+"""tools/benchjson.py's summary of benchmark runs, on synthetic result lines."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("benchjson", ROOT / "tools" / "benchjson.py")
+benchjson = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(benchjson)
+
+BETTER = {"latency_p50_ms": "lower", "throughput_per_s": "higher"}
+
+
+def record(side, seed, p50, rate, workload="cube-graphics", failed=0):
+    result = {
+        "correct": not failed, "attempted": 100, "failed": failed,
+        "metrics": {
+            "latency_p50_ms": {"value": p50, "unit": "ms"},
+            "throughput_per_s": {"value": rate, "unit": "1/s"},
+        },
+    }
+    return {
+        "side": side, "workload": workload, "seed": seed, "trace": 0, "seconds": 18.0,
+        "ran_first": "parent", "revision": {"head": f"{side}-rev", "src_sha256": "0" * 64},
+        "wall_s": 25.0, "environment": {"nproc": 2}, "result": result,
+    }
+
+
+@pytest.fixture
+def records():
+    # five pairs: the change is lower in four, tied in one; its rate
+    # is higher in three
+    parent = [(1, 10.0, 90.0), (2, 12.0, 80.0), (3, 11.0, 85.0), (4, 13.0, 70.0), (5, 9.0, 95.0)]
+    change = [(1, 8.0, 95.0), (2, 9.0, 85.0), (3, 11.0, 80.0), (4, 10.0, 75.0), (5, 8.5, 90.0)]
+    return [record("parent", *row) for row in parent] + [record("change", *row) for row in change]
+
+
+def test_medians_and_quartiles(records):
+    out = benchjson.summarize(records, BETTER, 9)
+    parent = out["summary"]["cube-graphics"]["parent"]
+    assert parent["seeds"] == [1, 2, 3, 4, 5]
+    assert parent["attempted"] == 500 and parent["failed"] == 0
+    # inclusive quartiles of 9, 10, 11, 12, 13
+    assert parent["metrics"]["latency_p50_ms"] == {
+        "median": 11.0, "q1": 10.0, "q3": 12.0, "n": 5, "unit": "ms"
+    }
+    change = out["summary"]["cube-graphics"]["change"]["metrics"]["latency_p50_ms"]
+    assert (change["median"], change["q1"], change["q3"]) == (9.0, 8.5, 10.0)
+
+
+def test_paired_wins_follow_each_metric_direction(records):
+    paired = benchjson.summarize(records, BETTER, 9)["paired"]["cube-graphics"]
+    p50 = paired["latency_p50_ms"]
+    assert (p50["change_better"], p50["ties"], p50["pairs"]) == (4, 1, 5)
+    # medians 11 and 9, two apart, against the parent's range 10-12
+    assert p50["median_gap_over_parent_iqr"] == pytest.approx(1.0)
+    assert paired["throughput_per_s"]["change_better"] == 3
+
+
+def test_unpaired_runs_count_in_the_summary_only(records):
+    records.append(record("change", 6, 7.0, 99.0))
+    records.append(record("parent", 1, 1.0, 1.0, workload="box-haptic"))
+    out = benchjson.summarize(records, BETTER, 9)
+    assert out["summary"]["cube-graphics"]["change"]["metrics"]["latency_p50_ms"]["n"] == 6
+    assert out["paired"]["cube-graphics"]["latency_p50_ms"]["pairs"] == 5
+    assert "box-haptic" not in out["paired"]
+    assert out["summary"]["box-haptic"]["parent"]["metrics"]["latency_p50_ms"]["n"] == 1
+
+
+def test_traced_runs_in_rows_of_their_own(records):
+    traced = record("parent", 1, 3.0, 30.0)
+    traced["trace"] = 1
+    out = benchjson.summarize(records + [traced], BETTER, 9)
+    assert out["summary"]["cube-graphics traced"]["parent"]["metrics"]["latency_p50_ms"]["n"] == 1
+    assert out["summary"]["cube-graphics"]["parent"]["metrics"]["latency_p50_ms"]["n"] == 5
+    assert "cube-graphics traced" not in out["paired"]
+
+
+def test_write_keeps_runs_revisions_and_environment(records, tmp_path):
+    log = tmp_path / "runs.jsonl"
+    log.write_text("".join(json.dumps(r) + "\n" for r in records))
+    out = tmp_path / "BENCH_9.json"
+    assert benchjson.main(["write", "--log", str(log), "--index", "9", "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["index"] == 9
+    assert bench["runs"] == records
+    assert bench["environment"] == {"nproc": 2}
+    assert bench["revisions"] == {
+        side: [{"head": f"{side}-rev", "src_sha256": "0" * 64}] for side in ("parent", "change")
+    }
+
+
+def test_directions_from_the_benchmark_spec():
+    better = benchjson.directions(json.loads((ROOT / "BENCHMARK.json").read_text()))
+    assert better["latency_p50_ms"] == "lower"
+    assert better["throughput_per_s"] == "higher"
+    assert better["solver.lu_gflops"] == "higher"
+
+
+def test_seed_ranges():
+    assert benchjson.parse_seeds("11-14") == [11, 12, 13, 14]
+    assert benchjson.parse_seeds("7") == [7]

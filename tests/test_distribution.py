@@ -1,16 +1,20 @@
+import contextlib
+import json
 import logging
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import tribem
-from tribem import solver
+from tribem import distribution, solver
 from tribem._blas import thread_counts
 from tribem.assembly import (
     apply_boundary_conditions,
@@ -30,7 +34,7 @@ from tribem.distribution import (
     owner_of_entry,
     partition_rows,
 )
-from tribem.errors import DegenerateElementError
+from tribem.errors import DegenerateElementError, WorkerLostError
 from tribem.kernels import gauss_rule
 from tribem.problems import cube_problem
 from tribem.solver import solve, solve_direct
@@ -155,6 +159,35 @@ def prob():
     return cube_problem()
 
 
+@pytest.fixture
+def fresh_workers():
+    """No worker process before the test, so that the test's first
+    distributed call forks them from what it has patched, and none after
+    it, so that no later test meets the patch."""
+    distribution._close_workers()
+    yield
+    distribution._close_workers()
+
+
+def running(pid):
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def worker_pids():
+    return [w.process.pid for w in distribution._pool]
+
+
+needs_workers = pytest.mark.skipif(
+    len(os.sched_getaffinity(0)) < 2 or not Path("/proc/self/stat").exists(),
+    reason="worker processes need two usable CPUs; their state is read from /proc",
+)
+
+
 class TestDistributedAssembleSolve:
     def test_bit_identical_across_workers(self, prob):
         rule = gauss_rule(16)
@@ -243,19 +276,25 @@ class TestDistributedAssembleSolve:
             f"; workers pinned to one BLAS thread: {pinned}"
         )
 
-    def test_workers_run_on_one_blas_thread(self, prob, monkeypatch):
+    @needs_workers
+    def test_workers_run_on_one_blas_thread(self, prob, monkeypatch, tmp_path, fresh_workers):
+        # each sweep, the caller's and the worker process's, records the
+        # BLAS thread counts it ran with
         own = thread_counts()
         if not own:
             pytest.skip("no OpenBLAS of numpy or scipy found")
-        seen = []
+        record = tmp_path / "counts"
 
         def recorded(*args):
-            seen.append(thread_counts())
+            with open(record, "a") as f:
+                f.write(json.dumps([os.getpid(), thread_counts()]) + "\n")
             return assemble_columns(*args)
 
         monkeypatch.setattr("tribem.distribution.assemble_columns", recorded)
         distributed_assemble_solve(prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=2)
-        assert seen == [{package: 1 for package in own}] * 2
+        seen = [json.loads(line) for line in record.read_text().splitlines()]
+        assert sorted(pid == os.getpid() for pid, _ in seen) == [False, True]
+        assert [counts for _, counts in seen] == [{package: 1 for package in own}] * 2
         assert thread_counts() == own
 
     def test_block_size_must_be_positive(self, prob):
@@ -264,33 +303,58 @@ class TestDistributedAssembleSolve:
                 prob.mesh, prob.material, prob.bc, gauss_rule(4), block_size=0
             )
 
+    @needs_workers
     @pytest.mark.parametrize("workers", [2, 3])
-    def test_worker_error_reaches_caller(self, prob, monkeypatch, workers):
-        # the failing range is not the first, so the other workers finish
-        # normally; the caller must see the typed error, not a secondary one
+    def test_worker_error_reaches_caller(self, prob, monkeypatch, fresh_workers, workers):
+        # raised only in a worker process, in a range that is not the
+        # first, so the caller's ranges finish normally; the caller must
+        # see the typed error, not a secondary one
+        caller = os.getpid()
+
         def failing(mesh, mat, rule, elements, *args):
-            if 50 in elements:
+            if 50 in elements and os.getpid() != caller:
                 raise DegenerateElementError("element 50 has zero area")
             return assemble_columns(mesh, mat, rule, elements, *args)
 
         monkeypatch.setattr("tribem.distribution.assemble_columns", failing)
-        outcome = []
+        with pytest.raises(DegenerateElementError) as caught:
+            distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=workers
+            )
+        assert type(caught.value) is DegenerateElementError
+        assert str(caught.value) == "element 50 has zero area"
 
-        def run():
-            try:
-                distributed_assemble_solve(
-                    prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=workers
-                )
-            except Exception as exc:
-                outcome.append(exc)
+    @needs_workers
+    def test_ranges_in_workers_logged(self, prob, caplog, fresh_workers):
+        with caplog.at_level(logging.DEBUG, logger="tribem.distribution"):
+            distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=2
+            )
+            distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=1
+            )
+        two, one = [r.getMessage() for r in caplog.records if r.name == "tribem.distribution"]
+        assert "; ranges in worker processes: 1 of 2; assembly " in two
+        assert "; ranges in worker processes: 0 of 1 (one range); assembly " in one
 
-        caller = threading.Thread(target=run, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
-        assert len(outcome) == 1
-        assert type(outcome[0]) is DegenerateElementError
-        assert str(outcome[0]) == "element 50 has zero area"
+    @needs_workers
+    @pytest.mark.parametrize("slow", ["worker", "caller"])
+    def test_assembly_runs_to_the_last_finish(self, prob, monkeypatch, fresh_workers, slow):
+        # the worker clocks its own finish, so a slow range of either side
+        # lands in the assembly, and the barrier is the slabs' transfer
+        caller = os.getpid()
+
+        def sweep(*args):
+            if (os.getpid() == caller) == (slow == "caller"):
+                time.sleep(0.3)
+            return assemble_columns(*args)
+
+        monkeypatch.setattr("tribem.distribution.assemble_columns", sweep)
+        _, tm = distributed_assemble_solve(
+            prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=2
+        )
+        assert tm.assembly >= 0.3
+        assert tm.barrier < 0.1
 
 
 def in_new_thread(fn, *args):
@@ -361,18 +425,31 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         assert proc.returncode == 0, proc.stderr
         assert float(proc.stdout) <= 50
 
-    def test_what_a_thread_keeps(self, prob):
-        # the 96-element cube on two workers: H, G, A, A in float32 and
-        # one sweep buffer per 48-element range, ~4.8 MB in all
+    @needs_workers
+    def test_what_a_thread_keeps(self, prob, monkeypatch, tmp_path, fresh_workers):
+        # the 96-element cube on two workers: the caller keeps H, G, A, A in
+        # float32 and the sweep buffer of its 48-element range, ~3.6 MB; the
+        # worker process its range's column slabs of H and G and its own
+        # sweep buffer, ~1.9 MB, and nothing it inherited from the caller
         rule = gauss_rule(16)
+        caller, record = os.getpid(), tmp_path / "kept"
+
+        def recorded(*args):
+            assemble_columns(*args)
+            if os.getpid() != caller:
+                record.write_text(str(sum(a.nbytes for a in kept_arrays().values())))
+
+        monkeypatch.setattr("tribem.distribution.assemble_columns", recorded)
+        self.run(prob, rule)  # forks the worker from this thread, which keeps arrays
 
         def kept_after_call():
             self.run(prob, rule)
             return sum(a.nbytes for a in kept_arrays().values())
 
         n = prob.mesh.n_dofs
-        sweep = sum(sweep_buffer_size(prob.mesh, rule, r) for r in partition_rows(96, 2))
+        sweep = sweep_buffer_size(prob.mesh, rule, range(48))
         assert in_new_thread(kept_after_call) == 3 * 8 * n * n + 4 * n * n + 8 * sweep
+        assert int(record.read_text()) == 2 * 8 * n * (n // 2) + 8 * sweep
 
     def test_nothing_returned_aliases_a_kept_array(self, prob):
         rule = gauss_rule(8)
@@ -427,29 +504,29 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         assert not any(caller.is_alive() for caller in callers)
         assert got == [[want[0]] * 4, [want[1]] * 4]
 
-    def test_call_after_worker_error(self, prob, monkeypatch):
-        # the failing worker leaves NaN in the kept H, G and sweep buffers;
-        # the next call on that thread overwrites every entry it reads
+    @needs_workers
+    def test_call_after_worker_error(self, prob, monkeypatch, fresh_workers):
+        # the failing worker process leaves NaN in its kept slabs and sweep
+        # buffer and stays in the pool; its next call overwrites every
+        # entry it sends
         rule = gauss_rule(8)
         want = self.lone_hash(prob, rule)
-        failing = [True]
+        caller, failed = os.getpid(), []
 
         def sweep(mesh, mat, rule, elements, h, g, buffer):
-            if failing[0] and 50 in elements:
+            if os.getpid() != caller and not failed:
+                failed.append(True)
                 for array in (h, g, buffer):
                     array.fill(np.nan)
                 raise DegenerateElementError("element 50 has zero area")
             return assemble_columns(mesh, mat, rule, elements, h, g, buffer)
 
         monkeypatch.setattr("tribem.distribution.assemble_columns", sweep)
-
-        def fail_then_retry():
-            with pytest.raises(DegenerateElementError):
-                self.run(prob, rule)
-            failing[0] = False
-            return solution_hash(self.run(prob, rule))
-
-        assert in_new_thread(fail_then_retry) == want
+        with pytest.raises(DegenerateElementError):
+            self.run(prob, rule)
+        pids = worker_pids()
+        assert solution_hash(self.run(prob, rule)) == want
+        assert worker_pids() == pids
 
     def test_nothing_kept_at_the_gate(self, prob, monkeypatch):
         monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
@@ -459,3 +536,125 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
             return kept_arrays()
 
         assert in_new_thread(kept_after_call) == {}
+
+
+@needs_workers
+class TestWorkerProcesses:
+    """The worker processes: their lifetime, and the calls that run
+    without them."""
+
+    @staticmethod
+    def run(prob, rule, workers=2):
+        sol, _ = distributed_assemble_solve(
+            prob.mesh, prob.material, prob.bc, rule, workers=workers
+        )
+        return solution_hash(sol)
+
+    @pytest.mark.parametrize("ending", ["exit", "kill", "kill beside a forked child"])
+    def test_worker_ends_with_its_caller(self, ending):
+        # a benchmark run that leaves a process behind fails: after a
+        # normal exit, and after the caller is SIGKILLed, the worker is
+        # gone, also while a child the caller forked later lives on
+        script = """
+import os, sys, time
+from tribem import distribution
+from tribem.kernels import gauss_rule
+from tribem.problems import cube_problem
+prob = cube_problem()
+distribution.distributed_assemble_solve(prob.mesh, prob.material, prob.bc, gauss_rule(4), workers=2)
+pids = [w.process.pid for w in distribution._pool]
+if sys.argv[1] == "kill beside a forked child":
+    child = os.fork()
+    if child == 0:
+        time.sleep(60)
+        os._exit(0)
+    pids.append(child)
+print(*pids, flush=True)
+if sys.argv[1] != "exit":
+    time.sleep(60)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(tribem.__file__).parents[1]))
+        with subprocess.Popen(
+            [sys.executable, "-c", script, ending], env=env, text=True,
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        ) as proc:
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            if ending != "exit":
+                proc.send_signal(signal.SIGKILL)
+            assert proc.wait(timeout=60) == (0 if ending == "exit" else -signal.SIGKILL)
+        worker, *child = pids
+        try:
+            assert len(child) == (ending == "kill beside a forked child")
+            deadline = time.monotonic() + 5
+            while running(worker) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not running(worker)
+        finally:
+            for pid in child:
+                os.kill(pid, signal.SIGKILL)
+
+    def test_killed_worker_replaced(self, prob, fresh_workers):
+        rule = gauss_rule(8)
+        want = self.run(prob, rule, workers=1)
+        self.run(prob, rule)
+        (pid,) = worker_pids()
+        os.kill(pid, signal.SIGKILL)
+        while running(pid):
+            time.sleep(0.01)
+        assert self.run(prob, rule) == want
+        (new,) = worker_pids()
+        assert new != pid and running(new)
+
+    def test_worker_dying_in_a_call(self, prob, monkeypatch, tmp_path, fresh_workers):
+        # the first worker dies in its sweep; the next call forks another
+        rule = gauss_rule(8)
+        want = self.run(prob, rule, workers=1)
+        caller, died = os.getpid(), tmp_path / "died"
+
+        def dying(*args):
+            if os.getpid() != caller and not died.exists():
+                died.touch()
+                os._exit(3)
+            return assemble_columns(*args)
+
+        monkeypatch.setattr("tribem.distribution.assemble_columns", dying)
+        with pytest.raises(WorkerLostError, match="worker process"):
+            self.run(prob, rule)
+        assert distribution._pool == []
+        assert self.run(prob, rule) == want
+
+    @staticmethod
+    @contextlib.contextmanager
+    def another_thread():
+        release = threading.Event()
+        other = threading.Thread(target=release.wait, daemon=True)
+        other.start()
+        try:
+            yield
+        finally:
+            release.set()
+            other.join()
+
+    @pytest.mark.parametrize("reason", ["another thread alive", "pool busy"])
+    def test_caller_alone(self, prob, caplog, monkeypatch, fresh_workers, reason):
+        # with another Python thread alive nothing is forked; with the pool
+        # held by another call the caller does not wait for it. Either way
+        # it sweeps every range itself, as a lone call would
+        rule = gauss_rule(8)
+        want = self.run(prob, rule, workers=1)
+        monkeypatch.setattr(distribution, "_told", set())
+        alive = reason == "another thread alive"
+        hold = self.another_thread() if alive else distribution._pool_lock
+        with caplog.at_level(logging.DEBUG, logger="tribem.distribution"):
+            with hold:
+                got = [self.run(prob, rule) for _ in range(2)]
+        assert got == [want, want]
+        assert distribution._pool == []
+        said = [r for r in caplog.records if r.name == "tribem.distribution"]
+        info = [r.getMessage() for r in said if r.levelno == logging.INFO]
+        debug = [r.getMessage() for r in said if r.levelno == logging.DEBUG]
+        assert info == [f"distributed run sweeps every range in the calling thread: {reason}"]
+        assert len(debug) == 2
+        for message in debug:
+            assert f"; ranges in worker processes: 0 of 2 ({reason}); " in message
+            assert message.endswith("; workers pinned to one BLAS thread: False")
