@@ -10,20 +10,26 @@ a core spinning into the next request.
 
 The libraries' thread count is process-wide: their pthreads builds
 keep no per-thread count (``openblas_set_num_threads_local`` sets the
-global count there too). So the pin is reference-counted. The first
-caller to enter records each library's count and sets it to one, and
-the last to leave restores it; while any caller is inside, every thread
-of the process runs those libraries on one thread. Outside the pin
-nothing is changed.
+global count there too). So a pin and a call whose rounding depends on
+the libraries' own count (a large LU, run inside
+:func:`library_threads`) hold one re-entrant lock for their body. The
+outermost pin records each library's count, sets it to one and restores
+it on exit, also after a raise; a nested entry of either kind runs
+inside the outer one, so a thread never waits on itself. A large LU
+thus never runs at another thread's pin, and outside a pin nothing is
+changed. A child forked while another thread holds the lock would
+inherit it held by a thread it lacks, and its first large solve would
+wait forever; a fork hook gives such a child the counts that pin found
+and a free lock.
 
-A call whose rounding depends on the libraries' own count (a large LU)
-runs inside :func:`library_threads`. The two form one gate: pins share
-it with pins and such calls with each other, but a kind waits while a
-thread of the other kind is inside, and while the other kind waits a
-new caller of the first does not join, so neither starves. A thread
-already inside enters again at once, whatever the kind, so it never
-waits on itself; its nested call runs at the count its outer one set.
-Each entry and exit takes the gate's lock once.
+The cost falls on concurrent callers, which tribem never makes itself
+(its distributed run forks worker processes): small solves from
+several threads run one at a time. On a 2-vCPU VM, in 4 alternating
+pairs of processes, the earlier gate that let pins overlap against this
+lock: two threads looping solves of the 288-DOF cube made 1683-2068
+against 1019-1109 solves/s in all (one thread alone, 920-1264 against
+955-1187); two threads looping two-worker cube runs at q=16 made
+93.6-99.3 against 86.6-92.7 runs/s.
 
 A large operation also starts with numpy's pool joined. After a
 threaded call an OpenBLAS worker busy-waits for ``THREAD_TIMEOUT`` (2^28
@@ -106,19 +112,11 @@ log = logging.getLogger("tribem.blas")
 # them in "<package>.libs" beside the package
 _PACKAGES = ("numpy", "scipy")
 
-# process-wide, as the count it guards: the kind of caller inside
-# (_PINNED or _OWN, None when the gate is empty), how many calls of each
-# thread are inside, how many callers of each kind wait, the kind an
-# emptied gate admits first when both wait, and the counts the first pin
-# found
-_PINNED, _OWN = "pinned", "own"
-_OTHER = {_PINNED: _OWN, _OWN: _PINNED}
-_gate = threading.Condition()
-_kind = None
-_inside = {}
-_waiting = {_PINNED: 0, _OWN: 0}
-_turn = _OWN
-_saved = ()
+# held by single_threaded and library_threads for their body, one
+# thread at a time, and the counts the outermost pin found (None while
+# no pin is in effect)
+_lock = threading.RLock()
+_saved = None
 
 # the packages whose pools a large operation joins on entry: tribem's
 # large operations run on scipy's LAPACK, so numpy's pool spins only
@@ -231,58 +229,48 @@ def _set_threads(lib, n):
         lib.set_threads(n)
 
 
-def _admits(kind):
-    """Whether a caller of ``kind`` from a thread not yet inside may enter."""
-    rival = _OTHER[kind]
-    if _kind is None:
-        return not _waiting[rival] or _turn == kind
-    return _kind == kind and not _waiting[rival]
-
-
 @contextmanager
-def _enter(kind):
-    """Hold the gate as ``kind`` for the body; the first pin sets the
-    found libraries to one thread and the last caller out restores
-    them."""
-    global _kind, _saved, _turn
-    found = libraries()
-    me = threading.get_ident()
-    with _gate:
-        if me not in _inside:
-            _waiting[kind] += 1
-            try:
-                _gate.wait_for(lambda: _admits(kind))
-            finally:
-                _waiting[kind] -= 1
-            if _kind is None:
-                _kind = kind
-                if kind == _PINNED:
-                    _saved = tuple(lib.threads() for lib in found)
-                    for lib in found:
-                        _set_threads(lib, 1)
-        _inside[me] = _inside.get(me, 0) + 1
-    try:
-        yield
-    finally:
-        with _gate:
-            _inside[me] -= 1
-            if not _inside[me]:
-                del _inside[me]
-            if not _inside:
-                if _kind == _PINNED:
-                    for lib, n in zip(found, _saved):
-                        _set_threads(lib, n)
-                _turn = _OTHER[_kind]
-                _kind = None
-                _gate.notify_all()
-
-
 def single_threaded():
-    """Hold the found libraries at one thread until the last concurrent
-    caller leaves, then restore the counts the first one found, also
-    when the body raises. Waits while another thread is inside
-    :func:`library_threads`."""
-    return _enter(_PINNED)
+    """Hold the found libraries at one thread for the body, and restore
+    the counts found after, also when the body raises. Holds the lock:
+    waits while another thread is inside a pin or
+    :func:`library_threads`, and a nested entry runs inside the outer
+    one."""
+    global _saved
+    found = libraries()
+    with _lock:
+        if _saved is not None:
+            yield
+            return
+        _saved = tuple(lib.threads() for lib in found)
+        try:
+            for lib in found:
+                _set_threads(lib, 1)
+            yield
+        finally:
+            for lib, n in zip(found, _saved):
+                _set_threads(lib, n)
+            _saved = None
+
+
+def _after_fork_in_child():
+    """A child forked while another thread held the lock inherits it held
+    by a thread it does not have: restore the counts that thread's pin
+    found, if any, and start with a free lock. A lock the forking thread
+    holds stays its own."""
+    global _lock, _saved
+    if _lock.acquire(blocking=False):
+        _lock.release()
+        return
+    if _saved is not None:
+        for lib, n in zip(libraries(), _saved):
+            _set_threads(lib, n)
+        _saved = None
+    _lock = threading.RLock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
 def quiet():
@@ -311,9 +299,9 @@ def quiet():
 
 @contextmanager
 def library_threads():
-    """Run the body at the libraries' own thread count: wait while
-    another thread holds a pin, and keep other threads' new pins waiting
-    until the body ends. Starts with :func:`quiet`."""
-    with _enter(_OWN):
+    """Run the body at the libraries' own thread count, or at one inside
+    the caller's own pin: hold the lock, so no other thread's pin
+    changes the count until the body ends. Starts with :func:`quiet`."""
+    with _lock:
         quiet()
         yield

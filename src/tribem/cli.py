@@ -128,15 +128,23 @@ _SWEEP_DEFAULTS = {
 }
 
 
+# the sweep's --mode names and the bench modes they run
+_SWEEP_MODES = {
+    "direct": "assemble-and-solve",
+    "precomputed": "precomputed-matvec",
+    "dummy": "dummy-system",
+}
+
+# the flags that set a BenchConfig field, where they differ from its name
+_FIELD_FLAGS = {"problem": ("cube", "mesh", "bc"), "quad_order": ("quad",), "sizes": ("size",)}
+
+
 def _unused_sweep_flags(args):
-    """Flags given on the command line that the sweep's mode does not read."""
-    if args.mode == "direct":
-        unused = ("size",)
-    elif args.mode == "dummy":
-        unused = ("cube", "mesh", "bc", "quad", "workers", "block_sizes")
-    else:  # precomputed
-        unused = ("size", "workers", "block_sizes")
-    return [f"--{name.replace('_', '-')}" for name in unused if getattr(args, name) is not None]
+    """Flags given on the command line that the sweep's mode does not
+    read: those of the fields ``bench._UNUSED`` lists for it."""
+    fields = bench._UNUSED[_SWEEP_MODES[args.mode]]
+    names = [name for field in fields for name in _FIELD_FLAGS.get(field, (field,))]
+    return [f"--{name.replace('_', '-')}" for name in names if getattr(args, name) is not None]
 
 
 def _cmd_sweep(args):
@@ -146,11 +154,7 @@ def _cmd_sweep(args):
     for name, default in _SWEEP_DEFAULTS.items():
         if getattr(args, name) is None:
             setattr(args, name, default)
-    mode = {
-        "direct": "assemble-and-solve",
-        "precomputed": "precomputed-matvec",
-        "dummy": "dummy-system",
-    }[args.mode]
+    mode = _SWEEP_MODES[args.mode]
     problem = None
     if mode != "dummy-system" and (args.cube or args.mesh):
         problem = _load_problem(args)
@@ -258,7 +262,7 @@ def build_parser():
     p.add_argument("--bc", metavar="PATH")
     p.add_argument("--quad", type=int, choices=SUPPORTED_ORDERS,
                    help="Gauss order per axis (default 16)")
-    p.add_argument("--mode", choices=("direct", "precomputed", "dummy"),
+    p.add_argument("--mode", choices=tuple(_SWEEP_MODES),
                    default="direct")
     p.add_argument("--size", type=_int_list, metavar="LIST",
                    help="synthetic system sizes (dummy mode)")

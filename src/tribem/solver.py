@@ -36,9 +36,9 @@ small solve also woke scipy's OpenBLAS pool, whose threads then spun on
 a core into the next request's assembly. The thread count changes the
 LU's rounding, so the size alone decides: a system solves bit for bit
 the same wherever it was assembled. The precomputed path keeps the
-libraries' count. A large solve and the precomputed build wait while
-another thread holds a pin, and hold new pins off until they are done,
-so a concurrent small solve cannot change their rounding.
+libraries' count. A large solve and the precomputed build hold the
+lock the pins hold, so no other thread's pin changes the count while
+they run and a concurrent small solve cannot change their rounding.
 
 A large solve, the precomputed build and a large
 :func:`apply_boundary_conditions` also start with numpy's BLAS pool
@@ -307,7 +307,7 @@ def solve_direct(system: LinearSystem):
     Below ``SINGLE_THREAD_DOFS`` the whole solve, fallback included,
     runs with one BLAS thread, and the float32 copy is the calling
     thread's kept array (:func:`working_array`); above it, at the
-    libraries' own count, waiting for other threads' pins to leave
+    libraries' own count, holding the lock the pins hold
     (:mod:`tribem._blas`), in a new copy. x is always a new array."""
     a = _square(system.a)
     b = np.asarray(system.b, dtype=float)
@@ -392,7 +392,7 @@ class PrecomputedOperator:
         G. A itself is factored, not A^T: its columns mix the scales of
         H and G, and row pivoting, as in :func:`solve_direct`, is blind
         to that. Factors and solves at the libraries' own thread count,
-        waiting for other threads' pins to leave (:mod:`tribem._blas`)."""
+        holding the lock the pins hold (:mod:`tribem._blas`)."""
         with _blas.library_threads():
             lu_piv = _checked_lu(apply_boundary_conditions(hg, bc).a, overwrite_a=True)
             m = scipy.linalg.lu_solve(

@@ -103,3 +103,61 @@ def test_directions_from_the_benchmark_spec():
 def test_seed_ranges():
     assert benchjson.parse_seeds("11-14") == [11, 12, 13, 14]
     assert benchjson.parse_seeds("7") == [7]
+
+
+# A stub perfbench/run.py: prints an environment line and a result
+# line, or, for the seeds in FAIL, a traceback on stderr and exits 1.
+_STUB = """
+import json, sys
+FAIL = {fail}
+seed = int(sys.argv[sys.argv.index("--seed") + 1])
+print("environment: " + json.dumps({{"nproc": 2}}))
+if seed in FAIL:
+    print("Traceback (most recent call last):", file=sys.stderr)
+    print("RuntimeError: seed " + str(seed), file=sys.stderr)
+    sys.exit(1)
+metrics = {{"latency_p50_ms": {{"value": float(seed), "unit": "ms"}}}}
+print(json.dumps({{"correct": True, "attempted": 10, "failed": 0, "metrics": metrics}}))
+"""
+
+
+def test_a_failed_run_is_logged_and_the_rest_run(tmp_path):
+    checkouts = {}
+    for side, fail in (("parent", {1}), ("change", set())):
+        run = tmp_path / side / "perfbench" / "run.py"
+        run.parent.mkdir(parents=True)
+        run.write_text(_STUB.format(fail=fail))
+        checkouts[side] = tmp_path / side
+    log = tmp_path / "runs.jsonl"
+    assert benchjson.main([
+        "pairs", "--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+        "--workload", "cube-graphics", "--seeds", "1-2", "--seconds", "1", "--log", str(log),
+    ]) == 0
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(r["seed"], r["side"]) for r in runs] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent")
+    ]
+    (failed,) = [r for r in runs if r["result"] is None]
+    assert (failed["seed"], failed["side"]) == (1, "parent")
+    assert failed["failure"] == {
+        "exit_code": 1,
+        "stderr_tail": ["Traceback (most recent call last):", "RuntimeError: seed 1"],
+    }
+    assert failed["environment"] == {"nproc": 2}
+
+    out = benchjson.summarize(runs, BETTER, 9)
+    parent, change = (out["summary"]["cube-graphics"][side] for side in ("parent", "change"))
+    assert (parent["failed_runs"], parent["seeds"]) == (1, [2])
+    assert parent["metrics"]["latency_p50_ms"]["median"] == 2.0
+    assert (change["failed_runs"], change["seeds"]) == (0, [1, 2])
+    assert out["paired"]["cube-graphics"]["latency_p50_ms"]["pairs"] == 1
+
+
+def test_a_side_with_only_failed_runs(records):
+    for r in records:
+        if r["side"] == "change":
+            r["result"], r["failure"] = None, {"exit_code": 1, "stderr_tail": []}
+    out = benchjson.summarize(records, BETTER, 9)
+    assert out["summary"]["cube-graphics"]["change"] == {"seeds": [], "failed_runs": 5}
+    assert out["summary"]["cube-graphics"]["parent"]["failed_runs"] == 0
+    assert "cube-graphics" not in out["paired"]

@@ -5,7 +5,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +28,22 @@ def found():
 
 def counts():
     return _blas.thread_counts()
+
+
+@pytest.fixture
+def caller():
+    """Starts a :class:`Caller` of a kind; every one still inside at
+    teardown is released, so a failed test leaves none holding the lock
+    for the next."""
+    started = []
+
+    def start(kind):
+        started.append(Caller(kind))
+        return started[-1]
+
+    yield start
+    for each in started:
+        each.finish()
 
 
 class TestSingleThreaded:
@@ -59,52 +74,39 @@ class TestSingleThreaded:
                 lib.set_threads(before[lib.package])
 
     @pytest.mark.parametrize("first_out", ["first in", "second in"])
-    def test_overlapping_callers(self, found, first_out):
-        # the count is process-wide: a second thread sees the pin, and the
-        # count comes back only when the last caller leaves, whichever it is
+    def test_overlapping_callers(self, found, caller, first_out):
+        # a second thread's pin waits until the first leaves, also when it
+        # is released first, and sees one thread once inside; the count is
+        # process-wide, so a bystander sees the pin too
         before = counts()
         pinned = {lib.package: 1 for lib in found}
-        entered = {name: threading.Event() for name in ("first in", "second in")}
-        leave = {name: threading.Event() for name in ("first in", "second in")}
-        seen = {}
-
-        def caller(name):
-            with _blas.single_threaded():
-                entered[name].set()
-                leave[name].wait(10)
-            seen[name] = counts()
-
-        def bystander():
-            seen["bystander"] = counts()
-
-        threads = {name: threading.Thread(target=caller, args=(name,)) for name in entered}
-        threads["first in"].start()
-        assert entered["first in"].wait(10)
-        threads["second in"].start()
-        assert entered["second in"].wait(10)
-        reader = threading.Thread(target=bystander)
+        first = caller("pin")
+        assert first.inside.wait(10)
+        second = caller("pin")
+        assert not second.inside.wait(0.2)
+        seen = []
+        reader = threading.Thread(target=lambda: seen.append(counts()))
         reader.start()
         reader.join(10)
-        assert seen["bystander"] == pinned
+        assert seen == [pinned]
 
-        last_out = "second in" if first_out == "first in" else "first in"
-        leave[first_out].set()
-        threads[first_out].join(10)
-        assert seen[first_out] == pinned
-        leave[last_out].set()
-        threads[last_out].join(10)
-        assert seen[last_out] == before
+        {"first in": first, "second in": second}[first_out].release.set()
+        if first_out == "second in":
+            assert not second.inside.wait(0.2)
+        first.finish()
+        assert second.inside.wait(10)
+        second.finish()
+        assert first.seen == second.seen == pinned
         assert counts() == before
 
 
 ENTER = {"pin": _blas.single_threaded, "own": _blas.library_threads}
 RIVAL = {"pin": "own", "own": "pin"}
-KIND = {"pin": _blas._PINNED, "own": _blas._OWN}
 
 
 class Caller:
-    """A thread that enters the gate as ``kind``, records the counts it
-    sees inside and stays until released."""
+    """A thread that enters as ``kind``, records the counts it sees
+    inside and stays until released."""
 
     def __init__(self, kind):
         self.kind = kind
@@ -126,26 +128,17 @@ class Caller:
         assert not self.thread.is_alive()
 
 
-def waiting(kind, n=1):
-    """Wait until ``n`` callers of ``kind`` wait at the gate."""
-    deadline = time.monotonic() + 10
-    while _blas._waiting[KIND[kind]] < n:
-        assert time.monotonic() < deadline, f"no {kind} caller waits"
-        time.sleep(0.001)
-
-
 class TestGate:
-    """Pins and calls at the libraries' own count never overlap across
-    threads, and neither kind starves the other."""
+    """Pins and calls at the libraries' own count hold one lock: no two
+    threads' calls overlap, and a thread inside enters again at once."""
 
     @pytest.mark.parametrize("first", ["pin", "own"])
-    def test_overlapping_kinds_take_turns(self, found, first):
+    def test_overlapping_kinds_take_turns(self, found, caller, first):
         before = counts()
-        held = Caller(first)
+        held = caller(first)
         assert held.inside.wait(10)
-        rival = Caller(RIVAL[first])
-        waiting(rival.kind)
-        assert not rival.inside.is_set()
+        rival = caller(RIVAL[first])
+        assert not rival.inside.wait(0.2)
         held.finish()
         assert rival.inside.wait(10)
         rival.finish()
@@ -153,30 +146,13 @@ class TestGate:
         assert seen == {"pin": {lib.package: 1 for lib in found}, "own": before}
         assert counts() == before
 
-    @pytest.mark.parametrize("first", ["pin", "own"])
-    def test_a_waiting_caller_is_not_starved(self, found, first):
-        # a caller of first's kind arriving while the rival waits does not
-        # join first, which would keep the gate in first's kind
-        before = counts()
-        held = Caller(first)
-        assert held.inside.wait(10)
-        rival = Caller(RIVAL[first])
-        waiting(rival.kind)
-        late = Caller(first)
-        waiting(late.kind)
-        held.finish()
-        assert rival.inside.wait(10)
-        assert not late.inside.is_set()
-        rival.finish()
-        assert late.inside.wait(10)
-        late.finish()
-        assert counts() == before
-
     @pytest.mark.parametrize("outer", ["pin", "own"])
-    def test_a_thread_never_waits_on_itself(self, found, outer):
-        # the nested call enters at once, even with a rival waiting, and
-        # runs at the count its outer call set
+    def test_a_thread_never_waits_on_itself(self, found, caller, outer):
+        # the nested call enters at once, even with a rival waiting: a pin
+        # inside library_threads pins and restores, and library_threads
+        # inside a pin runs at one thread
         before = counts()
+        pinned = {lib.package: 1 for lib in found}
         ready, go, done, seen = threading.Event(), threading.Event(), threading.Event(), []
 
         def nested():
@@ -185,26 +161,26 @@ class TestGate:
                 go.wait(10)
                 with ENTER[RIVAL[outer]]():
                     seen.append(counts())
+                seen.append(counts())
             done.set()
 
         thread = threading.Thread(target=nested, daemon=True)
         thread.start()
         assert ready.wait(10)
-        rival = Caller(RIVAL[outer])
-        waiting(rival.kind)
+        rival = caller(RIVAL[outer])
+        assert not rival.inside.wait(0.1)
         go.set()
         assert done.wait(10)
-        assert seen == [{lib.package: 1 for lib in found} if outer == "pin" else before]
+        assert seen == [pinned, pinned if outer == "pin" else before]
         assert rival.inside.wait(10)
         rival.finish()
         thread.join(10)
         assert counts() == before
 
-
-    def test_stress(self, found):
+    def test_stress(self, found, caller):
         # more threads than cores, entering both kinds, sometimes nested,
         # with frequent thread switches: the kinds never overlap, each
-        # sees its count, and the gate ends empty at the count it started
+        # sees its count, and the lock ends free at the count it started
         before = counts()
         pinned = {lib.package: 1 for lib in found}
         lock, inside, errors = threading.Lock(), {"pin": 0, "own": 0}, []
@@ -243,7 +219,10 @@ class TestGate:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         assert counts() == before
-        assert _blas._inside == {} and _blas._kind is None
+        after = caller("pin")
+        assert after.inside.wait(10)
+        after.finish()
+        assert after.seen == pinned
 
 
 class TestNothingFound:
@@ -312,6 +291,73 @@ def test_no_process_wide_side_effect(found):
     before, after = json.loads(result.stdout.strip().splitlines()[-1])
     assert None not in before
     assert after == before
+
+
+# Holds a pin in argv[1]'s thread, forks, and solves a seeded 1600-DOF
+# system (above SINGLE_THREAD_DOFS, so inside library_threads) in the
+# child, which SIGALRM ends after 20 s. Prints the counts before the
+# pin, the child's counts after its solve and the child's exit code.
+_FORK = """
+import json, os, signal, sys, threading
+import numpy as np
+from tribem import _blas
+from tribem.assembly import LinearSystem
+from tribem.solver import solve_direct
+
+rng = np.random.default_rng(19)
+a = np.asfortranarray(rng.standard_normal((1600, 1600)) + 1600 * np.eye(1600))
+system = LinearSystem(a, rng.standard_normal(1600), np.zeros(1600, dtype=bool))
+before = _blas.thread_counts()
+inside, leave = threading.Event(), threading.Event()
+
+def hold():
+    with _blas.single_threaded():
+        inside.set()
+        leave.wait(60)
+
+def fork():
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(20)
+        solve_direct(system)
+        os.write(w, json.dumps(_blas.thread_counts()).encode())
+        os._exit(0)
+    os.close(w)
+    _, status = os.waitpid(pid, 0)
+    with os.fdopen(r) as f:
+        return json.loads(f.read() or "null"), os.waitstatus_to_exitcode(status)
+
+if sys.argv[1] == "another thread":
+    thread = threading.Thread(target=hold)
+    thread.start()
+    inside.wait(10)
+    child = fork()
+    leave.set()
+    thread.join()
+else:
+    with _blas.single_threaded():
+        child = fork()
+print(json.dumps([before, *child]))
+"""
+
+
+@pytest.mark.parametrize("holder", ["another thread", "the forking thread"])
+def test_fork_inside_a_pin(found, holder):
+    """A child forked while another thread holds a pin starts with the
+    counts that pin found and a free lock, so its large solve runs; a
+    child forked inside the forking thread's own pin keeps that pin."""
+    result = subprocess.run(
+        [sys.executable, "-c", _FORK, holder],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    before, seen, code = json.loads(result.stdout.strip().splitlines()[-1])
+    assert code == 0, "the child's solve did not finish within 20 s"
+    assert seen == (before if holder == "another thread" else {lib.package: 1 for lib in found})
 
 
 class _FakePool:

@@ -10,15 +10,18 @@ seed, alternating which side runs first. It appends one line per run to
 the log: the side, workload, seed, trace flag, which side ran first, the
 checkout's git revision and a digest of its ``src/``, the environment
 line the run printed, and the run's result (the last line of its
-standard output).
+standard output). A run that exits non-zero is logged with no result,
+its exit code and the last lines of its standard error, and the seeds
+after it still run.
 
 ``write`` turns a log into one JSON object: per workload and side the
 median and quartiles of each metric over runs (traced runs in rows of
 their own), per workload the pairs
 (same seed and trace flag on both sides) in which the change was better
 by each metric's direction in ``BENCHMARK.json``, and how far apart the
-two medians are against the parent's interquartile range. It also keeps
-the environment, the revisions and every run.
+two medians are against the parent's interquartile range. It counts
+the failed runs per workload and side and keeps them out of the medians
+and pairs. It also keeps the environment, the revisions and every run.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 ENVIRONMENT = "environment: "
+STDERR_LINES = 20  # of a failed run, kept in the log
 
 
 def parse_seeds(text):
@@ -59,15 +63,22 @@ def revision(checkout):
 
 
 def run_once(checkout, workload, seed, seconds, trace):
-    """One run of the checkout's benchmark: (environment, result, wall seconds)."""
+    """One run of the checkout's benchmark: (environment, result, wall
+    seconds, failure). A run that exits non-zero has no result; its
+    failure is its exit code and the last lines of its standard error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
     t0 = time.perf_counter()
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
     lines = out.stdout.strip().splitlines()
     env = next((json.loads(line[len(ENVIRONMENT):]) for line in lines
                 if line.startswith(ENVIRONMENT)), None)
-    return env, json.loads(lines[-1]), time.perf_counter() - t0
+    if out.returncode:
+        failure = {"exit_code": out.returncode,
+                   "stderr_tail": out.stderr.strip().splitlines()[-STDERR_LINES:]}
+        return env, None, wall, failure
+    return env, json.loads(lines[-1]), wall, None
 
 
 def pairs(args):
@@ -76,19 +87,22 @@ def pairs(args):
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
-            env, result, wall = run_once(checkouts[side], args.workload, seed,
-                                         args.seconds, args.trace)
+            env, result, wall, failure = run_once(checkouts[side], args.workload, seed,
+                                                  args.seconds, args.trace)
             record = {
                 "side": side, "workload": args.workload, "seed": seed,
                 "trace": args.trace, "seconds": args.seconds, "ran_first": order[0],
                 "revision": revisions[side], "wall_s": round(wall, 2),
-                "environment": env, "result": result,
+                "environment": env, "result": result, "failure": failure,
             }
             with open(args.log, "a") as f:
                 f.write(json.dumps(record) + "\n")
-            p50 = result["metrics"].get("latency_p50_ms", {}).get("value")
-            print(f"{args.workload} seed {seed} {side}: p50 {p50} ms, "
-                  f"failed {result['failed']} of {result['attempted']}", flush=True)
+            if failure:
+                said = f"exited {failure['exit_code']}"
+            else:
+                p50 = result["metrics"].get("latency_p50_ms", {}).get("value")
+                said = f"p50 {p50} ms, failed {result['failed']} of {result['attempted']}"
+            print(f"{args.workload} seed {seed} {side}: {said}", flush=True)
 
 
 def spread(values):
@@ -112,19 +126,27 @@ def label(record):
 def summarize(records, better, index, note=""):
     """The BENCH object for the log's records."""
     summary, paired = {}, {}
-    by_key = {}
+    by_key, failed_runs = {}, {}
     for r in records:
+        if r["result"] is None:
+            key = (label(r), r["side"])
+            failed_runs[key] = failed_runs.get(key, 0) + 1
+            continue
         by_key.setdefault((label(r), r["side"]), []).append(r)
         by_key.setdefault((label(r), r["seed"], r["trace"]), {})[r["side"]] = r
     for workload in sorted({label(r) for r in records}):
         summary[workload] = {}
         for side in SIDES:
             runs = by_key.get((workload, side), [])
+            failed = failed_runs.get((workload, side), 0)
             if not runs:
+                if failed:
+                    summary[workload][side] = {"seeds": [], "failed_runs": failed}
                 continue
             names = runs[0]["result"]["metrics"]
             summary[workload][side] = {
                 "seeds": [r["seed"] for r in runs],
+                "failed_runs": failed,
                 "attempted": sum(r["result"]["attempted"] for r in runs),
                 "failed": sum(r["result"]["failed"] for r in runs),
                 "metrics": {
