@@ -59,9 +59,34 @@ system, A from :func:`solve` and the float32 copy from
 buffers beside them (:func:`working_array`). Its next request of that
 size reuses their memory instead of faulting in new pages, which glibc
 would otherwise hand back to the OS after each request. No array
-returned to a caller refers to a kept one. At 3000 DOF a kept A and its
-float32 copy would hold 108 MB per thread, so larger systems keep
-nothing.
+returned to a caller refers to a kept one. At or above the gate a
+thread keeps nothing: at 3000 DOF a kept A and its float32 copy would
+hold 108 MB per thread.
+
+The process keeps one array at or above the gate: the float32 copy of
+A that ``sgetrf`` factors in place, 36 MB at 3000 DOF, of the last
+size solved there. Every :func:`solve_direct` holds the lock of
+:mod:`tribem._blas` for its whole run, so the lock owns the buffer,
+not a thread, and no two solves write it at once. A solve of another
+size replaces it, logging one DEBUG line, as its first allocation
+does, and a forked child drops it. The cast and the column scales are
+one pass over column blocks that stay in L2 (``_CAST_BLOCK_BYTES``),
+each block's scales read from the float32 block just written; the
+timings are in :func:`solve_direct`. A itself stays a new array at
+that size: it is returned to the caller in the :class:`LinearSystem`.
+
+Huge pages, read from the process's own ``/proc/self/smaps`` on that VM
+(transparent huge pages on ``madvise``, which numpy requests for large
+arrays): the mappings spanning the kept buffer at 3000 DOF held
+32.0-34.0 MiB of ``AnonHugePages`` of 34.3 MiB resident after each of
+three solves in two processes, a fresh 36 MB float32 array 32.0 of
+34.3 MiB, A 66.0 of 68.7 MiB, and box-haptic's operator M^T and H 68.0
+of 68.7 MiB each. numpy advises only the 2 MiB-aligned part of an
+allocation, so an array's first page lies in a mapping of its own that
+reads 0 kB: that mapping alone, or the system-wide ``AnonHugePages``
+of ``/proc/meminfo`` (0 kB on that VM), shows none. So page size does
+not tell a kept buffer from a fresh one; reuse saves the fresh pages'
+faults and zeroing.
 """
 
 from __future__ import annotations
@@ -128,10 +153,51 @@ REFINE_TOL = 16 * np.finfo(float).eps
 # working_array); the measured crossover is in the module docstring
 SINGLE_THREAD_DOFS = 1500
 
+# The float32 copy of A is written, and its column scales taken, one
+# block of this many bytes of float32 columns at a time: the block and
+# its float64 source fit in a core's 2 MiB L2, so the block is still
+# there when its scales are read. Inside box-regrasp solves at 3000 DOF
+# on a 2-vCPU VM, the sizes interleaved, medians of 7 passes in each of
+# two processes: 11.7-13.8 ms at 256 KiB, 13.0-13.6 ms at 512 KiB,
+# 12.6-14.8 ms at 1 MiB, 14.7-16.0 ms at 2 MiB and 15.5-16.9 ms at
+# 8 MiB, against 19.4-19.5 ms for a whole cast into a fresh array and
+# 6.4-6.5 ms for a second pass over it for the scales.
+_CAST_BLOCK_BYTES = 1 << 19
+
 log = logging.getLogger(__name__)
 
 # the arrays each thread keeps for its small systems, by name
 _kept = threading.local()
+
+# the float32 copy of A of the last solve at or above SINGLE_THREAD_DOFS,
+# owned by _blas's lock (see the module docstring)
+_factor32 = None
+
+
+def _factor_buffer(n):
+    """The process's one float32 n x n column-major buffer for the LU of
+    a solve at or above the gate. A solve of another n replaces it; the
+    old buffer is released before the new one is allocated. The caller
+    holds :mod:`tribem._blas`'s lock."""
+    global _factor32
+    if _factor32 is None or _factor32.shape[0] != n:
+        replaced = _factor32 is not None
+        _factor32 = None
+        _factor32 = np.empty((n, n), np.float32, order="F")
+        log.debug(
+            "float32 factor buffer %s for %d DOFs (%.1f MB)",
+            "replaced" if replaced else "allocated", n, _factor32.nbytes / 1e6,
+        )
+    return _factor32
+
+
+def _drop_factor_buffer():
+    global _factor32
+    _factor32 = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_factor_buffer)
 
 
 def working_array(name, n_dofs, shape, dtype=np.float64):
@@ -193,6 +259,25 @@ def _column_scales(a):
     return np.maximum(a.max(axis=0), -a.min(axis=0))
 
 
+def _cast_with_scales(a, a32):
+    """Copy ``a`` into the float32 ``a32`` and return the column scales
+    of the copy, in one pass over blocks of ``_CAST_BLOCK_BYTES`` of
+    float32 columns: each block's scales come from the block just
+    written, so A is read once and the copy is not read again. An entry
+    beyond float32's range becomes inf, and its column's scale with
+    it."""
+    n = a.shape[0]
+    step = max(1, _CAST_BLOCK_BYTES // (a32.itemsize * n))
+    scales = np.empty(n, a32.dtype)
+    with np.errstate(over="ignore"):
+        for j in range(0, n, step):
+            cols = slice(j, j + step)
+            block = a32[:, cols]
+            np.copyto(block, a[:, cols])
+            scales[cols] = _column_scales(block)
+    return scales
+
+
 def _checked_lu(a, overwrite_a=False):
     """LU-factorise and reject matrices that are not finite, or singular
     to working precision.
@@ -228,8 +313,11 @@ def _refined_single_solve(a, b):
     """x from a float32 LU of ``a`` refined in float64, and None; or None
     and the reason single precision cannot decide the system.
 
-    The float32 copy of A is the one pass over A before the LU: the
-    column scales come from it, and a scale that is not finite (a NaN
+    The float32 copy of A is the one pass over A before the LU
+    (:func:`_cast_with_scales`), into the calling thread's kept array
+    below ``SINGLE_THREAD_DOFS`` and into the process's one factor
+    buffer at or above it: the column scales come from each block of
+    the copy as it is written, and a scale that is not finite (a NaN
     or inf in A, or a finite entry beyond float32's range) leaves the
     system to the double LU and its checks. A pivot within n * eps32 of
     its column's largest entry means A is singular to single precision,
@@ -244,10 +332,11 @@ def _refined_single_solve(a, b):
     A.
     """
     n = a.shape[0]
-    a32 = working_array("a32", n, (n, n), np.float32)
-    with np.errstate(over="ignore"):  # beyond float32's range: inf, caught below
-        np.copyto(a32, a)
-    scales = _column_scales(a32)
+    if n >= SINGLE_THREAD_DOFS:
+        a32 = _factor_buffer(n)
+    else:
+        a32 = working_array("a32", n, (n, n), np.float32)
+    scales = _cast_with_scales(a, a32)
     if not np.isfinite(scales).all():
         return None, "A has entries that are not finite in single precision"
     lu, piv, _ = lapack.sgetrf(a32, overwrite_a=True)
@@ -295,11 +384,13 @@ def solve_direct(system: LinearSystem):
     the system. Leaves ``system`` unchanged and copies A in double only
     for that fallback.
 
-    Besides the LU, it reads A once for the float32 copy, the float32
-    copy once for the column scales, and A once per refinement step for
-    the residual. At 3000 DOF on a 2-vCPU VM these took ~17-24 ms,
-    ~7-9 ms and ~3.5-9 ms, against ~130-150 ms for ``sgetrf`` and ~3-4
-    ms for each float32 solve. A is expected column-major, as
+    Besides the LU, it reads A once for the float32 copy and its column
+    scales, taken together block by block (:func:`_cast_with_scales`),
+    and A once per refinement step for the residual. At 3000 DOF on a
+    2-vCPU VM these took ~12-17 ms and ~3.5-9 ms, against ~130-150 ms
+    for ``sgetrf`` and ~3-4 ms for each float32 solve; a cast into a
+    fresh array took ~19.5 ms and a second pass for the scales ~6.5 ms.
+    A is expected column-major, as
     :func:`apply_boundary_conditions` returns it: LAPACK reads that
     layout, so the float32 copy is a straight conversion. Another layout
     is transposed on the way, which at 3000 DOF took 65-100 ms.
@@ -308,7 +399,8 @@ def solve_direct(system: LinearSystem):
     runs with one BLAS thread, and the float32 copy is the calling
     thread's kept array (:func:`working_array`); above it, at the
     libraries' own count, holding the lock the pins hold
-    (:mod:`tribem._blas`), in a new copy. x is always a new array."""
+    (:mod:`tribem._blas`), in the process's one factor buffer, which
+    that lock owns. x is always a new array."""
     a = _square(system.a)
     b = np.asarray(system.b, dtype=float)
     small = a.shape[0] < SINGLE_THREAD_DOFS

@@ -451,6 +451,26 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         assert in_new_thread(kept_after_call) == 3 * 8 * n * n + 4 * n * n + 8 * sweep
         assert int(record.read_text()) == 2 * 8 * n * (n // 2) + 8 * sweep
 
+    @needs_workers
+    def test_worker_holds_no_factor_buffer(self, prob, monkeypatch, tmp_path, fresh_workers):
+        # the caller holds the process's float32 factor buffer when it
+        # forks the worker; the worker process starts without it
+        monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
+        monkeypatch.setattr(solver, "_factor32", None)
+        rule = gauss_rule(4)
+        caller, record = os.getpid(), tmp_path / "held"
+
+        def recorded(*args):
+            assemble_columns(*args)
+            if os.getpid() != caller:
+                record.write_text(repr(solver._factor32))
+
+        monkeypatch.setattr("tribem.distribution.assemble_columns", recorded)
+        solve(assemble(prob.mesh, prob.material, rule), prob.bc)
+        assert solver._factor32 is not None
+        self.run(prob, rule)  # forks the worker
+        assert record.read_text() == "None"
+
     def test_nothing_returned_aliases_a_kept_array(self, prob):
         rule = gauss_rule(8)
         sol = self.run(prob, rule)

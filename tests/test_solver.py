@@ -2,11 +2,14 @@ import contextlib
 import hashlib
 import json
 import logging
+import os
 import re
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -150,6 +153,24 @@ def double_lu_solve(system):
         return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.a), system.b)
 
 
+def digest(x):
+    return hashlib.sha256(x.tobytes()).hexdigest()
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """The float32 cast in blocks of 16 columns of a 300-DOF system."""
+    monkeypatch.setattr(solver, "_CAST_BLOCK_BYTES", 4 * 300 * 16)
+
+
+@pytest.fixture
+def low_gate(monkeypatch):
+    """Systems from 300 DOFs on take the process's factor buffer; the test
+    starts with none and leaves the one it found."""
+    monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 300)
+    monkeypatch.setattr(solver, "_factor32", None)
+
+
 class TestMixedPrecision:
     """solve_direct factors in single precision and refines in double; it
     answers as the double LU does, and falls back to it where single
@@ -227,6 +248,29 @@ class TestMixedPrecision:
         assert reason in record.getMessage()
         assert "solving with the double-precision LU" in record.getMessage()
         assert np.array_equal(x, double_lu_solve(system))
+
+    @pytest.mark.parametrize("gate", ["kept array", "factor buffer"])
+    @pytest.mark.parametrize("column", [0, 150, 299])  # first, a middle, the last block
+    def test_beyond_single_range_falls_back(self, caplog, monkeypatch, small_blocks, gate, column):
+        if gate == "factor buffer":
+            monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 300)
+        system = random_system(np.random.default_rng(81), 300)
+        system.a[:, column] *= 1e39
+        self.assert_falls_back(system, caplog, "not finite in single precision")
+
+    @pytest.mark.parametrize("gate", ["kept array", "factor buffer"])
+    @pytest.mark.parametrize("column", [0, 150, 299])
+    def test_nan_falls_back_and_is_rejected(self, caplog, monkeypatch, small_blocks, gate, column):
+        if gate == "factor buffer":
+            monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 300)
+        system = random_system(np.random.default_rng(82), 300)
+        system.a[column // 2, column] = np.nan
+        with caplog.at_level(logging.INFO, logger="tribem.solver"):
+            with pytest.raises(ValueError, match="non-finite"):
+                solve_direct(system)
+        (record,) = caplog.records
+        assert "not finite in single precision" in record.getMessage()
+        assert "solving with the double-precision LU" in record.getMessage()
 
     def test_ill_conditioned_falls_back(self, caplog):
         # cond 1e9: beyond what float32 factors can refine
@@ -399,6 +443,118 @@ class TestBlasThreads:
         assert len(solved) >= 2
         assert beside == [alone, alone]
         assert thread_counts() == own
+
+
+class TestCastWithScales:
+    """The float32 copy of A and its column scales come from one pass
+    over column blocks, and equal a whole cast followed by the scales of
+    the whole copy."""
+
+    @pytest.mark.parametrize("n, block", [(7, 4 * 7 * 3), (300, 4 * 300 * 16), (300, 1 << 19)])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_equals_cast_then_scales(self, monkeypatch, n, block, order):
+        monkeypatch.setattr(solver, "_CAST_BLOCK_BYTES", block)
+        a = np.array(np.random.default_rng(80).standard_normal((n, n)), order=order)
+        a[:, 2] *= 1e39  # beyond float32's range: inf in the copy and the scale
+        want32 = np.empty((n, n), np.float32, order="F")
+        with np.errstate(over="ignore"):
+            np.copyto(want32, a)
+        a32 = np.empty((n, n), np.float32, order="F")
+        scales = solver._cast_with_scales(a, a32)
+        assert np.array_equal(a32, want32)
+        assert np.array_equal(scales, solver._column_scales(want32))
+        assert scales.dtype == np.float32 and np.isinf(scales[2])
+
+
+class TestFactorBuffer:
+    """At or above SINGLE_THREAD_DOFS the float32 copy of A goes into the
+    process's one buffer, which the BLAS lock owns."""
+
+    def test_fresh_and_reused_buffer_solve_alike(self, low_gate):
+        one = random_system(np.random.default_rng(90), 300)
+        other = random_system(np.random.default_rng(91), 300)
+        fresh = digest(solve_direct(one))
+        buffer = solver._factor32
+        assert buffer.shape == (300, 300) and buffer.dtype == np.float32
+        solve_direct(other)  # leaves its own factors in the buffer
+        assert digest(solve_direct(one)) == fresh
+        assert solver._factor32 is buffer
+
+    def test_below_the_gate_leaves_it_alone(self, low_gate):
+        solve_direct(random_system(np.random.default_rng(92), 300))
+        buffer = solver._factor32
+        solve_direct(random_system(np.random.default_rng(93), 200))
+        assert solver._factor32 is buffer
+
+    def test_one_buffer_of_the_last_size(self, low_gate):
+        # after any sequence of solves: at most one buffer, of the last
+        # size solved at or above the gate, and none of the earlier alive
+        made = []
+        for n in (300, 400, 400, 200, 300, 250, 500):
+            solve_direct(random_system(np.random.default_rng(n), n))
+            if n >= 300:
+                assert solver._factor32.shape == (n, n)
+                made.append(weakref.ref(solver._factor32))
+            assert all(r() is None or r() is solver._factor32 for r in made)
+
+    def test_allocation_and_replacement_logged(self, low_gate, caplog):
+        with caplog.at_level(logging.DEBUG, logger="tribem.solver"):
+            for n in (300, 300, 200, 400):
+                solve_direct(random_system(np.random.default_rng(94), n))
+        said = [(r.levelno, r.getMessage()) for r in caplog.records if "buffer" in r.getMessage()]
+        assert said == [
+            (logging.DEBUG, "float32 factor buffer allocated for 300 DOFs (0.4 MB)"),
+            (logging.DEBUG, "float32 factor buffer replaced for 400 DOFs (0.6 MB)"),
+        ]
+
+    def test_nothing_returned_shares_it(self, low_gate, cube_setup, monkeypatch):
+        prob, hg, _ = cube_setup
+        monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", hg.n_dofs)
+        system = apply_boundary_conditions(hg, prob.bc)
+        x = solve_direct(system)
+        sol = solve(hg, prob.bc)
+        buffer = solver._factor32
+        assert buffer.shape == (hg.n_dofs, hg.n_dofs)
+        for array in (system.a, system.b, x, sol.u, sol.t, sol.displacement_known):
+            assert not np.shares_memory(array, buffer)
+
+    def test_concurrent_solves_as_one_after_another(self, low_gate):
+        # two threads solving systems of one size share the buffer, and
+        # the first thread's second size replaces it between them
+        jobs = [
+            [random_system(np.random.default_rng(95), n) for n in (300, 400)],
+            [random_system(np.random.default_rng(96), 300)],
+        ]
+        want = [[digest(solve_direct(s)) for s in systems] for systems in jobs]
+        got = [[], []]
+
+        def loop(i):
+            for _ in range(6):
+                got[i].append([digest(solve_direct(s)) for s in jobs[i]])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=loop, args=(i,), daemon=True) for i in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[want[0]] * 6, [want[1]] * 6]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_drops_it(self, low_gate):
+        solve_direct(random_system(np.random.default_rng(98), 300))
+        assert solver._factor32 is not None
+        pid = os.fork()
+        if pid == 0:
+            os._exit(0 if solver._factor32 is None else 1)
+        _, status = os.waitpid(pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert solver._factor32 is not None
 
 
 class TestScatter:
