@@ -29,8 +29,11 @@ entries (a, b) of the blocks are stacked arrays over (entry, element,
 collocation point), and all nine of H's and of G's are written into
 their places in one call each. H and G
 are column-major (Fortran order), the layout LAPACK reads, so a chunk's
-entries land in one contiguous slab of columns, and the system matrix
-A built from them reaches the LU with no conversion. A column block
+entries land in one contiguous slab of columns. The system matrix A of
+a boundary-condition set is no array of its own but a view of those
+slabs (:class:`SystemMatrix`), read at solve time: its float32 copy is
+cast from them and each residual multiplies by them where they sit, so
+a change of BC kinds builds no float64 n x n array. A column block
 depends on no other column, so any split of the elements gives
 bit-identical matrices, and a parallel run gives each worker a
 contiguous range of field elements.
@@ -128,7 +131,7 @@ class LinearSystem:
     displacements and tractions accordingly.
     """
 
-    a: np.ndarray
+    a: SystemMatrix | np.ndarray  # an ndarray is solved as one run
     b: np.ndarray
     swapped: np.ndarray  # (3N,) bool
 
@@ -358,36 +361,102 @@ def _warn_if_underconstrained(bc: BoundarySpec):
         )
 
 
-def _signed_columns(keep, negate, swapped, out=None):
-    """Column-major matrix with ``keep``'s columns where ``swapped`` is
-    False and ``-negate``'s where it is True, written in one pass over
-    the runs of equal kind: each run is one copy or one negation of a
-    block of columns, read where it sits, whatever layout the inputs
-    have. Written into ``out`` when given, else into a new array."""
-    if out is None:
-        out = np.empty(keep.shape, order="F")
-    edges = (np.flatnonzero(swapped[1:] != swapped[:-1]) + 1).tolist()
-    for start, stop in zip([0, *edges], [*edges, swapped.shape[0]]):
-        if swapped[start]:
-            np.negative(negate[:, start:stop], out=out[:, start:stop])
-        else:
-            out[:, start:stop] = keep[:, start:stop]
-    return out
+class SystemMatrix:
+    """A of A x = b as a view of H and G: ``keep``'s columns where
+    ``swapped`` is False and ``-negate``'s where it is True, read where
+    they sit, in runs of columns of equal kind.
+
+    Nothing n x n is built but by :meth:`dense`. ``@`` is one scipy
+    ``dgemv`` per run, on its slab of columns in place (through the
+    transpose of a row-major slab);
+    :meth:`write` copies or negates each run's slab into another array,
+    casting on the way, so a float32 copy of A is read straight from H
+    and G; :meth:`dense` and ``np.asarray`` give A itself, column-major,
+    as a new array. An ndarray A is the one-run case: ``SystemMatrix(a,
+    a, all False)``.
+    """
+
+    def __init__(self, keep, negate, swapped):
+        self.keep, self.negate = keep, negate
+        edges = (np.flatnonzero(swapped[1:] != swapped[:-1]) + 1).tolist()
+        n = swapped.shape[0]
+        self.runs = [(start, stop, bool(swapped[start]))
+                     for start, stop in zip([0, *edges], [*edges, n]) if start < stop]
+
+    @property
+    def shape(self):
+        return self.keep.shape
+
+    def slabs(self, start=0, stop=None):
+        """(columns, slab, negated) for the part of each run within
+        columns ``start:stop``."""
+        stop = self.shape[1] if stop is None else stop
+        for lo, hi, negated in self.runs:
+            lo, hi = max(lo, start), min(hi, stop)
+            if lo < hi:
+                cols = slice(lo, hi)
+                yield cols, (self.negate if negated else self.keep)[:, cols], negated
+
+    def write(self, out, start=0, stop=None):
+        """Write A's columns ``start:stop`` into the same columns of
+        ``out``, in ``out``'s dtype: one copy or one negation per run,
+        each read where it sits."""
+        for cols, slab, negated in self.slabs(start, stop):
+            if negated:
+                np.negative(slab, out=out[:, cols])
+            else:
+                np.copyto(out[:, cols], slab)
+
+    def dense(self, out=None):
+        """A as a column-major float64 array: ``out`` when given, else a
+        new one."""
+        if out is None:
+            out = np.empty(self.shape, order="F")
+        self.write(out)
+        return out
+
+    def __array__(self, dtype=None, copy=None):
+        if copy is False:
+            raise ValueError("A is a view of H and G: it exists only as a copy")
+        a = self.dense()
+        return a if dtype is None else a.astype(dtype, copy=False)
+
+    def matvec(self, x, alpha=1.0, y=None):
+        """alpha A x, plus ``y`` when given, which is left unchanged: one
+        scipy ``dgemv`` per run on its slab of columns and x's entries
+        there, each adding into the one result."""
+        out = y
+        for cols, slab, negated in self.slabs():
+            trans = int(slab.flags.c_contiguous and not slab.flags.f_contiguous)
+            op = slab.T if trans else slab
+            scale = -alpha if negated else alpha
+            if out is None:
+                out = blas.dgemv(scale, op, x[cols], trans=trans)
+            else:
+                out = blas.dgemv(scale, op, x[cols], beta=1.0, y=out, trans=trans,
+                                 overwrite_y=out is not y)
+        return out
+
+    def __matmul__(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.shape != self.shape[1:]:
+            raise ValueError(f"A is {self.shape}; x must be a vector of {self.shape[1]}")
+        return self.matvec(x)
 
 
-def apply_boundary_conditions(
-    hg: InfluenceMatrices, bc: BoundarySpec, out=None
-) -> LinearSystem:
+def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> LinearSystem:
     """Rearrange H u = G t into A x = b under mixed boundary conditions.
 
     Traction-known DOF d keeps column d of H in A (unknown u_d) and
     sends G[:,d] * t_d to the right-hand side; displacement-known DOF d
     swaps in -G[:,d] (unknown t_d) and sends -H[:,d] * u_d to the
-    right-hand side. A is column-major, the layout the LU reads, and is
-    a new array unless ``out``, a caller-owned (3N, 3N) array, is given
-    to hold it. b starts at zero and takes one BLAS axpy per nonzero
-    value, which reads that value's column of G or H in place. At or
-    above ``SINGLE_THREAD_DOFS`` it first joins numpy's BLAS pool
+    right-hand side. A is a :class:`SystemMatrix`, a view that reads H
+    and G where they sit when the solve casts it or multiplies by it, so
+    no n x n array is built here and there is no output array to pass; H
+    and G must not change while the system is in use (a copy from its
+    ``dense()`` may). b starts at zero and takes one BLAS axpy per
+    nonzero value, which reads that value's column of G or H in place.
+    At or above ``SINGLE_THREAD_DOFS`` it first joins numpy's BLAS pool
     (:func:`tribem._blas.quiet`), which a caller's numpy product may
     have left spinning.
     """
@@ -402,12 +471,11 @@ def apply_boundary_conditions(
         _blas.quiet()
     disp = bc.displacement_known
     v = bc.values
-    a = _signed_columns(hg.h, hg.g, disp, out)
     b = np.zeros(hg.n_dofs)
     for d in np.flatnonzero(v).tolist():
         col, scale = (hg.h, -v[d]) if disp[d] else (hg.g, v[d])
         b = blas.daxpy(col[:, d], b, a=scale)
-    return LinearSystem(a, b, disp.copy())
+    return LinearSystem(SystemMatrix(hg.h, hg.g, disp), b, disp.copy())
 
 
 def rhs_matrix(hg: InfluenceMatrices, bc: BoundarySpec):
@@ -415,7 +483,7 @@ def rhs_matrix(hg: InfluenceMatrices, bc: BoundarySpec):
     -H columns where displacement is known. Pairs with A for the
     precomputed-operator path, whose in-place solve needs it
     column-major, as it is returned."""
-    return _signed_columns(hg.g, hg.h, bc.displacement_known)
+    return SystemMatrix(hg.g, hg.h, bc.displacement_known).dense()
 
 
 # ---------------------------------------------------------------------------

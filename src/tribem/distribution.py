@@ -88,18 +88,18 @@ The last two are inside the spread between processes, and the first is
 not, so the pin stays.
 
 A small system's working set stays where it is used. Below
-``SINGLE_THREAD_DOFS`` (1500, the solver's gate for small,
-latency-bound systems) H, G, the sweep buffer, A and its float32 copy
-are arrays the calling thread keeps and reuses on its next call
-(:func:`tribem.solver.working_array`), ~3.6 MB for the 96-element box
-on two workers. A worker keeps its slabs and its sweep buffer the same
-way, ~1.9 MB there. Two calling threads never share an array, and two
-calls never share the workers. Fresh arrays cost ~300-840 minor page
-faults a call in a new process, since glibc hands their memory back to
-the OS after every call; kept, ~6. Nothing returned refers to a kept
-array, and nothing is kept at or above the gate. Keeping them took
-cube-graphics' p90 from 17.9 to 14.0 ms and its p50 from 13.8 to 12.2
-ms on a 2-vCPU VM (``BENCH_7.json``, 11 pairs).
+``SINGLE_THREAD_DOFS`` (1500, the solver's gate for small, latency-bound
+systems) H, G, the sweep buffer and A's float32 copy are arrays the
+calling thread keeps and reuses on its next call
+(:func:`tribem.solver.working_array`), ~2.9 MB for the 96-element box on
+two workers; A itself is a view of H and G. A worker keeps its slabs and
+its sweep buffer the same way, ~1.9 MB there. Two calling threads never
+share an array, and two calls never share the workers. Fresh arrays cost
+~300-840 minor page faults a call in a new process, since glibc hands
+their memory back to the OS after every call; kept, ~6. Nothing returned
+refers to a kept array, and nothing is kept at or above the gate.
+Keeping them took cube-graphics' p90 from 17.9 to 14.0 ms and its p50
+from 13.8 to 12.2 ms on a 2-vCPU VM (``BENCH_7.json``, 11 pairs).
 """
 
 from __future__ import annotations
@@ -502,7 +502,7 @@ def distributed_assemble_solve(
     and the workers always do.
 
     Below ``SINGLE_THREAD_DOFS`` H, G and the sweep buffer are the calling
-    thread's kept arrays, as A and its float32 copy are in the solve, and
+    thread's kept arrays, as A's float32 copy is in the solve, and
     a worker keeps its slabs and sweep buffer the same way: a call reuses
     what the previous one paged in. The returned Solution refers to none
     of them.

@@ -2,14 +2,17 @@
 recovery.
 
 The direct solve factors A once in single precision and refines the
-answer in double: each step takes the residual r = b - A x on the
-float64 A and adds the single-precision solve of A d = r, until
+answer in double: each step takes the residual r = b - A x in float64,
+read from H's and G's columns (A is a view of them,
+:class:`~tribem.assembly.SystemMatrix`), and adds the single-precision
+solve of A d = r, until
 max|r| is within ``REFINE_TOL`` of max|b|, the level the double LU
 itself leaves (Langou et al., SC 2006; Buttari et al., IJHPCA 2007;
 LAPACK dsgesv). The single-precision LU costs about half the time
-and memory of the double one. A arrives column-major from assembly,
-the layout LAPACK reads, so its float32 copy is a plain cast and the
-precomputed path factors it in place. A system that single precision
+and memory of the double one. H and G are column-major from assembly,
+the layout LAPACK reads, so A's float32 copy is a plain cast of their
+columns, run by run, and the precomputed path factors a dense copy of
+A in place. A system that single precision
 cannot decide -- a pivot at its rounding level, or a residual that
 does not shrink, or shrinks too slowly to reach the tolerance within
 ``REFINE_STEPS`` steps, or a tolerance below the float64 residual's own
@@ -53,15 +56,19 @@ solves join nothing, but a pin that finds numpy's pool joined keeps it
 joined. The guard, its limits and the measurements are in
 :mod:`tribem._blas`.
 
-Below the same gate each thread keeps the arrays of its last small
-system, A from :func:`solve` and the float32 copy from
-:func:`solve_direct`, and the distributed run keeps H, G and its sweep
-buffers beside them (:func:`working_array`). Its next request of that
-size reuses their memory instead of faulting in new pages, which glibc
-would otherwise hand back to the OS after each request. No array
-returned to a caller refers to a kept one. At or above the gate a
-thread keeps nothing: at 3000 DOF a kept A and its float32 copy would
-hold 108 MB per thread.
+No float64 A is kept or built at any size: A is a view of H and G,
+and only the double-LU fallback and the precomputed build copy it
+(:meth:`~tribem.assembly.SystemMatrix.dense`). Building it had cost
+box-regrasp a fresh 72 MB array and ~16-23 ms per request at 3000 DOF.
+
+Below the same gate each thread keeps the float32 copy of its last
+small system from :func:`solve_direct`, and the distributed run keeps
+H, G and its sweep buffers beside it (:func:`working_array`). Its next
+request of that size reuses their memory instead of faulting in new
+pages, which glibc would otherwise hand back to the OS after each
+request. No array returned to a caller refers to a kept one. At or
+above the gate a thread keeps nothing: at 3000 DOF a kept float32 copy
+would hold 36 MB per thread.
 
 The process keeps one array at or above the gate: the float32 copy of
 A that ``sgetrf`` factors in place, 36 MB at 3000 DOF, of the last
@@ -71,17 +78,16 @@ not a thread, and no two solves write it at once. A solve of another
 size replaces it, logging one DEBUG line, as its first allocation
 does, and a forked child drops it. The cast and the column scales are
 one pass over column blocks that stay in L2 (``_CAST_BLOCK_BYTES``),
-each block's scales read from the float32 block just written; the
-timings are in :func:`solve_direct`. A itself stays a new array at
-that size: it is returned to the caller in the :class:`LinearSystem`.
+each block cast from H's and -G's columns and its scales read from the
+float32 block just written; the timings are in :func:`solve_direct`.
 
 Huge pages, read from the process's own ``/proc/self/smaps`` on that VM
 (transparent huge pages on ``madvise``, which numpy requests for large
 arrays): the mappings spanning the kept buffer at 3000 DOF held
 32.0-34.0 MiB of ``AnonHugePages`` of 34.3 MiB resident after each of
 three solves in two processes, a fresh 36 MB float32 array 32.0 of
-34.3 MiB, A 66.0 of 68.7 MiB, and box-haptic's operator M^T and H 68.0
-of 68.7 MiB each. numpy advises only the 2 MiB-aligned part of an
+34.3 MiB, a dense float64 A 66.0 of 68.7 MiB, and box-haptic's
+operator M^T and H 68.0 of 68.7 MiB each. numpy advises only the 2 MiB-aligned part of an
 allocation, so an array's first page lies in a mapping of its own that
 reads 0 kB: that mapping alone, or the system-wide ``AnonHugePages``
 of ``/proc/meminfo`` (0 kB on that VM), shows none. So page size does
@@ -111,6 +117,7 @@ from .assembly import (
     BoundarySpec,
     InfluenceMatrices,
     LinearSystem,
+    SystemMatrix,
     apply_boundary_conditions,
     read_matrix,
     rhs_matrix,
@@ -253,6 +260,15 @@ def _square(a):
     return a
 
 
+def _system_matrix(a):
+    """A as a :class:`SystemMatrix`: itself, or an ndarray, checked
+    square and taken as float64, as its one run."""
+    if isinstance(a, SystemMatrix):
+        return a
+    a = _square(a)
+    return SystemMatrix(a, a, np.zeros(a.shape[0], dtype=bool))
+
+
 def _column_scales(a):
     """The largest |entry| of each column of ``a``, in ``a``'s own
     precision; a NaN or inf leaves a non-finite scale."""
@@ -260,21 +276,21 @@ def _column_scales(a):
 
 
 def _cast_with_scales(a, a32):
-    """Copy ``a`` into the float32 ``a32`` and return the column scales
-    of the copy, in one pass over blocks of ``_CAST_BLOCK_BYTES`` of
-    float32 columns: each block's scales come from the block just
-    written, so A is read once and the copy is not read again. An entry
-    beyond float32's range becomes inf, and its column's scale with
-    it."""
+    """Write A (:func:`_system_matrix`) into the float32 ``a32`` and
+    return the column scales of the copy, in one pass over blocks of
+    ``_CAST_BLOCK_BYTES`` of float32 columns: each block is cast run by
+    run straight from H's and -G's columns (:meth:`SystemMatrix.write`),
+    and its scales come from the block just written, so H and G are read
+    once and the copy is not read again. An entry beyond float32's range
+    becomes inf, and its column's scale with it."""
+    a = _system_matrix(a)
     n = a.shape[0]
     step = max(1, _CAST_BLOCK_BYTES // (a32.itemsize * n))
     scales = np.empty(n, a32.dtype)
     with np.errstate(over="ignore"):
         for j in range(0, n, step):
-            cols = slice(j, j + step)
-            block = a32[:, cols]
-            np.copyto(block, a[:, cols])
-            scales[cols] = _column_scales(block)
+            a.write(a32, j, j + step)
+            scales[j:j + step] = _column_scales(a32[:, j:j + step])
     return scales
 
 
@@ -309,27 +325,27 @@ def _max_abs(v):
     return max(v.max(), -v.min())
 
 
-def _refined_single_solve(a, b):
+def _refined_single_solve(a: SystemMatrix, b):
     """x from a float32 LU of ``a`` refined in float64, and None; or None
     and the reason single precision cannot decide the system.
 
-    The float32 copy of A is the one pass over A before the LU
-    (:func:`_cast_with_scales`), into the calling thread's kept array
-    below ``SINGLE_THREAD_DOFS`` and into the process's one factor
-    buffer at or above it: the column scales come from each block of
-    the copy as it is written, and a scale that is not finite (a NaN
+    The float32 copy of A is the one pass over H's and G's columns
+    before the LU (:func:`_cast_with_scales`), into the calling thread's
+    kept array below ``SINGLE_THREAD_DOFS`` and into the process's one
+    factor buffer at or above it: the column scales come from each block
+    of the copy as it is written, and a scale that is not finite (a NaN
     or inf in A, or a finite entry beyond float32's range) leaves the
     system to the double LU and its checks. A pivot within n * eps32 of
     its column's largest entry means A is singular to single precision,
     and then a small residual would not show whether it is singular in
-    double; the test is per column because A's columns mix the scales
-    of H and G. After each step the residual must shrink fast enough to
+    double; the test is per column because A's columns mix the scales of
+    H and G. After each step the residual must shrink fast enough to
     reach the tolerance in the steps left, and the tolerance must lie
     above eps/2 of the largest product |a_ij x_j|, the rounding of the
-    float64 residual itself. The residual is one dgemv from scipy's
-    BLAS, the library whose LAPACK factors A, on a column-major operand
-    that reaches it uncopied: A itself, or the transpose of a row-major
-    A.
+    float64 residual itself. The residual is one dgemv per run of A
+    (:meth:`SystemMatrix.matvec`) from scipy's BLAS, the library whose
+    LAPACK factors A, on column-major slabs of H and G that reach it
+    uncopied, or on the transpose of a row-major A.
     """
     n = a.shape[0]
     if n >= SINGLE_THREAD_DOFS:
@@ -343,13 +359,12 @@ def _refined_single_solve(a, b):
     small = np.flatnonzero(np.abs(lu.diagonal()) <= n * np.finfo(np.float32).eps * scales)
     if small.size:
         return None, f"pivot {small[0]} is zero to single precision"
-    op, trans = (a, 0) if a.flags.f_contiguous else (a.T, 1)
     b_max = _max_abs(b)
     x = np.zeros(b.shape)
     r, res = b, b_max
     for step in range(1, REFINE_STEPS + 1):
         x += lapack.sgetrs(lu, piv, r.astype(np.float32), overwrite_b=True)[0]
-        r = blas.dgemv(-1.0, op, x, beta=1.0, y=b, trans=trans)  # b - A x, b kept
+        r = a.matvec(x, -1.0, b)  # b - A x, b kept
         last, res = res, _max_abs(r)
         if res <= REFINE_TOL * b_max:
             log.debug(
@@ -381,19 +396,26 @@ def solve_direct(system: LinearSystem):
     """Solve A x = b: LU with partial pivoting in single precision,
     refined in double to the double LU's residual, or the double LU
     itself (:func:`_checked_lu`) when single precision cannot decide
-    the system. Leaves ``system`` unchanged and copies A in double only
-    for that fallback.
+    the system. Leaves ``system`` unchanged and builds A in double
+    (:meth:`~tribem.assembly.SystemMatrix.dense`) only for that
+    fallback.
 
-    Besides the LU, it reads A once for the float32 copy and its column
-    scales, taken together block by block (:func:`_cast_with_scales`),
-    and A once per refinement step for the residual. At 3000 DOF on a
-    2-vCPU VM these took ~12-17 ms and ~3.5-9 ms, against ~130-150 ms
-    for ``sgetrf`` and ~3-4 ms for each float32 solve; a cast into a
-    fresh array took ~19.5 ms and a second pass for the scales ~6.5 ms.
-    A is expected column-major, as
-    :func:`apply_boundary_conditions` returns it: LAPACK reads that
-    layout, so the float32 copy is a straight conversion. Another layout
-    is transposed on the way, which at 3000 DOF took 65-100 ms.
+    ``system.a`` is the :class:`~tribem.assembly.SystemMatrix` that
+    :func:`apply_boundary_conditions` returns, or an ndarray, solved as
+    its one run. Besides the LU, it reads A's columns in H and G once
+    for the float32 copy and its column scales, cast run by run and
+    taken together block by block (:func:`_cast_with_scales`), and once
+    per refinement step for the residual, one ``dgemv`` per run. At 3000
+    DOF on a 2-vCPU VM, box-regrasp's kinds (14 runs), medians of 7
+    passes: 16.0 ms for the cast (14.7 ms from a dense A) and 3.5 ms for
+    a residual (3.1 ms as one ``dgemv`` on a dense A), against ~130-150
+    ms for ``sgetrf`` and ~3-4 ms for each float32 solve; building the
+    dense A these replace took 22.8 ms. H and G are expected
+    column-major, as assembly leaves them: LAPACK reads that layout, so
+    the float32 copy is a straight conversion. Another layout is
+    transposed on the way, which at 3000 DOF took 65-100 ms; the
+    residual reads a row-major ndarray A through its transpose, with no
+    copy, while each ``dgemv`` copies its run of row-major H or G.
 
     Below ``SINGLE_THREAD_DOFS`` the whole solve, fallback included,
     runs with one BLAS thread, and the float32 copy is the calling
@@ -401,7 +423,7 @@ def solve_direct(system: LinearSystem):
     libraries' own count, holding the lock the pins hold
     (:mod:`tribem._blas`), in the process's one factor buffer, which
     that lock owns. x is always a new array."""
-    a = _square(system.a)
+    a = _system_matrix(system.a)
     b = np.asarray(system.b, dtype=float)
     small = a.shape[0] < SINGLE_THREAD_DOFS
     with _blas.single_threaded() if small else _blas.library_threads():
@@ -411,7 +433,7 @@ def solve_direct(system: LinearSystem):
         x, reason = _refined_single_solve(a, b)
         if x is None:
             log.info("%s; solving with the double-precision LU", reason)
-            x = scipy.linalg.lu_solve(_checked_lu(a), b)
+            x = scipy.linalg.lu_solve(_checked_lu(a.dense(), overwrite_a=True), b)
     return x
 
 
@@ -429,13 +451,10 @@ def scatter_solution(x, bc: BoundarySpec) -> Solution:
 
 
 def solve(hg: InfluenceMatrices, bc: BoundarySpec) -> Solution:
-    """Assembled matrices + boundary spec -> full boundary field.
-
-    Below ``SINGLE_THREAD_DOFS`` A is built in the calling thread's kept
-    array (:func:`working_array`), which nothing returned refers to."""
-    n = hg.n_dofs
-    system = apply_boundary_conditions(hg, bc, working_array("a", n, (n, n)))
-    x = solve_direct(system)
+    """Assembled matrices + boundary spec -> full boundary field. A is
+    the view :func:`apply_boundary_conditions` returns, so no n x n
+    float64 array is built unless the double LU is needed."""
+    x = solve_direct(apply_boundary_conditions(hg, bc))
     return scatter_solution(x, bc)
 
 
@@ -486,7 +505,8 @@ class PrecomputedOperator:
         to that. Factors and solves at the libraries' own thread count,
         holding the lock the pins hold (:mod:`tribem._blas`)."""
         with _blas.library_threads():
-            lu_piv = _checked_lu(apply_boundary_conditions(hg, bc).a, overwrite_a=True)
+            a = apply_boundary_conditions(hg, bc).a.dense()
+            lu_piv = _checked_lu(a, overwrite_a=True)
             m = scipy.linalg.lu_solve(
                 lu_piv, rhs_matrix(hg, bc), overwrite_b=True, check_finite=False
             )

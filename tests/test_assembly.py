@@ -563,8 +563,9 @@ class TestApplyBoundaryConditions:
         vals = rng.standard_normal(n)
         bc = BoundarySpec(disp, vals)
         system = apply_boundary_conditions(hg, bc)
-        assert np.array_equal(system.a[:, disp], -hg.g[:, disp])
-        assert np.array_equal(system.a[:, ~disp], hg.h[:, ~disp])
+        a = np.asarray(system.a)
+        assert np.array_equal(a[:, disp], -hg.g[:, disp])
+        assert np.array_equal(a[:, ~disp], hg.h[:, ~disp])
         expected_b = hg.g[:, ~disp] @ vals[~disp] - hg.h[:, disp] @ vals[disp]
         assert np.allclose(system.b, expected_b, rtol=1e-13, atol=1e-13)
 
@@ -593,7 +594,7 @@ class TestApplyBoundaryConditions:
         system = apply_boundary_conditions(hg, BoundarySpec(disp, np.zeros(n)))
         ref = hg.h.copy()
         ref[:, disp] = -hg.g[:, disp]
-        assert system.a.tobytes() == ref.tobytes()
+        assert system.a.dense().tobytes() == ref.tobytes()
 
     def test_swap_involution(self, hg):
         # toggling one DOF's kind and toggling it back restores A and b
@@ -670,10 +671,72 @@ class TestApplyBoundaryConditions:
             want_r = hg.g.copy(order="F")
             np.negative(hg.h, out=want_r, where=mask)
             r = rhs_matrix(laid_out, bc)
-            assert system.a.flags.f_contiguous and r.flags.f_contiguous
-            assert system.a.tobytes() == want_a.tobytes()
+            a = system.a.dense()
+            assert a.flags.f_contiguous and r.flags.f_contiguous
+            assert a.tobytes() == want_a.tobytes()
             assert r.tobytes() == want_r.tobytes()
             assert system.b.tobytes() == want_b.tobytes()
+
+
+class TestSystemMatrix:
+    """A is a view of H's columns and -G's: dense() and np.asarray give
+    the column gather bit for bit, and @ reads the runs where they sit."""
+
+    @staticmethod
+    def masks(n):
+        disp = np.random.default_rng(37).random(n) < 0.4
+        ends = disp.copy()
+        ends[[0, 1, -1]] = True  # swapped runs at the first and last column
+        return {
+            "random": disp, "ends": ends, "inner": ~ends,
+            "all": np.ones(n, dtype=bool), "none": np.zeros(n, dtype=bool),
+        }
+
+    @staticmethod
+    def system(hg, order, mask):
+        laid_out = InfluenceMatrices(
+            np.array(hg.h, order=order), np.array(hg.g, order=order), hg.n_elements
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", SolvabilityWarning)
+            return apply_boundary_conditions(laid_out, BoundarySpec(mask, np.zeros(hg.n_dofs)))
+
+    @pytest.mark.parametrize("kinds", ["random", "ends", "inner", "all", "none"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_dense_is_the_column_gather(self, hg, order, kinds):
+        mask = self.masks(hg.n_dofs)[kinds]
+        a = self.system(hg, order, mask).a
+        want = np.array(hg.h, order="F")
+        want[:, mask] = -hg.g[:, mask]
+        dense = a.dense()
+        assert dense.flags.f_contiguous and dense.tobytes() == want.tobytes()
+        assert np.asarray(a).tobytes() == want.tobytes()
+        out = np.full((hg.n_dofs, hg.n_dofs), np.nan, order="F")
+        assert a.dense(out) is out and out.tobytes() == want.tobytes()
+        assert a.shape == want.shape
+
+    @pytest.mark.parametrize("kinds", ["random", "ends", "inner", "all", "none"])
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_product_matches_dense_product(self, hg, order, kinds):
+        a = self.system(hg, order, self.masks(hg.n_dofs)[kinds]).a
+        x = np.random.default_rng(38).standard_normal(hg.n_dofs)
+        want = a.dense() @ x
+        got = a @ x
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        # alpha A x + y, y kept
+        y = np.random.default_rng(39).standard_normal(hg.n_dofs)
+        kept = y.copy()
+        got = a.matvec(x, -1.0, y)
+        assert np.array_equal(y, kept)
+        assert np.abs(got - (y - want)).max() <= 1e-15 * np.abs(y - want).max()
+
+    def test_no_view_without_a_copy(self, hg):
+        disp = self.masks(hg.n_dofs)["random"]
+        a = apply_boundary_conditions(hg, BoundarySpec(disp, np.zeros(hg.n_dofs))).a
+        with pytest.raises(ValueError, match="only as a copy"):
+            np.asarray(a, copy=False)
+        with pytest.raises(ValueError, match="vector"):
+            a @ np.ones((hg.n_dofs, 2))
 
 
 class TestColumnMajorLayout:
@@ -684,7 +747,7 @@ class TestColumnMajorLayout:
         rng = np.random.default_rng(35)
         n = hg.n_dofs
         bc = BoundarySpec(rng.random(n) < 0.3, rng.standard_normal(n))
-        for m in (hg.h, hg.g, apply_boundary_conditions(hg, bc).a, rhs_matrix(hg, bc)):
+        for m in (hg.h, hg.g, apply_boundary_conditions(hg, bc).a.dense(), rhs_matrix(hg, bc)):
             assert m.flags.f_contiguous
 
     def test_c_ordered_output_rejected(self):

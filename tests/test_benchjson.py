@@ -161,3 +161,56 @@ def test_a_side_with_only_failed_runs(records):
     assert out["summary"]["cube-graphics"]["change"] == {"seeds": [], "failed_runs": 5}
     assert out["summary"]["cube-graphics"]["parent"]["failed_runs"] == 0
     assert "cube-graphics" not in out["paired"]
+
+
+# A stub level probe: the n-th call reports n ms for the LU and 2n for
+# the product, counting its calls in a file.
+_PROBE = """
+import json
+from pathlib import Path
+count = Path({path!r})
+n = int(count.read_text() or 0) + 1 if count.exists() else 1
+count.write_text(str(n))
+print(json.dumps({{"sgetrf_1600_ms": float(n), "dgemv_3000_ms": 2.0 * n}}))
+"""
+
+
+def test_level_probe_logged_and_summarized(tmp_path, monkeypatch):
+    monkeypatch.setattr(benchjson, "PROBE", _PROBE.format(path=str(tmp_path / "calls")))
+    checkouts = {}
+    for side in ("parent", "change"):
+        run = tmp_path / side / "perfbench" / "run.py"
+        run.parent.mkdir(parents=True)
+        run.write_text(_STUB.format(fail=set()))
+        checkouts[side] = tmp_path / side
+    log = tmp_path / "runs.jsonl"
+    assert benchjson.main([
+        "pairs", "--parent", str(checkouts["parent"]), "--change", str(checkouts["change"]),
+        "--workload", "cube-graphics", "--seeds", "1-2", "--seconds", "1", "--log", str(log),
+    ]) == 0
+    runs = [json.loads(line) for line in log.read_text().splitlines()]
+    # one probe before each run, in run order
+    assert [(r["seed"], r["side"], r["probe"]["sgetrf_1600_ms"]) for r in runs] == [
+        (1, "parent", 1.0), (1, "change", 2.0), (2, "change", 3.0), (2, "parent", 4.0)
+    ]
+    out = benchjson.summarize(runs, BETTER, 11)
+    summary = out["summary"]["cube-graphics"]
+    parent, change = (summary[side]["probe"] for side in ("parent", "change"))
+    assert parent["sgetrf_1600_ms"]["median"] == 2.5 and change["sgetrf_1600_ms"]["median"] == 2.5
+    assert parent["dgemv_3000_ms"]["median"] == 5.0
+    assert out["probe_ratios"]["cube-graphics"] == [
+        {"seed": 1, "sgetrf_1600_ms": 2.0, "dgemv_3000_ms": 2.0},
+        {"seed": 2, "sgetrf_1600_ms": 0.75, "dgemv_3000_ms": 0.75},
+    ]
+
+
+def test_the_level_probe_runs():
+    level = benchjson.probe()
+    assert set(level) == {"sgetrf_1600_ms", "dgemv_3000_ms"}
+    assert all(v > 0 for v in level.values())
+
+
+def test_logs_without_a_probe_summarize(records):
+    out = benchjson.summarize(records, BETTER, 9)
+    assert out["summary"]["cube-graphics"]["parent"]["probe"] == {}
+    assert out["probe_ratios"]["cube-graphics"] == []

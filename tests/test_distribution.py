@@ -36,8 +36,8 @@ from tribem.distribution import (
 )
 from tribem.errors import DegenerateElementError, WorkerLostError
 from tribem.kernels import gauss_rule
-from tribem.problems import cube_problem
-from tribem.solver import solve, solve_direct
+from tribem.problems import box_problem, cube_problem
+from tribem.solver import scatter_solution, solve, solve_direct
 
 
 class TestBlockMap:
@@ -206,6 +206,25 @@ class TestDistributedAssembleSolve:
                 hashes.add(solution_hash(sol))
         finally:
             sys.setswitchinterval(interval)
+        assert len(hashes) == 1
+
+    @pytest.mark.parametrize("size", ["cube q=16", "3000-DOF box q=4"])
+    def test_distributed_hashes_as_sequential(self, size):
+        # A is read from H and G in runs, one dgemv per run in each residual,
+        # on either path; the 3000-DOF box solves in the factor buffer
+        if size == "cube q=16":
+            prob, rule = cube_problem(), gauss_rule(16)
+        else:
+            prob, rule = box_problem((4.0, 4.0, 8.0), (5, 5, 10)), gauss_rule(4)
+        hg = assemble(prob.mesh, prob.material, rule)
+        x = solve_direct(apply_boundary_conditions(hg, prob.bc))
+        del hg
+        hashes = {solution_hash(scatter_solution(x, prob.bc))}
+        for workers in (1, 2, 4):
+            sol, _ = distributed_assemble_solve(
+                prob.mesh, prob.material, prob.bc, rule, workers=workers
+            )
+            hashes.add(solution_hash(sol))
         assert len(hashes) == 1
 
     def test_matrices_column_major(self, prob, monkeypatch):
@@ -384,7 +403,7 @@ def kept_arrays():
 
 
 class TestWorkingSet:
-    """Below SINGLE_THREAD_DOFS a calling thread keeps H, G, A, the
+    """Below SINGLE_THREAD_DOFS a calling thread keeps H, G, the
     float32 copy and the sweep buffers, and reuses them on its next call."""
 
     @staticmethod
@@ -427,8 +446,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 
     @needs_workers
     def test_what_a_thread_keeps(self, prob, monkeypatch, tmp_path, fresh_workers):
-        # the 96-element cube on two workers: the caller keeps H, G, A, A in
-        # float32 and the sweep buffer of its 48-element range, ~3.6 MB; the
+        # the 96-element cube on two workers: the caller keeps H, G, A in
+        # float32 and the sweep buffer of its 48-element range, ~2.9 MB; the
         # worker process its range's column slabs of H and G and its own
         # sweep buffer, ~1.9 MB, and nothing it inherited from the caller
         rule = gauss_rule(16)
@@ -448,7 +467,7 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
 
         n = prob.mesh.n_dofs
         sweep = sweep_buffer_size(prob.mesh, rule, range(48))
-        assert in_new_thread(kept_after_call) == 3 * 8 * n * n + 4 * n * n + 8 * sweep
+        assert in_new_thread(kept_after_call) == 2 * 8 * n * n + 4 * n * n + 8 * sweep
         assert int(record.read_text()) == 2 * 8 * n * (n // 2) + 8 * sweep
 
     @needs_workers
@@ -486,7 +505,8 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         x = solve_direct(system)
         returned = [sol.u, sol.t, hg.h, hg.g, system.a, system.b, x, solve(hg, prob.bc).u]
         kept = kept_arrays()
-        assert {"h", "g", "a", "a32", "sweep"} <= kept.keys()
+        # A is a view of H and G, so no float64 A is kept
+        assert {"h", "g", "a32", "sweep"} <= kept.keys() and "a" not in kept
         for array in returned:
             assert not any(np.shares_memory(array, k) for k in kept.values())
 

@@ -177,9 +177,9 @@ class TestMixedPrecision:
     precision cannot decide the system."""
 
     def assert_double_quality(self, system):
-        a, b = system.a.tobytes(), system.b.tobytes()
+        a, b = np.asarray(system.a).tobytes(), system.b.tobytes()
         x = solve_direct(system)
-        assert system.a.tobytes() == a and system.b.tobytes() == b
+        assert np.asarray(system.a).tobytes() == a and system.b.tobytes() == b
         res = np.linalg.norm(system.a @ x - system.b) / np.linalg.norm(system.b)
         assert res <= 1e-14
         ref = double_lu_solve(system)
@@ -555,6 +555,64 @@ class TestFactorBuffer:
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
         assert solver._factor32 is not None
+
+
+class TestSolveFromTheView:
+    """solve_direct reads A from H and G: the float32 copy is cast run by
+    run into the kept array or the factor buffer, and no float64 n x n
+    array is made unless the double LU is needed."""
+
+    @staticmethod
+    def kinds(prob, name):
+        if name == "problem":
+            return prob.bc
+        disp = np.random.default_rng(83).random(prob.bc.n_dofs) < 0.4
+        return BoundarySpec(disp, np.where(disp, 0.0, prob.bc.values))
+
+    @pytest.mark.parametrize("gate", ["kept array", "factor buffer"])
+    def test_no_float64_n_by_n_array(self, cube_setup, monkeypatch, gate):
+        prob, hg, _ = cube_setup
+        monkeypatch.setattr(solver, "_factor32", None)
+        if gate == "factor buffer":
+            monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
+        n = hg.n_dofs
+        tracemalloc.start()
+        try:
+            solve_direct(apply_boundary_conditions(hg, prob.bc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * n * n
+        assert (solver._factor32 is None) == (gate == "kept array")
+
+    @pytest.mark.parametrize("kinds", ["problem", "random"])
+    def test_factor_buffer_is_the_lu_of_a_cast_of_dense(
+        self, cube_setup, monkeypatch, small_blocks, kinds
+    ):
+        # blocks of 16 columns, so runs of either kind cross block edges
+        prob, hg, _ = cube_setup
+        monkeypatch.setattr(solver, "_factor32", None)
+        monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
+        system = apply_boundary_conditions(hg, self.kinds(prob, kinds))
+        cast = system.a.dense().astype(np.float32, order="F")
+        a32 = np.empty_like(cast, order="F")
+        assert np.array_equal(solver._cast_with_scales(system.a, a32), solver._column_scales(cast))
+        assert digest(a32) == digest(cast)
+        solve_direct(system)
+        lu = lapack.sgetrf(cast)[0]
+        assert digest(solver._factor32) == digest(lu)
+
+    @pytest.mark.parametrize("kinds", ["problem", "random"])
+    def test_view_and_its_dense_array_refine_alike(self, cube_setup, kinds):
+        # the dense A is the one-run case: one dgemv per residual in place
+        # of one per run, so x agrees to the refinement's tolerance
+        prob, hg, _ = cube_setup
+        system = apply_boundary_conditions(hg, self.kinds(prob, kinds))
+        x = solve_direct(system)
+        dense = solve_direct(LinearSystem(system.a.dense(), system.b, system.swapped))
+        assert np.abs(x - dense).max() <= 1e-13 * np.abs(dense).max()
+        res = np.linalg.norm(system.a @ x - system.b) / np.linalg.norm(system.b)
+        assert res <= 1e-14
 
 
 class TestScatter:

@@ -6,11 +6,14 @@
 
 ``pairs`` runs ``perfbench/run.py`` of two checkouts, the parent and the
 change (by default the checkout holding this script), once each per
-seed, alternating which side runs first. It appends one line per run to
-the log: the side, workload, seed, trace flag, which side ran first, the
-checkout's git revision and a digest of its ``src/``, the environment
-line the run printed, and the run's result (the last line of its
-standard output). A run that exits non-zero is logged with no result,
+seed, alternating which side runs first. Before each run it times a
+fixed probe of the machine's level in a fresh interpreter: a seeded
+1600 x 1600 float32 ``sgetrf`` and a 3000 x 3000 ``dgemv``, 5 calls
+each, medians in ms. It appends one line per run to the log: the side,
+workload, seed, trace flag, which side ran first, the checkout's git
+revision and a digest of its ``src/``, the probe, the environment line
+the run printed, and the run's result (the last line of its standard
+output). A run that exits non-zero is logged with no result,
 its exit code and the last lines of its standard error, and the seeds
 after it still run.
 
@@ -19,7 +22,10 @@ median and quartiles of each metric over runs (traced runs in rows of
 their own), per workload the pairs
 (same seed and trace flag on both sides) in which the change was better
 by each metric's direction in ``BENCHMARK.json``, and how far apart the
-two medians are against the parent's interquartile range. It counts
+two medians are against the parent's interquartile range. It reports
+each side's probe medians and, per pair, the change's probe over the
+parent's, so a pair can be read against the level the machine was at
+when each side ran. It counts
 the failed runs per workload and side and keeps them out of the medians
 and pairs. It also keeps the environment, the revisions and every run.
 """
@@ -39,6 +45,32 @@ ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
 ENVIRONMENT = "environment: "
 STDERR_LINES = 20  # of a failed run, kept in the log
+
+# The level probe: prints {"sgetrf_1600_ms": ..., "dgemv_3000_ms": ...},
+# the medians of 5 calls each on seeded inputs. The LU factors a fresh
+# copy each call, made outside the timing.
+PROBE = """
+import json, time
+import numpy as np
+from scipy.linalg import blas, lapack
+
+def median_ms(calls):
+    times = []
+    for call in calls:
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * sorted(times)[len(times) // 2]
+
+rng = np.random.default_rng(0)
+a = np.asfortranarray(rng.standard_normal((1600, 1600)) + 1600 * np.eye(1600), np.float32)
+copies = [a.copy(order="F") for _ in range(5)]
+m, x = np.asfortranarray(rng.standard_normal((3000, 3000))), rng.standard_normal(3000)
+print(json.dumps({
+    "sgetrf_1600_ms": median_ms([lambda c=c: lapack.sgetrf(c, overwrite_a=True) for c in copies]),
+    "dgemv_3000_ms": median_ms([lambda: blas.dgemv(1.0, m, x)] * 5),
+}))
+"""
 
 
 def parse_seeds(text):
@@ -60,6 +92,13 @@ def revision(checkout):
     for path in sorted((checkout / "src").rglob("*.py")):
         digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
     return {"head": head, "src_sha256": digest.hexdigest()}
+
+
+def probe():
+    """The level probe's medians, timed in a fresh interpreter, or None
+    if it failed."""
+    out = subprocess.run([sys.executable, "-c", PROBE], capture_output=True, text=True)
+    return json.loads(out.stdout.strip().splitlines()[-1]) if out.returncode == 0 else None
 
 
 def run_once(checkout, workload, seed, seconds, trace):
@@ -87,12 +126,13 @@ def pairs(args):
     for i, seed in enumerate(args.seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
+            level = probe()
             env, result, wall, failure = run_once(checkouts[side], args.workload, seed,
                                                   args.seconds, args.trace)
             record = {
                 "side": side, "workload": args.workload, "seed": seed,
                 "trace": args.trace, "seconds": args.seconds, "ran_first": order[0],
-                "revision": revisions[side], "wall_s": round(wall, 2),
+                "revision": revisions[side], "wall_s": round(wall, 2), "probe": level,
                 "environment": env, "result": result, "failure": failure,
             }
             with open(args.log, "a") as f:
@@ -102,7 +142,7 @@ def pairs(args):
             else:
                 p50 = result["metrics"].get("latency_p50_ms", {}).get("value")
                 said = f"p50 {p50} ms, failed {result['failed']} of {result['attempted']}"
-            print(f"{args.workload} seed {seed} {side}: {said}", flush=True)
+            print(f"{args.workload} seed {seed} {side}: {said}; probe {level}", flush=True)
 
 
 def spread(values):
@@ -123,9 +163,18 @@ def label(record):
     return record["workload"] + (" traced" if record["trace"] else "")
 
 
+def probe_medians(runs):
+    """Median and quartiles of each probe measure over the runs that
+    logged one."""
+    levels = [r["probe"] for r in runs if r.get("probe")]
+    if not levels:
+        return {}
+    return {name: spread([level[name] for level in levels]) for name in levels[0]}
+
+
 def summarize(records, better, index, note=""):
     """The BENCH object for the log's records."""
-    summary, paired = {}, {}
+    summary, paired, probe_ratios = {}, {}, {}
     by_key, failed_runs = {}, {}
     for r in records:
         if r["result"] is None:
@@ -149,6 +198,7 @@ def summarize(records, better, index, note=""):
                 "failed_runs": failed,
                 "attempted": sum(r["result"]["attempted"] for r in runs),
                 "failed": sum(r["result"]["failed"] for r in runs),
+                "probe": probe_medians(runs),
                 "metrics": {
                     name: {**spread([r["result"]["metrics"][name]["value"] for r in runs]),
                            "unit": names[name]["unit"]}
@@ -159,6 +209,13 @@ def summarize(records, better, index, note=""):
                    if len(k) == 3 and k[0] == workload and len(v) == 2]
         if not matched:
             continue
+        probe_ratios[workload] = [
+            {"seed": pair["change"]["seed"],
+             **{name: pair["change"]["probe"][name] / pair["parent"]["probe"][name]
+                for name in pair["parent"]["probe"]}}
+            for pair in sorted(matched, key=lambda pair: pair["change"]["seed"])
+            if pair["change"].get("probe") and pair["parent"].get("probe")
+        ]
         paired[workload] = {}
         for name in matched[0]["change"]["result"]["metrics"]:
             wins = ties = 0
@@ -186,6 +243,7 @@ def summarize(records, better, index, note=""):
         "environment": envs[0] if envs else None,
         "summary": summary,
         "paired": paired,
+        "probe_ratios": probe_ratios,
         "runs": records,
     }
 
