@@ -1,5 +1,4 @@
-"""One BLAS thread for the calls that gain nothing from more, and no
-numpy BLAS pool spinning when a large operation starts.
+"""One BLAS thread for the calls that gain nothing from more.
 
 numpy and scipy each load their own OpenBLAS (``numpy.libs`` and
 ``scipy.libs`` in their wheels). :func:`single_threaded` holds both at
@@ -31,67 +30,20 @@ against 1019-1109 solves/s in all (one thread alone, 920-1264 against
 955-1187); two threads looping two-worker cube runs at q=16 made
 93.6-99.3 against 86.6-92.7 runs/s.
 
-A large operation also starts with numpy's pool joined. After a
-threaded call an OpenBLAS worker busy-waits for ``THREAD_TIMEOUT`` (2^28
-TSC ticks, ~0.13 s on a 2-vCPU VM) before it sleeps, and pinning the
-count does not stop a worker already spinning. tribem's large
-operations run on scipy's LAPACK and BLAS, so numpy's pool spins there
-only because the caller woke it, with a residual ``a @ x``, say, and it
-then took a core from the next regrasp's BC application and LU. So
-:func:`quiet`, called at the start of a large
-``apply_boundary_conditions`` and by :func:`library_threads`, joins
-numpy's pool with OpenBLAS's own ``blas_thread_shutdown_`` (its fork
-handler); numpy's next threaded call starts it again at the same count,
-so results stay bit for bit the same. scipy's pool is left to the
-operation that is about to use it.
-
-A pin keeps a joined pool joined. ``set_num_threads`` starts a joined
-pool again, and its new worker spins too, so on a joined pool a pin
-writes ``blas_cpu_number``, the count each call reads and
-``set_num_threads`` sets, in place. Starting and joining the pool at
-each pin instead cost a small request run right after a large one 3-4.5
-ms of ~20.
-
-Measured on the 3000-DOF box at q=4 on a 2-vCPU VM, in pairs of
-processes, each side first in half of them; medians of the processes'
-median request, earlier code first:
-
-- regrasp requests, each followed by the caller's ``a @ x``: 211 to 157
-  ms, lower in 10 of 10 pairs (216 to 147 ms, 10 of 10, in 10 earlier
-  pairs of the same path);
-- regrasp requests with nothing between them: 141 to 147 ms, lower in 3
-  of 10, and 178 to 175 ms, lower in 8 of 10, in 10 earlier pairs;
-- a regrasp request, then a small request (96-element box, two workers,
-  q=16): 150 to 145 ms for the regrasp, lower in 7 of 10, and 18.1 to
-  17.3 ms for the small request, lower in 8 of 10;
-- a regrasp request, then C07's two-worker distributed run of the box
-  (three calls a process): 171 to 169 ms for the regrasp, lower in 6 of
-  10, and 420 to 444 ms for the distributed run, lower in 4 of 10, then
-  481 to 512 ms, lower in 1 of 6, in 6 more pairs; alternating the two
-  behaviours in one process read +24, +24, -2 and -30 ms in four
-  processes. Unresolved: the spread between processes is ~100 ms.
-
-Joining both libraries' pools on entry and on exit, without the
-in-place count, had made that small request 63% slower (lower in 0 of
-12 pairs) and regrasp requests with nothing between them slower in 9 of
-12.
-
-The guard: a pool is joined only while ``threading.active_count()`` is
-one, since a pool joined during another thread's call would deadlock
-it. Its limits: threading does not count threads it did not start, such
-as a C extension's native threads or threads started with
-``_thread.start_new_thread``, so a BLAS call in one of those while a
-large operation starts can hang the process; such use is unsupported.
-The other way, on Python 3.11 a foreign thread that once called into
-``threading`` leaves an entry that outlives it, and pools are then never
-joined. Each :func:`quiet` logs one DEBUG line on ``tribem.blas``
-naming the pools quieted, or why they were left running.
+A pin keeps a joined pool joined. OpenBLAS's fork handler joins both
+pools, as when the distributed run forks its workers just before it
+pins. ``set_num_threads`` starts a joined pool again, and its new worker
+spins too, so on a joined pool a pin writes ``blas_cpu_number``, the
+count each call reads and ``set_num_threads`` sets, in place. Starting
+and joining the pool at each pin instead cost a small request run right
+after a large one 3-4.5 ms of ~20.
 
 Discovery opens only libraries already loaded (``RTLD_NOLOAD``). If none
 is found, or one has no thread-count functions, the reason is logged
 once at INFO on ``tribem.blas`` and that library keeps its threads; a
-library without ``blas_thread_shutdown_``, ``blas_server_avail`` or
-``blas_cpu_number`` is logged once the same way and never quieted.
+library without ``blas_server_avail`` or ``blas_cpu_number`` is logged
+once the same way, and a pin on it always goes through
+``set_num_threads``.
 """
 
 from __future__ import annotations
@@ -118,16 +70,10 @@ _PACKAGES = ("numpy", "scipy")
 _lock = threading.RLock()
 _saved = None
 
-# the packages whose pools a large operation joins on entry: tribem's
-# large operations run on scipy's LAPACK, so numpy's pool spins only
-# because a caller woke it, and scipy's is left to the operation
-_QUIETED = ("numpy",)
-
 
 class _Pool(NamedTuple):
     """The controls of one OpenBLAS's thread pool."""
 
-    shutdown: Callable[[], int]  # joins the pool's threads
     joined: Callable[[], bool]  # whether the pool is joined now
     set_count: Callable[[int], None]  # sets the count without starting it
 
@@ -159,20 +105,17 @@ def _functions(lib):
 
 
 def _pool(lib):
-    """The library's :class:`_Pool`, or None. ``shutdown`` is OpenBLAS's
-    ``blas_thread_shutdown_``; the library's next threaded call, or any
-    ``set_num_threads``, starts the pool again. ``joined`` reads
-    ``blas_server_avail``, 0 while the pool is joined, and ``set_count``
-    writes ``blas_cpu_number``, the count every call reads and
-    ``set_num_threads`` sets."""
+    """The library's :class:`_Pool`, or None. ``joined`` reads
+    ``blas_server_avail``, 0 while the pool is joined (the library's next
+    threaded call, or any ``set_num_threads``, starts it again), and
+    ``set_count`` writes ``blas_cpu_number``, the count every call reads
+    and ``set_num_threads`` sets."""
     try:
-        shutdown = lib.blas_thread_shutdown_
         avail = ctypes.c_int.in_dll(lib, "blas_server_avail")
         count = ctypes.c_int.in_dll(lib, "blas_cpu_number")
     except (AttributeError, ValueError):
         return None
-    shutdown.restype, shutdown.argtypes = ctypes.c_int, []
-    return _Pool(shutdown, lambda: avail.value == 0, lambda n: setattr(count, "value", n))
+    return _Pool(lambda: avail.value == 0, lambda n: setattr(count, "value", n))
 
 
 def _discover():
@@ -204,14 +147,18 @@ def _discover():
 
 @functools.cache
 def libraries():
-    """The found libraries; logs once why any is missing, and which
-    cannot be quieted."""
+    """The found libraries; logs once why any is missing, and which have
+    no pool controls."""
     found, reason = _discover()
     if reason is not None:
         log.info("BLAS threads stay unpinned: %s", reason)
-    awake = [lib.package for lib in found if lib.pool is None]
-    if awake:
-        log.info("BLAS pools stay awake: no pool controls in %s", ", ".join(awake))
+    uncontrolled = [lib.package for lib in found if lib.pool is None]
+    if uncontrolled:
+        log.info(
+            "no BLAS pool controls in %s: a pin there goes through"
+            " set_num_threads, which restarts a joined pool",
+            ", ".join(uncontrolled),
+        )
     return found
 
 
@@ -273,35 +220,10 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_after_fork_in_child)
 
 
-def quiet():
-    """Join numpy's pool at the start of a large operation, unless
-    another Python thread is alive: it could be inside the library, and
-    a pool joined during a call deadlocks it. One DEBUG line says what
-    was done."""
-    others = threading.active_count() - 1
-    if others:
-        log.debug("BLAS pools left running: %d other Python thread(s) alive", others)
-        return
-    quieted, awake = [], []
-    for lib in libraries():
-        if lib.package not in _QUIETED:
-            continue
-        if lib.pool is None:
-            awake.append(lib.package)
-        else:
-            lib.pool.shutdown()
-            quieted.append(lib.package)
-    said = f"BLAS pools quieted: {', '.join(quieted) or 'none'}"
-    if awake:
-        said += f"; left running: {', '.join(awake)} (no pool controls)"
-    log.debug("%s", said)
-
-
 @contextmanager
 def library_threads():
     """Run the body at the libraries' own thread count, or at one inside
     the caller's own pin: hold the lock, so no other thread's pin
-    changes the count until the body ends. Starts with :func:`quiet`."""
+    changes the count until the body ends."""
     with _lock:
-        quiet()
         yield

@@ -56,7 +56,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import blas
 
-from . import _blas
 from .errors import (
     BoundaryConditionError,
     DegenerateElementError,
@@ -456,19 +455,12 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     and G must not change while the system is in use (a copy from its
     ``dense()`` may). b starts at zero and takes one BLAS axpy per
     nonzero value, which reads that value's column of G or H in place.
-    At or above ``SINGLE_THREAD_DOFS`` it first joins numpy's BLAS pool
-    (:func:`tribem._blas.quiet`), which a caller's numpy product may
-    have left spinning.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
             f"boundary spec covers {bc.n_dofs} DOFs, system has {hg.n_dofs}"
         )
     _warn_if_underconstrained(bc)
-    from .solver import SINGLE_THREAD_DOFS  # solver imports this module
-
-    if hg.n_dofs >= SINGLE_THREAD_DOFS:
-        _blas.quiet()
     disp = bc.displacement_known
     v = bc.values
     b = np.zeros(hg.n_dofs)

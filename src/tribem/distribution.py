@@ -51,14 +51,16 @@ holds ~45 MB resident, most of it pages it shares copy-on-write with the
 caller, and a cube-graphics request makes about one page fault in
 either process.
 
-The fork guard. A worker is forked only while ``threading`` counts one
-thread, the guard :func:`tribem._blas.quiet` uses: a child inherits
-every lock as its parent held it, and OpenBLAS's fork handler joins its
-pools, which would deadlock a BLAS call in progress in another thread.
-Its limits are quiet's: a thread that ``threading`` did not start (a C
-extension's own, or one from ``_thread.start_new_thread``) is not seen,
-and forking beside one is unsupported. A call forks before it pins
-BLAS, never inside a pin. The pool has a lock. A call that finds it
+The fork guard. A worker is forked only while
+``threading.active_count()`` is one: a child inherits every lock as its
+parent held it, and OpenBLAS's fork handler joins its pools, which
+would deadlock a BLAS call in progress in another thread. Its limits: a
+thread that ``threading`` did not start (a C extension's own, or one
+from ``_thread.start_new_thread``) is not seen, and forking beside one
+is unsupported; the other way, on Python 3.11 such a thread that once
+called into ``threading`` leaves an entry that outlives it, and no
+worker is forked after it. A call forks before it pins BLAS, never
+inside a pin. The pool has a lock. A call that finds it
 held by another thread's call, or cannot fork (another thread alive, no
 ``fork`` start method, a failed fork), sweeps every range itself and
 logs why, once, at INFO. Workers are daemonic, so a normal exit ends
@@ -384,8 +386,10 @@ if hasattr(os, "register_at_fork"):
 
 def _fork_refused():
     """Why a worker cannot be forked now, or None. A fork is safe only
-    while no other Python thread is alive; OpenBLAS's fork handler joins
-    its pools then, as :func:`tribem._blas.quiet` does."""
+    while no other Python thread is alive, since OpenBLAS's fork handler
+    joins its pools and a child inherits every lock as held; a thread
+    that ``threading`` did not start is not seen (see the module
+    docstring)."""
     if threading.active_count() > 1:
         return "another thread alive"
     if "fork" not in multiprocessing.get_all_start_methods():

@@ -43,18 +43,24 @@ libraries' count. A large solve and the precomputed build hold the
 lock the pins hold, so no other thread's pin changes the count while
 they run and a concurrent small solve cannot change their rounding.
 
-A large solve, the precomputed build and a large
-:func:`apply_boundary_conditions` also start with numpy's BLAS pool
-joined, while no other Python thread is alive
-(:func:`tribem._blas.quiet`). These run on scipy's LAPACK and BLAS, so
-numpy's pool spins only because the caller woke it, with a residual
-``a @ x`` after the last request, say; spinning ~0.13 s, it took a core
-from the next regrasp's BC application and LU. numpy's next threaded
-call starts it again at the same count, so x is bit for bit the same.
-scipy's pool, which the solve is about to use, is left alone. Small
-solves join nothing, but a pin that finds numpy's pool joined keeps it
-joined. The guard, its limits and the measurements are in
-:mod:`tribem._blas`.
+Nothing joins a BLAS pool that a caller left spinning. After a threaded
+call an OpenBLAS worker busy-waits ~0.13 s before it sleeps, and
+setting the count does not stop one already spinning, so a caller's
+threaded numpy product right before a large solve takes a core from
+it. tribem's own requests make no such product: box-regrasp's check
+``system.a @ x`` runs on scipy's BLAS
+(:class:`~tribem.assembly.SystemMatrix`). Large operations used to
+start by joining numpy's pool, which served only that case. On the
+3000-DOF box at q=4 on a 2-vCPU VM, in 12 alternating pairs of
+processes, medians of each process's median regrasp
+(:func:`apply_boundary_conditions` + :func:`solve_direct`, 10 per
+case), joining against not:
+
+- each regrasp right after the caller's numpy ``H @ v``: 128 against
+  195 ms, slower without the join in 12 of 12 pairs;
+- with nothing before it: 134 against 143 ms, lower without it in 6 of
+  12, inside the spread between processes (quartiles 123-148 against
+  122-155 ms).
 
 No float64 A is kept or built at any size: A is a view of H and G,
 and only the double-LU fallback and the precomputed build copy it
