@@ -54,7 +54,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
 from .errors import (
     BoundaryConditionError,
@@ -360,14 +359,42 @@ def _warn_if_underconstrained(bc: BoundarySpec):
         )
 
 
+def strided_runs(indices):
+    """Split sorted, distinct ``indices`` into arithmetic progressions,
+    each as long as it can be, taken from the front: (where, positions)
+    per progression, ``where`` the slice of the indices it holds and
+    ``positions`` the slice of ``indices`` that lists them. A load along
+    one axis on consecutive elements, every third DOF, is one
+    progression, and numpy multiplies by a slab of every third column or
+    row of a matrix in place, as one ``dgemv``."""
+    found = []
+    indices = indices.tolist()
+    i, k = 0, len(indices)
+    while i < k:
+        step = indices[i + 1] - indices[i] if i + 1 < k else 1
+        j = i + 1
+        while j < k and indices[j] - indices[j - 1] == step:
+            j += 1
+        found.append((slice(indices[i], indices[j - 1] + 1, step), slice(i, j)))
+        i = j
+    return found
+
+
+def _unit_rows(slab):
+    """``slab``, or a column-major copy of it where its rows are not
+    adjacent in memory (a slab of a row-major matrix), so that a product
+    with it rounds as with the slab of a column-major one."""
+    return slab if slab.strides[0] == slab.itemsize else np.asfortranarray(slab)
+
+
 class SystemMatrix:
     """A of A x = b as a view of H and G: ``keep``'s columns where
     ``swapped`` is False and ``-negate``'s where it is True, read where
     they sit, in runs of columns of equal kind.
 
-    Nothing n x n is built but by :meth:`dense`. ``@`` is one scipy
-    ``dgemv`` per run, on its slab of columns in place (through the
-    transpose of a row-major slab);
+    Nothing n x n is built but by :meth:`dense`. ``@`` is one numpy
+    product per run, which numpy hands to its BLAS as one ``dgemv`` on
+    the run's slab of columns;
     :meth:`write` copies or negates each run's slab into another array,
     casting on the way, so a float32 copy of A is read straight from H
     and G; :meth:`dense` and ``np.asarray`` give A itself, column-major,
@@ -422,18 +449,21 @@ class SystemMatrix:
 
     def matvec(self, x, alpha=1.0, y=None):
         """alpha A x, plus ``y`` when given, which is left unchanged: one
-        scipy ``dgemv`` per run on its slab of columns and x's entries
-        there, each adding into the one result."""
-        out = y
+        product per run of its slab of columns with x's entries there,
+        scaled by alpha or -alpha, each added into the one result. A run
+        of a column-major H or G is read in place. So is a row-major
+        ndarray A, the one run of its own matrix, through its transpose;
+        a run of a row-major H or G is copied column-major first, so the
+        product rounds as it does on a column-major one."""
+        out = None if y is None else y.copy()
         for cols, slab, negated in self.slabs():
-            trans = int(slab.flags.c_contiguous and not slab.flags.f_contiguous)
-            op = slab.T if trans else slab
-            scale = -alpha if negated else alpha
+            if not slab.flags.c_contiguous:
+                slab = _unit_rows(slab)
+            part = slab @ ((-alpha if negated else alpha) * x[cols])
             if out is None:
-                out = blas.dgemv(scale, op, x[cols], trans=trans)
+                out = part
             else:
-                out = blas.dgemv(scale, op, x[cols], beta=1.0, y=out, trans=trans,
-                                 overwrite_y=out is not y)
+                out += part
         return out
 
     def __matmul__(self, x):
@@ -453,8 +483,12 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     and G where they sit when the solve casts it or multiplies by it, so
     no n x n array is built here and there is no output array to pass; H
     and G must not change while the system is in use (a copy from its
-    ``dense()`` may). b starts at zero and takes one BLAS axpy per
-    nonzero value, which reads that value's column of G or H in place.
+    ``dense()`` may). b starts at zero and takes one product per
+    progression of nonzero values of one kind (:func:`strided_runs`),
+    traction-known then displacement-known ones, which reads those
+    columns of G or H in place where they are column-major, as assembly
+    leaves them, and from a column-major copy where they are not, so b
+    does not depend on their layout.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
@@ -464,9 +498,9 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     disp = bc.displacement_known
     v = bc.values
     b = np.zeros(hg.n_dofs)
-    for d in np.flatnonzero(v).tolist():
-        col, scale = (hg.h, -v[d]) if disp[d] else (hg.g, v[d])
-        b = blas.daxpy(col[:, d], b, a=scale)
+    for m, sign, known in ((hg.g, 1.0, ~disp), (hg.h, -1.0, disp)):
+        for cols, _ in strided_runs(np.flatnonzero(known & (v != 0))):
+            b += _unit_rows(m[:, cols]) @ (sign * v[cols])
     return LinearSystem(SystemMatrix(hg.h, hg.g, disp), b, disp.copy())
 
 

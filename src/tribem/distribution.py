@@ -45,15 +45,17 @@ workers, one solution hash per row:
   the threads already ran in parallel.
 
 Workers are forked, not spawned: a spawned worker would start an
-interpreter and import numpy, scipy and tribem, 0.25-0.5 s on that VM,
-inside the first request, where the fork added 5-12 ms to it. A worker
+interpreter and import numpy and tribem, 0.17-0.28 s on that VM
+(median 0.19 s over 12 processes; 0.34-0.82 s while tribem imported
+scipy too), inside the first request, where the fork added 5-12 ms to
+it. A worker
 holds ~45 MB resident, most of it pages it shares copy-on-write with the
 caller, and a cube-graphics request makes about one page fault in
 either process.
 
 The fork guard. A worker is forked only while
 ``threading.active_count()`` is one: a child inherits every lock as its
-parent held it, and OpenBLAS's fork handler joins its pools, which
+parent held it, and OpenBLAS's fork handler joins its pool, which
 would deadlock a BLAS call in progress in another thread. Its limits: a
 thread that ``threading`` did not start (a C extension's own, or one
 from ``_thread.start_new_thread``) is not seen, and forking beside one
@@ -72,7 +74,7 @@ the benchmark's result pipe.
 
 One source of parallelism: while workers run, the caller's own sweep
 runs on one BLAS thread, and the workers always do
-(:mod:`tribem._blas`); a call without workers keeps the libraries'
+(:mod:`tribem._blas`); a call without workers keeps the library's
 threads. H and G are bit-identical either way. The caller's pin pays
 where OpenBLAS threads the sweep's products, which grow with the
 element count times the rule's points. Per-process medians of
@@ -387,7 +389,7 @@ if hasattr(os, "register_at_fork"):
 def _fork_refused():
     """Why a worker cannot be forked now, or None. A fork is safe only
     while no other Python thread is alive, since OpenBLAS's fork handler
-    joins its pools and a child inherits every lock as held; a thread
+    joins its pool and a child inherits every lock as held; a thread
     that ``threading`` did not start is not seen (see the module
     docstring)."""
     if threading.active_count() > 1:

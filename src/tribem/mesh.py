@@ -94,6 +94,7 @@ class ValidationReport:
     min_area: float
     max_area: float
     total_area: float
+    signed_volume: float  # mm^3; negative when the winding faces inward
 
     @property
     def closure_residual_norm(self):
@@ -106,9 +107,14 @@ class ValidationReport:
 
     @property
     def ok(self):
-        return len(self.degenerate_indices) == 0
+        """No degenerate facet, and a positive signed volume: normals that
+        face inward (or a surface enclosing no volume) would make every
+        solved field wrong without any other sign."""
+        return len(self.degenerate_indices) == 0 and self.signed_volume > 0
 
     def __str__(self):
+        v = self.signed_volume
+        winding = "outward" if v > 0 else "inward" if v < 0 else "none"
         lines = [
             f"elements:          {self.n_elements}",
             f"degenerate:        {len(self.degenerate_indices)}"
@@ -116,12 +122,24 @@ class ValidationReport:
             f"closure residual:  {self.closure_residual_norm:.3e}"
             f" ({'closed' if self.is_closed else 'open or leaky'})",
             f"area min/max/sum:  {self.min_area:.6g} / {self.max_area:.6g} / {self.total_area:.6g}",
+            f"signed volume:     {v:.6g} ({winding})",
         ]
         return "\n".join(lines)
 
 
+def signed_volume(mesh: SurfaceMesh):
+    """sum of area (c . n) / 3 over the elements: the enclosed volume for
+    a closed surface wound outward (normals by the right-hand rule, as
+    assembly takes them), its negative for one wound inward. Taken about
+    the mean centroid, which changes nothing for a closed surface and
+    keeps a mesh far from the origin from cancelling."""
+    c = mesh.centroids - mesh.centroids.mean(axis=0)
+    return float(mesh.areas @ np.einsum("ij,ij->i", c, mesh.normals)) / 3.0
+
+
 def validate(mesh: SurfaceMesh) -> ValidationReport:
-    """Check a mesh for BEM use: degenerate facets, closure, area spread."""
+    """Check a mesh for BEM use: degenerate facets, closure, area spread
+    and winding (:func:`signed_volume`)."""
     return ValidationReport(
         n_elements=mesh.n_elements,
         degenerate_indices=mesh.degenerate_indices(),
@@ -129,6 +147,7 @@ def validate(mesh: SurfaceMesh) -> ValidationReport:
         min_area=float(mesh.areas.min()),
         max_area=float(mesh.areas.max()),
         total_area=float(mesh.areas.sum()),
+        signed_volume=signed_volume(mesh),
     )
 
 

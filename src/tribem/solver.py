@@ -29,38 +29,64 @@ dense product. It factors in double precision: against one right-hand
 side per DOF, refinement would cost as much as the factorisation.
 
 BLAS threads: a direct solve below ``SINGLE_THREAD_DOFS`` (1500) runs on
-one BLAS thread (:mod:`tribem._blas`), larger ones on the libraries' own
+one BLAS thread (:mod:`tribem._blas`), larger ones on the library's own
 count. On a 2-vCPU VM, medians of 15-21 solves of cube systems
 alternating with a numpy product: one thread took 0.84 ms against 1.5
 ms threaded at 288 DOF and 4.7 against 6.7 ms at 648; the two tied
 within the noise at 1152 and 1800 (20-28 and 75-95 ms); threads won
 from 2592 on (min 136 against 147 ms) and by 1.6x at 7200. A threaded
-small solve also woke scipy's OpenBLAS pool, whose threads then spun on
-a core into the next request's assembly. The thread count changes the
+small solve also woke the OpenBLAS pool, whose threads then spun on a
+core into the next request's assembly. The thread count changes the
 LU's rounding, so the size alone decides: a system solves bit for bit
 the same wherever it was assembled. The precomputed path keeps the
-libraries' count. A large solve and the precomputed build hold the
+library's count. A large solve and the precomputed build hold the
 lock the pins hold, so no other thread's pin changes the count while
 they run and a concurrent small solve cannot change their rounding.
 
-Nothing joins a BLAS pool that a caller left spinning. After a threaded
-call an OpenBLAS worker busy-waits ~0.13 s before it sleeps, and
-setting the count does not stop one already spinning, so a caller's
-threaded numpy product right before a large solve takes a core from
-it. tribem's own requests make no such product: box-regrasp's check
-``system.a @ x`` runs on scipy's BLAS
-(:class:`~tribem.assembly.SystemMatrix`). Large operations used to
-start by joining numpy's pool, which served only that case. On the
-3000-DOF box at q=4 on a 2-vCPU VM, in 12 alternating pairs of
-processes, medians of each process's median regrasp
-(:func:`apply_boundary_conditions` + :func:`solve_direct`, 10 per
-case), joining against not:
+One library, one pool. The LU routines are numpy's own OpenBLAS's
+(:mod:`tribem._blas`), so nothing joins a BLAS pool that a caller left
+spinning, and none needs to. After a threaded call an OpenBLAS worker
+busy-waits ~0.13 s before it sleeps, and setting the count does not
+stop one already spinning. While scipy's OpenBLAS factored A, a
+caller's threaded numpy product right before a large solve left
+numpy's worker spinning on a core that the other library's LU needed;
+now the product and the LU share the one pool, as box-regrasp's check
+``system.a @ x`` (:class:`~tribem.assembly.SystemMatrix`) and the next
+request's LU do. On the 3000-DOF box at q=4 on a 2-vCPU VM, in 12
+alternating pairs of processes, medians of each process's median
+regrasp (:func:`apply_boundary_conditions` + :func:`solve_direct`, 10
+per case), scipy's LAPACK against numpy's:
 
-- each regrasp right after the caller's numpy ``H @ v``: 128 against
-  195 ms, slower without the join in 12 of 12 pairs;
-- with nothing before it: 134 against 143 ms, lower without it in 6 of
-  12, inside the spread between processes (quartiles 123-148 against
-  122-155 ms).
+- each regrasp right after the caller's numpy ``H @ v``: 200 against
+  146 ms (quartiles 194-211 and 136-159), lower in 12 of 12 pairs;
+- after a 0.3 s pause instead: 155 against 148 ms (quartiles 144-161
+  and 136-158), lower in 8 of 12, inside the spread between processes.
+
+With one pool the product costs the regrasp nothing (146 against 148
+ms). Measured before on the same VM, while scipy's library factored A,
+a regrasp after the product took 195 ms, and 128 ms when large
+operations first joined numpy's pool.
+
+The first LU after assembly: in 16 fresh processes each, assembling
+that box and solving it three times, the float32 LU took 89-141 ms
+(median 96) first and 85-133 ms after on scipy's library, and 87-140
+ms (median 96) first and 85-142 ms after on numpy's. Neither showed the
+7-10x slow mode of a threaded ``sgetrf`` seen in some processes, but
+one library does not remove it: the level probe's threaded 1600 x 1600
+``sgetrf`` took 196-212 ms a call in 1 of 20 fresh processes on numpy's
+library, against 18-30 ms in the others, and 200-222 ms in 3 of 112
+probes on scipy's; each of the four was the first process of a batch
+started after other work.
+
+At the 288-DOF cube numpy's library factors and solves a little more
+slowly: in 6 processes that alternated the two libraries' float32 LU
+between two-worker cube requests at q=16, numpy's ``sgetrf`` took
+517-892 us (per-process medians) against 481-810 us for scipy's, 7-11%
+more in every process, and the three ``sgetrs`` of a request 91-176
+against 52-100 us, so a request's solve took 82-175 us longer. Over 20
+alternating pairs of benchmark runs (``BENCH_13.json``) cube-graphics'
+p50 read 10.53 against 10.81 ms, inside the parent's quartiles
+(10.27-11.03 ms).
 
 No float64 A is kept or built at any size: A is a view of H and G,
 and only the double-LU fallback and the precomputed build copy it
@@ -111,12 +137,9 @@ import logging
 import math
 import os
 import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg import blas, lapack
 
 from . import _blas
 from .assembly import (
@@ -127,6 +150,7 @@ from .assembly import (
     apply_boundary_conditions,
     read_matrix,
     rhs_matrix,
+    strided_runs,
     write_matrix,
 )
 from .errors import BoundaryConditionError, SingularSystemError, StaleOperatorError
@@ -134,12 +158,12 @@ from .kernels import Material
 from .mesh import SurfaceMesh
 
 # Share of nonzero values above which an apply makes one dense product
-# instead of one axpy per loaded row. Measured at 3000 DOF with a cold
-# cache on a 2-vCPU VM, medians of 25-41 applies: the dense product
-# 2.9-3.7 ms at any share; axpys over scattered rows 0.29 ms for 51 rows,
-# 2.1-2.2 ms for 600, 2.6-3.2 ms for 900, 3.7-4.3 ms for 1200 and 10 ms
-# for all of them, and over whole elements' rows within 20% of that, so
-# the two cross near 3/10.
+# instead of one product per progression of loaded rows. Measured at
+# 3000 DOF with a cold cache on a 2-vCPU VM, medians of 25 applies: the
+# dense product 2.3 ms at any share; scattered rows 0.17 ms for 51 rows,
+# 2.0 ms for 600, 3.1 ms for 900 and 4.1 ms for 1200; whole elements'
+# rows 0.14, 1.8, 2.5 and 3.0 ms. So the two cross between a quarter
+# (scattered rows) and 3/10 (elements' rows).
 DENSE_SHARE = 3 / 10
 # Layout of a saved operator; an unversioned directory holds the older
 # explicit inverse and right-hand-side builder.
@@ -304,21 +328,21 @@ def _checked_lu(a, overwrite_a=False):
     """LU-factorise and reject matrices that are not finite, or singular
     to working precision.
 
-    With ``overwrite_a`` a Fortran-ordered ``a`` is factorised in its own
-    memory, which then holds the factors. scipy warns on exactly-zero
-    pivots; the explicit pivot check below turns that condition into a
-    typed error carrying the pivot index. The check is per column, as in
-    :func:`_refined_single_solve`: A's columns mix the scales of H and
-    G, and a column scaled by any factor must not make the pivots of
-    the others look singular.
+    Returns (lu, piv) for :func:`tribem._blas.getrs`. With
+    ``overwrite_a`` a Fortran-ordered ``a`` is factorised in its own
+    memory, which then holds the factors; otherwise a column-major copy
+    is. The pivot check below turns an exactly-zero pivot, as well as
+    one at rounding level, into a typed error carrying the pivot index.
+    The check is per column, as in :func:`_refined_single_solve`: A's
+    columns mix the scales of H and G, and a column scaled by any factor
+    must not make the pivots of the others look singular.
     """
     a = _square(a)
     scales = _column_scales(a)
     if not np.isfinite(scales).all():
         raise ValueError("system matrix contains non-finite entries")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        lu, piv = scipy.linalg.lu_factor(a, overwrite_a=overwrite_a, check_finite=False)
+    lu = np.asfortranarray(a) if overwrite_a else a.copy(order="F")
+    piv, _ = _blas.getrf(lu)
     bad = np.flatnonzero(np.abs(np.diag(lu)) <= a.shape[0] * np.finfo(float).eps * scales)
     if bad.size:
         raise SingularSystemError(int(bad[0]))
@@ -348,10 +372,11 @@ def _refined_single_solve(a: SystemMatrix, b):
     H and G. After each step the residual must shrink fast enough to
     reach the tolerance in the steps left, and the tolerance must lie
     above eps/2 of the largest product |a_ij x_j|, the rounding of the
-    float64 residual itself. The residual is one dgemv per run of A
-    (:meth:`SystemMatrix.matvec`) from scipy's BLAS, the library whose
-    LAPACK factors A, on column-major slabs of H and G that reach it
-    uncopied, or on the transpose of a row-major A.
+    float64 residual itself. The residual is one numpy product per run
+    of A (:meth:`SystemMatrix.matvec`), a ``dgemv`` in numpy's OpenBLAS,
+    the library whose LAPACK factors A (:mod:`tribem._blas`), on
+    column-major slabs of H and G that reach it uncopied, or on the
+    transpose of a row-major A.
     """
     n = a.shape[0]
     if n >= SINGLE_THREAD_DOFS:
@@ -361,15 +386,15 @@ def _refined_single_solve(a: SystemMatrix, b):
     scales = _cast_with_scales(a, a32)
     if not np.isfinite(scales).all():
         return None, "A has entries that are not finite in single precision"
-    lu, piv, _ = lapack.sgetrf(a32, overwrite_a=True)
-    small = np.flatnonzero(np.abs(lu.diagonal()) <= n * np.finfo(np.float32).eps * scales)
+    piv, _ = _blas.getrf(a32)
+    small = np.flatnonzero(np.abs(a32.diagonal()) <= n * np.finfo(np.float32).eps * scales)
     if small.size:
         return None, f"pivot {small[0]} is zero to single precision"
     b_max = _max_abs(b)
     x = np.zeros(b.shape)
     r, res = b, b_max
     for step in range(1, REFINE_STEPS + 1):
-        x += lapack.sgetrs(lu, piv, r.astype(np.float32), overwrite_b=True)[0]
+        x += _blas.getrs(a32, piv, r.astype(np.float32))
         r = a.matvec(x, -1.0, b)  # b - A x, b kept
         last, res = res, _max_abs(r)
         if res <= REFINE_TOL * b_max:
@@ -426,7 +451,7 @@ def solve_direct(system: LinearSystem):
     Below ``SINGLE_THREAD_DOFS`` the whole solve, fallback included,
     runs with one BLAS thread, and the float32 copy is the calling
     thread's kept array (:func:`working_array`); above it, at the
-    libraries' own count, holding the lock the pins hold
+    library's own count, holding the lock the pins hold
     (:mod:`tribem._blas`), in the process's one factor buffer, which
     that lock owns. x is always a new array."""
     a = _system_matrix(system.a)
@@ -439,7 +464,7 @@ def solve_direct(system: LinearSystem):
         x, reason = _refined_single_solve(a, b)
         if x is None:
             log.info("%s; solving with the double-precision LU", reason)
-            x = scipy.linalg.lu_solve(_checked_lu(a.dense(), overwrite_a=True), b)
+            x = _blas.getrs(*_checked_lu(a.dense(), overwrite_a=True), b.copy())
     return x
 
 
@@ -508,14 +533,11 @@ class PrecomputedOperator:
         C-contiguous M^T and at most two N x N arrays exist beside H and
         G. A itself is factored, not A^T: its columns mix the scales of
         H and G, and row pivoting, as in :func:`solve_direct`, is blind
-        to that. Factors and solves at the libraries' own thread count,
+        to that. Factors and solves at the library's own thread count,
         holding the lock the pins hold (:mod:`tribem._blas`)."""
         with _blas.library_threads():
             a = apply_boundary_conditions(hg, bc).a.dense()
-            lu_piv = _checked_lu(a, overwrite_a=True)
-            m = scipy.linalg.lu_solve(
-                lu_piv, rhs_matrix(hg, bc), overwrite_b=True, check_finite=False
-            )
+            m = _blas.getrs(*_checked_lu(a, overwrite_a=True), rhs_matrix(hg, bc))
         return cls(m.T, bc.displacement_known.copy(), fingerprint)
 
     def rebuild_rhs(self, values):
@@ -532,14 +554,14 @@ class PrecomputedOperator:
     def apply_to_rhs(self, load):
         """x = sum of v_d M^T[d] over the load's rows. For every row it
         is one dense product; otherwise x starts at zero and takes one
-        BLAS axpy per loaded row, which reads the row in place: a
-        contiguous block of M^T, copied nowhere."""
+        product per progression of loaded rows (:func:`strided_runs`),
+        which reads those rows of M^T in place, copied nowhere."""
         rows, v = load
         if isinstance(rows, slice):
             return v @ self.greens[rows]
         x = np.zeros(self.n_dofs)
-        for d, v_d in zip(rows.tolist(), v.tolist()):
-            x = blas.daxpy(self.greens[d], x, a=v_d)
+        for where, positions in strided_runs(rows):
+            x += v[positions] @ self.greens[where]
         return x
 
     def save(self, directory):

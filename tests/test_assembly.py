@@ -25,6 +25,7 @@ from tribem.assembly import (
     rhs_matrix,
     rigid_body_diagonal,
     set_diagonal_blocks,
+    strided_runs,
     write_matrix,
 )
 from tribem.errors import (
@@ -676,6 +677,50 @@ class TestApplyBoundaryConditions:
             assert a.tobytes() == want_a.tobytes()
             assert r.tobytes() == want_r.tobytes()
             assert system.b.tobytes() == want_b.tobytes()
+
+
+class TestStridedRuns:
+    """Sorted indices split into maximal progressions, taken from the
+    front, each with the slice of the list that holds it."""
+
+    @pytest.mark.parametrize(
+        "indices, want",
+        [
+            ([], []),
+            ([7], [(slice(7, 8, 1), slice(0, 1))]),
+            ([49, 52, 55, 58], [(slice(49, 59, 3), slice(0, 4))]),
+            ([0, 1, 2, 5, 6, 7, 20],
+             [(slice(0, 3, 1), slice(0, 3)), (slice(5, 8, 1), slice(3, 6)),
+              (slice(20, 21, 1), slice(6, 7))]),
+            ([0, 1, 5, 9], [(slice(0, 2, 1), slice(0, 2)), (slice(5, 10, 4), slice(2, 4))]),
+        ],
+        ids=["none", "one", "every third", "three runs", "from the front"],
+    )
+    def test_progressions(self, indices, want):
+        indices = np.array(indices, dtype=np.intp)
+        found = strided_runs(indices)
+        assert found == want
+        for where, positions in found:
+            assert np.array_equal(np.arange(100)[where], indices[positions])
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_b_of_every_step_th_dof_does_not_depend_on_layout(self, hg, step):
+        # one-axis loads make progressions of every third column, read in
+        # place from column-major H and G and copied from row-major ones,
+        # so that b comes out the same bit for bit
+        n = hg.n_dofs
+        disp = np.zeros(n, dtype=bool)
+        disp[: n // 4] = True
+        values = np.zeros(n)
+        values[1::step] = np.random.default_rng(40).standard_normal(len(values[1::step]))
+        bc = BoundarySpec(disp, values)
+        c_ordered = InfluenceMatrices(
+            np.ascontiguousarray(hg.h), np.ascontiguousarray(hg.g), hg.n_elements
+        )
+        b = apply_boundary_conditions(hg, bc).b
+        assert apply_boundary_conditions(c_ordered, bc).b.tobytes() == b.tobytes()
+        want = rhs_matrix(hg, bc) @ values
+        assert np.abs(b - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestSystemMatrix:

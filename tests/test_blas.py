@@ -1,3 +1,4 @@
+import ctypes
 import json
 import logging
 import os
@@ -12,6 +13,7 @@ import pytest
 import threadticks
 import tribem
 from tribem import _blas, solver
+from tribem.errors import SingularSystemError
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -21,7 +23,7 @@ SRC = TESTS.parent / "src"
 def found():
     libs = _blas.libraries()
     if not libs:
-        pytest.skip("no OpenBLAS of numpy or scipy found")
+        pytest.skip("no OpenBLAS of numpy found")
     return libs
 
 
@@ -243,18 +245,20 @@ class TestNothingFound:
 
 
 def test_discovery_loads_nothing_new(found):
-    # RTLD_NOLOAD: what is found is what numpy and scipy have loaded
-    assert sorted(lib.package for lib in found) == ["numpy", "scipy"]
+    # RTLD_NOLOAD: what is found is what numpy has loaded, and the LU
+    # routines come from the same library
+    assert [lib.package for lib in found] == ["numpy"]
+    assert os.path.dirname(_blas._LAPACK.path) == os.path.dirname(np.__file__) + ".libs"
 
 
-# Records both libraries' counts before tribem is imported, runs one
-# two-worker request on the cube, and records them again.
+# Records numpy's library's count before tribem is imported, runs one
+# two-worker request on the cube, and records it again.
 _GUARD = """
 import ctypes, glob, json, os
-import numpy, scipy.linalg
+import numpy
 
-def count(package, names):
-    root = os.path.dirname(__import__(package).__file__)
+def count(names):
+    root = os.path.dirname(numpy.__file__)
     for path in glob.glob(os.path.join(root + ".libs", "*openblas*")):
         lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD)
         for name in names:
@@ -263,10 +267,8 @@ def count(package, names):
     return None
 
 def counts():
-    return [
-        count("numpy", ["scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_"]),
-        count("scipy", ["scipy_openblas_get_num_threads", "openblas_get_num_threads"]),
-    ]
+    return [count(["scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads", "openblas_get_num_threads"])]
 
 before = counts()
 import tribem
@@ -397,11 +399,12 @@ class TestQuiet:
 
     @pytest.fixture
     def fakes(self, monkeypatch):
-        """Install fake numpy and scipy libraries; ``fakes(without=...)``
+        """Install two fake libraries, numpy and another, so that one pin
+        meets a joined pool and a live one; ``fakes(without=...)``
         leaves those without pool controls."""
 
         def install(without=()):
-            pools = {package: _FakePool() for package in ("numpy", "scipy")}
+            pools = {package: _FakePool() for package in ("numpy", "other")}
             libs = tuple(
                 _blas._Library(
                     package,
@@ -427,10 +430,10 @@ class TestQuiet:
             with _blas.single_threaded():
                 with _blas.single_threaded():
                     inside = {p: pool.joined for p, pool in pools.items()}
-        assert inside == {"numpy": True, "scipy": False}
+        assert inside == {"numpy": True, "other": False}
         assert pools["numpy"].joined
         assert pools["numpy"].writes() == [("set_count", 1), ("set_count", 2)]
-        assert pools["scipy"].writes() == [("set_threads", 1), ("set_threads", 2)]
+        assert pools["other"].writes() == [("set_threads", 1), ("set_threads", 2)]
         assert caplog.records == []
 
     @pytest.mark.parametrize("large", [False, True])
@@ -444,14 +447,14 @@ class TestQuiet:
         pools = fakes()
         before = counts()
         tribem.apply_boundary_conditions(hg, prob.bc)
-        assert {p: pool.calls for p, pool in pools.items()} == {"numpy": [], "scipy": []}
+        assert {p: pool.calls for p, pool in pools.items()} == {"numpy": [], "other": []}
         assert counts() == before
 
     def test_pin_leaves_live_pools_alone(self, fakes):
         pools = fakes()
         with _blas.single_threaded():
             pass
-        assert {p: pool.joined for p, pool in pools.items()} == {"numpy": False, "scipy": False}
+        assert {p: pool.joined for p, pool in pools.items()} == {"numpy": False, "other": False}
         assert {p: pool.writes() for p, pool in pools.items()} == {
             p: [("set_threads", 1), ("set_threads", 2)] for p in pools
         }
@@ -536,3 +539,149 @@ def test_large_solve_after_a_numpy_product(found):
     assert woken, "the product left no pool spinning, so the check shows nothing"
     assert started == []
     assert run("alone")[2] == x_hash
+
+
+class TestLapack:
+    """getrf and getrs call numpy's OpenBLAS in place, after checking
+    what they are given."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every LAPACK routine replaced by one that records its name."""
+        made = []
+        for name in _blas._ROUTINES:
+            monkeypatch.setitem(
+                _blas._LAPACK.routines, name, lambda *args, name=name: made.append(name)
+            )
+        return made
+
+    @staticmethod
+    def factored(n=4, dtype=np.float64):
+        lu = np.asfortranarray(np.eye(n, dtype=dtype) * 2 + 0.5)
+        piv, info = _blas.getrf(lu)
+        assert info == 0
+        return lu, piv
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            "C-ordered",
+            "int64",
+            "complex128",
+            "float16",
+            "non-square",
+            "one-dimensional",
+            "read-only",
+            "list",
+        ],
+    )
+    def test_getrf_rejects_before_any_call(self, calls, a):
+        arrays = {
+            "C-ordered": np.ones((4, 4)),
+            "int64": np.ones((4, 4), np.int64, order="F"),
+            "complex128": np.ones((4, 4), complex, order="F"),
+            "float16": np.ones((4, 4), np.float16, order="F"),
+            "non-square": np.ones((4, 3), order="F"),
+            "one-dimensional": np.ones(4),
+            "read-only": np.ones((4, 4), order="F"),
+            "list": [[1.0, 0.0], [0.0, 1.0]],
+        }
+        given = arrays[a]
+        if a == "read-only":
+            given.setflags(write=False)
+        with pytest.raises(ValueError):
+            _blas.getrf(given)
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "b", ["rows", "float32", "C-ordered", "three-dimensional", "pivots", "pivot dtype", "lu"]
+    )
+    def test_getrs_rejects_before_any_call(self, calls, b):
+        lu, piv = self.factored()
+        calls.clear()
+        right = np.ones(4)
+        cases = {
+            "rows": (lu, piv, np.ones(5)),
+            "float32": (lu, piv, np.ones(4, np.float32)),
+            "C-ordered": (lu, piv, np.ones((4, 2))),
+            "three-dimensional": (lu, piv, np.ones((4, 2, 2), order="F")),
+            "pivots": (lu, piv[:3], right),
+            "pivot dtype": (lu, piv.astype(np.int8), right),
+            "lu": (np.ascontiguousarray(lu), piv, right),
+        }
+        with pytest.raises(ValueError):
+            _blas.getrs(*cases[b])
+        assert calls == []
+
+    def test_exactly_singular_reaches_the_typed_error(self):
+        # the second row is twice the first, so elimination leaves an
+        # exactly zero U[1, 1]: getrf reports it, and _checked_lu raises
+        a = np.asfortranarray([[1.0, 2.0], [2.0, 4.0]])
+        _, info = _blas.getrf(a.copy(order="F"))
+        assert info == 2
+        with pytest.raises(SingularSystemError) as exc:
+            solver._checked_lu(a)
+        assert exc.value.pivot == 1
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_agrees_with_numpy_solve(self, dtype, tol, seed):
+        rng = np.random.default_rng(seed)
+        n = 40 * seed
+        a = (rng.standard_normal((n, n)) + n * np.eye(n)).astype(dtype)
+        b = rng.standard_normal((n, 3)).astype(dtype)
+        lu = np.asfortranarray(a).copy(order="F")
+        piv, info = _blas.getrf(lu)
+        assert info == 0 and piv.min() >= 1 and piv.max() <= n
+        assert lu.dtype == dtype
+        for rhs in (b, b[:, 0]):
+            want = np.linalg.solve(a, rhs)
+            got = _blas.getrs(lu, piv, np.asfortranarray(rhs).copy(order="F"))
+            assert got.dtype == dtype
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+    def test_no_library_names_the_files_searched(self):
+        with pytest.raises(ImportError) as exc:
+            _blas._find_lapack([])
+        assert exc.value.path == _blas._PATTERN
+        assert _blas._PATTERN in str(exc.value)
+        libc = ctypes.CDLL(None)
+        with pytest.raises(ImportError, match="libc-without-lapack"):
+            _blas._find_lapack([("libc-without-lapack", libc)])
+
+
+# Runs a solve, a precomputed build and apply and a two-worker
+# distributed run in a fresh interpreter, then prints the scipy modules
+# loaded and what _blas found.
+_ONE_LIBRARY = """
+import json, sys
+import tribem
+from tribem import _blas
+
+prob = tribem.cube_problem()
+rule = tribem.gauss_rule(4)
+hg = tribem.assemble(prob.mesh, prob.material, rule)
+tribem.solve(hg, prob.bc)
+tribem.apply_precomputed(tribem.PrecomputedOperator.build(hg, prob.bc), prob.bc)
+tribem.distributed_assemble_solve(prob.mesh, prob.material, prob.bc, rule, workers=2)
+print(json.dumps([
+    sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    [lib.package for lib in _blas.libraries()],
+    _blas._LAPACK.path,
+]))
+"""
+
+
+def test_one_library_and_no_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c", _ONE_LIBRARY],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        check=True,
+    )
+    scipy_modules, packages, path = json.loads(result.stdout.strip().splitlines()[-1])
+    assert scipy_modules == []
+    assert packages == ["numpy"]
+    assert os.path.dirname(path) == os.path.dirname(np.__file__) + ".libs"

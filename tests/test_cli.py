@@ -101,6 +101,13 @@ class TestValidateCommand:
     def test_stl(self, capsys, cube_stl):
         assert main(["validate", "--mesh", str(cube_stl)]) == 0
 
+    def test_inward_winding_reported(self, capsys, tmp_path):
+        mesh = generate_cube(4, 2)
+        path = tmp_path / "inward.stl"
+        path.write_bytes(write_stl(SurfaceMesh(mesh.vertices[:, ::-1])))
+        assert main(["validate", "--mesh", str(path)]) == 0
+        assert "(inward)" in capsys.readouterr().out
+
     def test_garbage_stl_io_error(self, tmp_path):
         bad = tmp_path / "bad.stl"
         bad.write_bytes(b"\x01" * 60)

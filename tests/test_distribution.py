@@ -301,7 +301,7 @@ class TestDistributedAssembleSolve:
         # BLAS thread counts it ran with
         own = thread_counts()
         if not own:
-            pytest.skip("no OpenBLAS of numpy or scipy found")
+            pytest.skip("no OpenBLAS of numpy found")
         record = tmp_path / "counts"
 
         def recorded(*args):

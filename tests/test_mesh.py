@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from tribem.errors import EmptyMeshError, StlParseError
+from tribem.problems import cube_problem
 from tribem.mesh import (
     SurfaceMesh,
     generate_box,
@@ -233,6 +234,24 @@ class TestValidate:
         report = validate(mesh)
         assert not report.is_closed
         assert report.closure_residual_norm == pytest.approx(0.5)
+
+    def test_inward_winding_not_ok(self):
+        # the 96-element cube with every facet's winding reversed: closed
+        # and free of degenerate facets, but its normals face inward, which
+        # assembly would turn into a negated u without any warning
+        mesh = cube_problem().mesh
+        reversed_ = SurfaceMesh(mesh.vertices[:, ::-1])
+        forward, backward = validate(mesh), validate(reversed_)
+        assert forward.ok and forward.signed_volume == pytest.approx(64.0)
+        assert backward.is_closed and len(backward.degenerate_indices) == 0
+        assert backward.signed_volume == pytest.approx(-64.0)
+        assert not backward.ok
+        assert "inward" in str(backward) and "outward" in str(forward)
+
+    def test_signed_volume_of_a_box_away_from_the_origin(self):
+        mesh = generate_box((2.0, 3.0, 5.0), (2, 3, 5))
+        far = SurfaceMesh(mesh.vertices + 1e6)
+        assert validate(far).signed_volume == pytest.approx(30.0, rel=1e-9)
 
     def test_zero_area_facet_flagged(self):
         tris = np.array(

@@ -13,11 +13,9 @@ import weakref
 
 import numpy as np
 import pytest
-import scipy.linalg
-from scipy.linalg import lapack
 
 from oracles import gauss_eliminate
-from tribem import solver
+from tribem import _blas, solver
 from tribem._blas import single_threaded, thread_counts
 from tribem.assembly import (
     BoundarySpec,
@@ -146,11 +144,14 @@ def clustered_system(n, log_cond, seed):
 
 
 def double_lu_solve(system):
-    """The double LU as solve_direct runs it: on one BLAS thread below
-    SINGLE_THREAD_DOFS, since the thread count changes its rounding."""
+    """The double LU as solve_direct runs it: getrf and getrs on a dense
+    column-major copy of A, on one BLAS thread below SINGLE_THREAD_DOFS,
+    since the thread count changes its rounding."""
     small = system.a.shape[0] < solver.SINGLE_THREAD_DOFS
     with single_threaded() if small else contextlib.nullcontext():
-        return scipy.linalg.lu_solve(scipy.linalg.lu_factor(system.a), system.b)
+        lu = np.array(system.a, dtype=float, order="F")
+        piv, _ = _blas.getrf(lu)
+        return _blas.getrs(lu, piv, system.b.copy())
 
 
 def digest(x):
@@ -287,13 +288,14 @@ class TestMixedPrecision:
     @staticmethod
     def count_single_solves(monkeypatch):
         solves = []
-        sgetrs = lapack.sgetrs
+        getrs = _blas.getrs
 
-        def counted(*args, **kwargs):
-            solves.append(1)
-            return sgetrs(*args, **kwargs)
+        def counted(lu, piv, b):
+            if lu.dtype == np.float32:
+                solves.append(1)
+            return getrs(lu, piv, b)
 
-        monkeypatch.setattr(lapack, "sgetrs", counted)
+        monkeypatch.setattr(_blas, "getrs", counted)
         return solves
 
     def test_slow_refinement_falls_back_early(self, caplog, monkeypatch):
@@ -369,40 +371,43 @@ class TestBlasThreads:
     count; it leaves the count as it found it."""
 
     @staticmethod
-    def record_threads(monkeypatch, module, name):
+    def record_threads(monkeypatch, dtype):
+        """The thread counts at each getrf of ``dtype``: float32 for the
+        single-precision LU, float64 for the double one."""
         seen = []
-        routine = getattr(module, name)
+        getrf = _blas.getrf
 
-        def recorded(*args, **kwargs):
-            seen.append(thread_counts())
-            return routine(*args, **kwargs)
+        def recorded(a):
+            if a.dtype == dtype:
+                seen.append(thread_counts())
+            return getrf(a)
 
-        monkeypatch.setattr(module, name, recorded)
+        monkeypatch.setattr(_blas, "getrf", recorded)
         return seen
 
     @pytest.fixture
     def own(self):
         counts = thread_counts()
         if not counts:
-            pytest.skip("no OpenBLAS of numpy or scipy found")
+            pytest.skip("no OpenBLAS of numpy found")
         return counts
 
     def test_small_system_on_one_thread(self, own, monkeypatch):
-        seen = self.record_threads(monkeypatch, lapack, "sgetrf")
+        seen = self.record_threads(monkeypatch, np.float32)
         solve_direct(random_system(np.random.default_rng(60), 300))
         assert seen == [{package: 1 for package in own}]
         assert thread_counts() == own
 
     def test_large_system_keeps_the_threads(self, own, monkeypatch, caplog):
         monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 300)
-        seen = self.record_threads(monkeypatch, lapack, "sgetrf")
+        seen = self.record_threads(monkeypatch, np.float32)
         with caplog.at_level(logging.DEBUG, logger="tribem.solver"):
             solve_direct(random_system(np.random.default_rng(60), 300))
         assert seen == [own]
         assert caplog.records[0].getMessage() == f"solving 300 DOFs with BLAS threads {own}"
 
     def test_fallback_on_one_thread(self, own, monkeypatch, caplog):
-        seen = self.record_threads(monkeypatch, scipy.linalg, "lu_factor")
+        seen = self.record_threads(monkeypatch, np.float64)
         with caplog.at_level(logging.INFO, logger="tribem.solver"):
             solve_direct(conditioned_system(200, 9, 51))
         assert "double-precision LU" in caplog.text
@@ -599,8 +604,8 @@ class TestSolveFromTheView:
         assert np.array_equal(solver._cast_with_scales(system.a, a32), solver._column_scales(cast))
         assert digest(a32) == digest(cast)
         solve_direct(system)
-        lu = lapack.sgetrf(cast)[0]
-        assert digest(solver._factor32) == digest(lu)
+        _blas.getrf(cast)
+        assert digest(solver._factor32) == digest(cast)
 
     @pytest.mark.parametrize("kinds", ["problem", "random"])
     def test_view_and_its_dense_array_refine_alike(self, cube_setup, kinds):
@@ -648,7 +653,7 @@ class TestPrecomputedOperator:
         # the offline LU's pivot check is per column: one column 1e20
         # larger leaves the others' pivots nonsingular
         a = np.diag([1e20, 1.0, 2.0, 3.0])
-        inverse = scipy.linalg.lu_solve(solver._checked_lu(a), np.eye(4))
+        inverse = _blas.getrs(*solver._checked_lu(a), np.eye(4, order="F"))
         assert np.allclose(inverse, np.diag(1 / np.diag(a)), rtol=1e-14)
 
     def test_singular_rejected(self):
@@ -808,6 +813,8 @@ def _load_rows(shape, mesh, rng):
         return np.array([17])
     if shape == "ends":
         return np.array([0, n - 1])
+    if shape == "axis":  # one axis of consecutive elements: every third row
+        return 3 * np.arange(10, 30) + 1
     if shape == "scattered":
         return np.sort(rng.choice(n, 20, replace=False))
     if shape == "elements":
@@ -827,7 +834,7 @@ class TestGreensApply:
         """Largest nonzero count that still takes the row branch."""
         return int(DENSE_SHARE * n)
 
-    @pytest.mark.parametrize("shape", ["one", "ends", "scattered", "elements", "patch"])
+    @pytest.mark.parametrize("shape", ["one", "ends", "axis", "scattered", "elements", "patch"])
     def test_load_shapes_match_dense_product(self, cube_setup, shape):
         prob, _, op = cube_setup
         rng = np.random.default_rng(49)

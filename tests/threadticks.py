@@ -4,8 +4,8 @@
 An OpenBLAS pool's threads busy-wait for a while after each threaded
 call, so a pool left awake gains ticks while the caller sleeps; a pool
 that was joined, or has gone to sleep, gains none. Threads are OS
-threads, so the pools of both numpy's and scipy's OpenBLAS are seen
-although Python knows nothing of them.
+threads, so the pool of numpy's OpenBLAS is seen although Python
+knows nothing of it.
 """
 
 import threading

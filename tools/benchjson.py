@@ -48,7 +48,10 @@ STDERR_LINES = 20  # of a failed run, kept in the log
 
 # The level probe: prints {"sgetrf_1600_ms": ..., "dgemv_3000_ms": ...},
 # the medians of 5 calls each on seeded inputs. The LU factors a fresh
-# copy each call, made outside the timing.
+# copy each call, made outside the timing. It runs on scipy's OpenBLAS,
+# although tribem itself uses only numpy's: the probe is the same for
+# both sides of a pair whatever either side's code imports, and its
+# readings stay comparable with the earlier BENCH_*.json files.
 PROBE = """
 import json, time
 import numpy as np
