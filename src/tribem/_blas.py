@@ -33,14 +33,24 @@ thread holds the lock would inherit it held by a thread it lacks, and
 its first large solve would wait forever; a fork hook gives such a
 child the count that pin found and a free lock.
 
-The cost falls on concurrent callers, which tribem never makes itself
-(its distributed run forks worker processes): small solves from
-several threads run one at a time. On a 2-vCPU VM, in 4 alternating
-pairs of processes, the earlier gate that let pins overlap against this
-lock: two threads looping solves of the 288-DOF cube made 1683-2068
-against 1019-1109 solves/s in all (one thread alone, 920-1264 against
+The lock also owns what tribem keeps between calls: the solver's kept
+arrays and the distributed run's worker processes, since every solve
+and every distributed run holds it for its whole body
+(:mod:`tribem.solver`, :mod:`tribem.distribution`). The cost falls on
+concurrent callers, which tribem never makes itself (its distributed
+run forks worker processes): solves and distributed runs from several
+threads run one at a time. On a 2-vCPU VM, in 4 alternating pairs of
+processes, the earlier gate that let pins overlap against this lock:
+two threads looping solves of the 288-DOF cube made 1683-2068 against
+1019-1109 solves/s in all (one thread alone, 920-1264 against
 955-1187); two threads looping two-worker cube runs at q=16 made
-93.6-99.3 against 86.6-92.7 runs/s.
+93.6-99.3 against 86.6-92.7 runs/s. Measured again on the same VM
+once the distributed run held the lock for its whole body, in 8
+alternating pairs of 10 s processes, two threads looping two-worker
+runs of two cube problems at q=16 made 109-149 runs/s in all (median
+125) taking turns, against 108-130 (median 120) when the second
+thread's run swept alone beside the first, higher in 6 of 8 pairs.
+The lock is not fair: one thread made 28-50% of a process's runs.
 
 A pin keeps a joined pool joined. OpenBLAS's fork handler joins the
 pool, as when the distributed run forks its workers just before it
@@ -77,7 +87,7 @@ _PATTERN = os.path.join(os.path.dirname(np.__file__) + ".libs", "*openblas*")
 _ROUTINES = ("sgetrf", "sgetrs", "dgetrf", "dgetrs")
 
 # held by single_threaded and library_threads for their body, one
-# thread at a time, and the counts the outermost pin found (None while
+# thread at a time, and the count the outermost pin found (None while
 # no pin is in effect)
 _lock = threading.RLock()
 _saved = None
@@ -214,10 +224,10 @@ class _Pool(NamedTuple):
 
 
 class _Library(NamedTuple):
-    """One loaded OpenBLAS, its process-wide thread-count functions and
-    its pool's controls (None when the build does not export them)."""
+    """numpy's OpenBLAS as a pin sees it: its process-wide thread-count
+    functions and its pool's controls (None when the build does not
+    export them)."""
 
-    package: str
     threads: Callable[[], int]
     set_threads: Callable[[int], None]
     pool: _Pool | None
@@ -254,34 +264,33 @@ def _pool(lib):
 
 
 def _discover():
-    """numpy's library as the one pinned, and the reason it cannot be
-    (None when it can)."""
+    """numpy's library as a :class:`_Library` and None, or None and the
+    reason it cannot be pinned."""
     functions = _functions(_LAPACK.lib)
     if functions is None:
-        return (), f"numpy's OpenBLAS {_LAPACK.path} has no thread-count functions"
-    return (_Library("numpy", *functions, _pool(_LAPACK.lib)),), None
+        return None, f"numpy's OpenBLAS {_LAPACK.path} has no thread-count functions"
+    return _Library(*functions, _pool(_LAPACK.lib)), None
 
 
 @functools.cache
-def libraries():
-    """The pinned libraries: numpy's alone, or none. Logs once why it is
-    missing, or that it has no pool controls."""
+def library():
+    """The pinned library, numpy's, or None. Logs once why it is missing,
+    or that it has no pool controls."""
     found, reason = _discover()
     if reason is not None:
         log.info("BLAS threads stay unpinned: %s", reason)
-    uncontrolled = [lib.package for lib in found if lib.pool is None]
-    if uncontrolled:
+    elif found.pool is None:
         log.info(
-            "no BLAS pool controls in %s: a pin there goes through"
-            " set_num_threads, which restarts a joined pool",
-            ", ".join(uncontrolled),
+            "no BLAS pool controls in numpy: a pin there goes through"
+            " set_num_threads, which restarts a joined pool"
         )
     return found
 
 
 def thread_counts():
-    """{package: BLAS thread count} for the found libraries."""
-    return {lib.package: lib.threads() for lib in libraries()}
+    """{"numpy": its BLAS thread count}, or {} when no library is pinned."""
+    lib = library()
+    return {} if lib is None else {"numpy": lib.threads()}
 
 
 def _set_threads(lib, n):
@@ -295,31 +304,28 @@ def _set_threads(lib, n):
 
 @contextmanager
 def single_threaded():
-    """Hold the found libraries at one thread for the body, and restore
-    the counts found after, also when the body raises. Holds the lock:
-    waits while another thread is inside a pin or
-    :func:`library_threads`, and a nested entry runs inside the outer
-    one."""
+    """Hold the library at one thread for the body, and restore the count
+    found after, also when the body raises. Holds the lock: waits while
+    another thread is inside a pin or :func:`library_threads`, and a
+    nested entry runs inside the outer one."""
     global _saved
-    found = libraries()
+    lib = library()
     with _lock:
-        if _saved is not None:
+        if lib is None or _saved is not None:
             yield
             return
-        _saved = tuple(lib.threads() for lib in found)
+        _saved = lib.threads()
         try:
-            for lib in found:
-                _set_threads(lib, 1)
+            _set_threads(lib, 1)
             yield
         finally:
-            for lib, n in zip(found, _saved):
-                _set_threads(lib, n)
+            _set_threads(lib, _saved)
             _saved = None
 
 
 def _after_fork_in_child():
     """A child forked while another thread held the lock inherits it held
-    by a thread it does not have: restore the counts that thread's pin
+    by a thread it does not have: restore the count that thread's pin
     found, if any, and start with a free lock. A lock the forking thread
     holds stays its own."""
     global _lock, _saved
@@ -327,8 +333,7 @@ def _after_fork_in_child():
         _lock.release()
         return
     if _saved is not None:
-        for lib, n in zip(libraries(), _saved):
-            _set_threads(lib, n)
+        _set_threads(library(), _saved)
         _saved = None
     _lock = threading.RLock()
 

@@ -77,11 +77,18 @@ from .mesh import SurfaceMesh
 
 @dataclass
 class InfluenceMatrices:
-    """Dense H and G operators (3N x 3N) for an N-element mesh."""
+    """Dense H and G operators (3N x 3N) for an N-element mesh, held
+    column-major in float64: the layout assembly fills and LAPACK reads.
+    Arrays given in another layout or dtype are converted once here; a
+    column-major float64 array is kept as it is."""
 
     h: np.ndarray
     g: np.ndarray
     n_elements: int
+
+    def __post_init__(self):
+        self.h = np.asfortranarray(self.h, dtype=float)
+        self.g = np.asfortranarray(self.g, dtype=float)
 
     @property
     def n_dofs(self):
@@ -380,13 +387,6 @@ def strided_runs(indices):
     return found
 
 
-def _unit_rows(slab):
-    """``slab``, or a column-major copy of it where its rows are not
-    adjacent in memory (a slab of a row-major matrix), so that a product
-    with it rounds as with the slab of a column-major one."""
-    return slab if slab.strides[0] == slab.itemsize else np.asfortranarray(slab)
-
-
 class SystemMatrix:
     """A of A x = b as a view of H and G: ``keep``'s columns where
     ``swapped`` is False and ``-negate``'s where it is True, read where
@@ -451,14 +451,10 @@ class SystemMatrix:
         """alpha A x, plus ``y`` when given, which is left unchanged: one
         product per run of its slab of columns with x's entries there,
         scaled by alpha or -alpha, each added into the one result. A run
-        of a column-major H or G is read in place. So is a row-major
-        ndarray A, the one run of its own matrix, through its transpose;
-        a run of a row-major H or G is copied column-major first, so the
-        product rounds as it does on a column-major one."""
+        of H or G is read in place, and so is a row-major ndarray A, the
+        one run of its own matrix, through its transpose."""
         out = None if y is None else y.copy()
         for cols, slab, negated in self.slabs():
-            if not slab.flags.c_contiguous:
-                slab = _unit_rows(slab)
             part = slab @ ((-alpha if negated else alpha) * x[cols])
             if out is None:
                 out = part
@@ -486,9 +482,7 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     ``dense()`` may). b starts at zero and takes one product per
     progression of nonzero values of one kind (:func:`strided_runs`),
     traction-known then displacement-known ones, which reads those
-    columns of G or H in place where they are column-major, as assembly
-    leaves them, and from a column-major copy where they are not, so b
-    does not depend on their layout.
+    columns of G or H in place.
     """
     if bc.n_dofs != hg.n_dofs:
         raise BoundaryConditionError(
@@ -500,7 +494,7 @@ def apply_boundary_conditions(hg: InfluenceMatrices, bc: BoundarySpec) -> Linear
     b = np.zeros(hg.n_dofs)
     for m, sign, known in ((hg.g, 1.0, ~disp), (hg.h, -1.0, disp)):
         for cols, _ in strided_runs(np.flatnonzero(known & (v != 0))):
-            b += _unit_rows(m[:, cols]) @ (sign * v[cols])
+            b += m[:, cols] @ (sign * v[cols])
     return LinearSystem(SystemMatrix(hg.h, hg.g, disp), b, disp.copy())
 
 

@@ -61,14 +61,16 @@ thread that ``threading`` did not start (a C extension's own, or one
 from ``_thread.start_new_thread``) is not seen, and forking beside one
 is unsupported; the other way, on Python 3.11 such a thread that once
 called into ``threading`` leaves an entry that outlives it, and no
-worker is forked after it. A call forks before it pins BLAS, never
-inside a pin. The pool has a lock. A call that finds it
-held by another thread's call, or cannot fork (another thread alive, no
-``fork`` start method, a failed fork), sweeps every range itself and
-logs why, once, at INFO. Workers are daemonic, so a normal exit ends
-them, and each returns at EOF on its socket, so they also end when the
-caller is killed. They close the sockets of the workers forked before
-them, drop the caller's kept arrays and send their standard output to
+worker is forked after it. A call holds the lock of :mod:`tribem._blas`
+for its whole run, so that lock owns the pool as it owns the kept
+arrays, and two threads' calls take turns. So a call forks with the
+lock held and before it pins BLAS, never inside a pin, and the child
+keeps the lock as its own. A call that cannot fork (another thread
+alive, no ``fork`` start method, a failed fork) sweeps every range
+itself and logs why, once, at INFO. Workers are daemonic, so a normal
+exit ends them, and each returns at EOF on its socket, so they also end
+when the caller is killed. They close the sockets of the workers forked
+before them, start with nothing kept and send their standard output to
 the null device: it may be a pipe that a reader reads to EOF, such as
 the benchmark's result pipe.
 
@@ -91,17 +93,17 @@ VM:
 The last two are inside the spread between processes, and the first is
 not, so the pin stays.
 
-A small system's working set stays where it is used. Below
+A small system's working set is kept for the next call. Below
 ``SINGLE_THREAD_DOFS`` (1500, the solver's gate for small, latency-bound
-systems) H, G, the sweep buffer and A's float32 copy are arrays the
-calling thread keeps and reuses on its next call
-(:func:`tribem.solver.working_array`), ~2.9 MB for the 96-element box on
-two workers; A itself is a view of H and G. A worker keeps its slabs and
-its sweep buffer the same way, ~1.9 MB there. Two calling threads never
-share an array, and two calls never share the workers. Fresh arrays cost
-~300-840 minor page faults a call in a new process, since glibc hands
-their memory back to the OS after every call; kept, ~6. Nothing returned
-refers to a kept array, and nothing is kept at or above the gate.
+systems) H, G and the sweep buffer are arrays in the process's one
+store (:func:`tribem.solver.working_array`), beside A's float32 copy,
+~2.9 MB for the 96-element box on two workers; A itself is a view of H
+and G. A worker keeps its slabs and its sweep buffer the same way, ~1.9
+MB there. The store and the workers belong to the lock each call holds,
+so no two calls use them at once. Fresh arrays cost ~300-840 minor page
+faults a call in a new process, since glibc hands their memory back to
+the OS after every call; kept, ~6. Nothing returned refers to a kept
+array, and at or above the gate only A's float32 copy is kept.
 Keeping them took cube-graphics' p90 from 17.9 to 14.0 ms and its p50
 from 13.8 to 12.2 ms on a 2-vCPU VM (``BENCH_7.json``, 11 pairs).
 """
@@ -132,7 +134,7 @@ from .assembly import (
 from .errors import WorkerLostError
 from .kernels import Material, QuadratureRule
 from .mesh import SurfaceMesh
-from .solver import _kept, solve, working_array
+from .solver import solve, working_array
 
 log = logging.getLogger(__name__)
 
@@ -249,9 +251,8 @@ class PhaseTimings:
 
 
 # The worker processes, forked on first need and kept for later calls;
-# a call holds the lock while it uses them
+# a call holds the lock of tribem._blas while it uses them
 _pool = []
-_pool_lock = threading.Lock()
 _told = set()  # reasons for running without workers, logged once each
 _LENGTH = struct.Struct("!Q")
 
@@ -318,12 +319,11 @@ def _serve(sock, ours):
     """A worker process's life: for each request (mesh, material, rule,
     ranges), sweep the ranges and send back its finish time and error,
     then, without an error, the slabs of H and G. It closes the caller's
-    end of its socket, drops the caller's kept arrays, leaves an
-    interrupt to the caller, sends its standard output to the null
-    device, runs one BLAS thread, and returns when the caller's end of
-    its socket closes."""
+    end of its socket, leaves an interrupt to the caller, sends its
+    standard output to the null device, runs one BLAS thread, and
+    returns when the caller's end of its socket closes. It starts with
+    nothing kept: the solver's fork hook empties the store."""
     ours.close()
-    vars(_kept).clear()
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     devnull = os.open(os.devnull, os.O_WRONLY)
     os.dup2(devnull, 1)
@@ -362,8 +362,9 @@ class _Worker:
 
 
 def _close_workers():
-    """End every worker process and empty the pool. Called under the
-    pool's lock, or where no distributed run is in flight."""
+    """End every worker process and empty the pool. Called under the lock
+    of :mod:`tribem._blas`, which owns the pool, or where no distributed
+    run is in flight."""
     while _pool:
         worker = _pool.pop()
         worker.sock.close()
@@ -374,12 +375,10 @@ def _close_workers():
 def _forget_workers():
     """In a forked child, the parent's workers are not its own: close its
     copies of their sockets, which would keep a worker from seeing EOF
-    when the parent ends, and start with no pool and a free lock."""
-    global _pool_lock
+    when the parent ends, and start with no pool."""
     for worker in _pool:
         worker.sock.close()
     _pool.clear()
-    _pool_lock = threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -399,33 +398,26 @@ def _fork_refused():
     return None
 
 
-@contextlib.contextmanager
 def _lease(n_ranges):
     """Up to min(``n_ranges``, usable CPUs) - 1 live worker processes for
     one call, forking those missing while that is safe, and the reason
-    when there are none. A dead worker ends the pool first. A call that
-    finds the pool's lock taken gets none."""
+    when there are none. A dead worker ends the pool first. The caller
+    holds the lock of :mod:`tribem._blas`, which owns the pool, so it
+    forks with that lock held and no pin in effect."""
     cpus = _usable_cpus()
     if n_ranges == 1 or cpus == 1:
-        yield [], "one range" if n_ranges == 1 else "one usable CPU"
-        return
-    if not _pool_lock.acquire(blocking=False):
-        yield [], "pool busy"
-        return
-    try:
-        if not all(w.process.is_alive() for w in _pool):
-            _close_workers()
-        wanted, reason = min(n_ranges, cpus) - 1, None
-        while len(_pool) < wanted and reason is None:
-            reason = _fork_refused()
-            if reason is None:
-                try:
-                    _pool.append(_Worker())
-                except OSError as exc:
-                    reason = f"fork failed: {exc}"
-        yield _pool[:wanted], reason
-    finally:
-        _pool_lock.release()
+        return [], "one range" if n_ranges == 1 else "one usable CPU"
+    if not all(w.process.is_alive() for w in _pool):
+        _close_workers()
+    wanted, reason = min(n_ranges, cpus) - 1, None
+    while len(_pool) < wanted and reason is None:
+        reason = _fork_refused()
+        if reason is None:
+            try:
+                _pool.append(_Worker())
+            except OSError as exc:
+                reason = f"fork failed: {exc}"
+    return _pool[:wanted], reason
 
 
 def _assemble(mesh, mat, rule, active, h, g):
@@ -435,46 +427,47 @@ def _assemble(mesh, mat, rule, active, h, g):
     Returns the last finish time, the time the last slab arrived, the
     ranges swept in workers, the reason when there were none, and
     whether the caller was pinned."""
-    with _lease(len(active)) as (pool, reason):
-        dealt = [active[i :: len(pool) + 1] for i in range(len(pool) + 1)]
-        errors, finished, drained = [], [], False
-        try:
-            for worker, ranges in zip(pool, dealt[1:]):
-                try:
-                    _send(worker.sock, (mesh, mat, rule, ranges))
-                except OSError as exc:
-                    raise worker.failed(exc) from exc
-            # with workers running, the caller's BLAS calls take no core of theirs
-            with _blas.single_threaded() if pool else contextlib.nullcontext():
-                try:
-                    columns = [slice(3 * r.start, 3 * r.stop) for r in dealt[0]]
-                    _sweep(mesh, mat, rule, dealt[0], h, g, columns)
-                except Exception as exc:
-                    errors.append(exc)
-            finished.append(time.perf_counter())
-            for worker, ranges in zip(pool, dealt[1:]):
-                try:
-                    t_done, error = _receive(worker.sock)
-                    for m in (h, g) if error is None else ():
-                        for r in ranges:
-                            _fill(worker.sock, _raw(m[:, 3 * r.start : 3 * r.stop]))
-                except (EOFError, OSError) as exc:
-                    raise worker.failed(exc) from exc
-                if error is None:
-                    finished.append(t_done)
-                else:
-                    errors.append(error)
-            drained = True
-        finally:
-            if not drained:  # replies may be left in flight: start afresh
-                _close_workers()
-        t_joined = time.perf_counter()
+    pool, reason = _lease(len(active))
+    dealt = [active[i :: len(pool) + 1] for i in range(len(pool) + 1)]
+    errors, finished, drained = [], [], False
+    try:
+        for worker, ranges in zip(pool, dealt[1:]):
+            try:
+                _send(worker.sock, (mesh, mat, rule, ranges))
+            except OSError as exc:
+                raise worker.failed(exc) from exc
+        # with workers running, the caller's BLAS calls take no core of theirs
+        with _blas.single_threaded() if pool else contextlib.nullcontext():
+            try:
+                columns = [slice(3 * r.start, 3 * r.stop) for r in dealt[0]]
+                _sweep(mesh, mat, rule, dealt[0], h, g, columns)
+            except Exception as exc:
+                errors.append(exc)
+        finished.append(time.perf_counter())
+        for worker, ranges in zip(pool, dealt[1:]):
+            try:
+                t_done, error = _receive(worker.sock)
+                for m in (h, g) if error is None else ():
+                    for r in ranges:
+                        _fill(worker.sock, _raw(m[:, 3 * r.start : 3 * r.stop]))
+            except (EOFError, OSError) as exc:
+                raise worker.failed(exc) from exc
+            if error is None:
+                finished.append(t_done)
+            else:
+                errors.append(error)
+        drained = True
+    finally:
+        if not drained:  # replies may be left in flight: start afresh
+            _close_workers()
+    t_joined = time.perf_counter()
     if errors:
         raise errors[0]
     in_workers = sum(len(ranges) for ranges in dealt[1:])
     return max(finished), t_joined, in_workers, None if pool else reason, bool(pool)
 
 
+@_blas.library_threads()
 def distributed_assemble_solve(
     mesh: SurfaceMesh,
     mat: Material,
@@ -488,30 +481,31 @@ def distributed_assemble_solve(
 
     Workers own disjoint contiguous ranges of field elements (block
     distribution), that is the column blocks of H and G, each deriving
-    its own elements' factors from the mesh. The ranges are dealt to
-    the calling thread and to min(ranges, usable CPUs) - 1 worker
-    processes, which sweep them (:func:`assemble_columns`) at the same
-    time; each process sends back its ranges' slabs of columns, and once
-    every slab is in the caller sets the diagonal blocks, applies the
-    boundary conditions and solves. Where no worker can be had (another
-    Python thread alive, the pool in use by another thread, or a failed
-    fork) the caller sweeps every range itself, and says why once at
-    INFO. An error raised in a worker reaches the caller unchanged once
-    every reply is in; a worker that dies raises
-    :class:`~tribem.errors.WorkerLostError`, and the next call forks a
-    new one. ``block_size`` is a label recorded in the timings, not a
-    layout. Every range is swept alone whoever sweeps it, every element's
-    products have the same shapes and every entry is written once, so the
-    Solution is bit-identical for any worker count or block size.
+    its own elements' factors from the mesh. The ranges are dealt to the
+    calling thread and to min(ranges, usable CPUs) - 1 worker processes,
+    which sweep them (:func:`assemble_columns`) at the same time; each
+    process sends back its ranges' slabs of columns, and once every slab
+    is in the caller sets the diagonal blocks, applies the boundary
+    conditions and solves. Where no worker can be had (another Python
+    thread alive, or a failed fork) the caller sweeps every range
+    itself, and says why once at INFO. An error raised in a worker
+    reaches the caller unchanged once every reply is in; a worker that
+    dies raises :class:`~tribem.errors.WorkerLostError`, and the next
+    call forks a new one. ``block_size`` is a label recorded in the
+    timings, not a layout. Every range is swept alone whoever sweeps it,
+    every element's products have the same shapes and every entry is
+    written once, so the Solution is bit-identical for any worker count
+    or block size.
 
     While workers run, the caller's own sweep runs on one BLAS thread,
-    and the workers always do.
+    and the workers always do. The whole call holds the lock of
+    :mod:`tribem._blas`, which owns the worker pool and the kept arrays,
+    so calls from two threads take turns.
 
-    Below ``SINGLE_THREAD_DOFS`` H, G and the sweep buffer are the calling
-    thread's kept arrays, as A's float32 copy is in the solve, and
-    a worker keeps its slabs and sweep buffer the same way: a call reuses
-    what the previous one paged in. The returned Solution refers to none
-    of them.
+    Below ``SINGLE_THREAD_DOFS`` H, G and the sweep buffer are kept
+    arrays, as A's float32 copy is in the solve, and a worker keeps its
+    slabs and sweep buffer the same way: a call reuses what the previous
+    one paged in. The returned Solution refers to none of them.
 
     Timings: ``assembly`` runs to the last range's finish, as each
     worker clocked it (``time.perf_counter`` is system-wide on Linux),

@@ -78,6 +78,17 @@ library, against 18-30 ms in the others, and 200-222 ms in 3 of 112
 probes on scipy's; each of the four was the first process of a batch
 started after other work.
 
+The slow start follows the second vCPU having been idle, not the
+process being new. On that VM, after 75 s idle, the first three
+threaded 3000 x 3000 float32 ``getrf`` calls of a fresh process took
+411/379/254 ms, and 424/382/270 ms in another, against 92-138 ms
+afterwards; 1.5 s of single-threaded calls just before them (161-203
+ms each) did not remove it. It shows in box-regrasp's set-up too: the
+first LU after assembly took 306-372 ms in 2 of 6 fresh processes,
+against 120-143 ms in the rest. A median of five calls hides such a
+start, so the level probe of ``tools/benchjson.py`` reports its first
+``sgetrf`` call (``sgetrf_1600_first_ms``) beside the median.
+
 At the 288-DOF cube numpy's library factors and solves a little more
 slowly: in 6 processes that alternated the two libraries' float32 LU
 between two-worker cube requests at q=16, numpy's ``sgetrf`` took
@@ -93,25 +104,24 @@ and only the double-LU fallback and the precomputed build copy it
 (:meth:`~tribem.assembly.SystemMatrix.dense`). Building it had cost
 box-regrasp a fresh 72 MB array and ~16-23 ms per request at 3000 DOF.
 
-Below the same gate each thread keeps the float32 copy of its last
-small system from :func:`solve_direct`, and the distributed run keeps
-H, G and its sweep buffers beside it (:func:`working_array`). Its next
-request of that size reuses their memory instead of faulting in new
-pages, which glibc would otherwise hand back to the OS after each
-request. No array returned to a caller refers to a kept one. At or
-above the gate a thread keeps nothing: at 3000 DOF a kept float32 copy
-would hold 36 MB per thread.
-
-The process keeps one array at or above the gate: the float32 copy of
-A that ``sgetrf`` factors in place, 36 MB at 3000 DOF, of the last
-size solved there. Every :func:`solve_direct` holds the lock of
-:mod:`tribem._blas` for its whole run, so the lock owns the buffer,
-not a thread, and no two solves write it at once. A solve of another
-size replaces it, logging one DEBUG line, as its first allocation
-does, and a forked child drops it. The cast and the column scales are
-one pass over column blocks that stay in L2 (``_CAST_BLOCK_BYTES``),
-each block cast from H's and -G's columns and its scales read from the
-float32 block just written; the timings are in :func:`solve_direct`.
+What tribem keeps between calls is one store of named arrays per
+process (:func:`working_array`), owned by the lock of
+:mod:`tribem._blas`: every :func:`solve_direct` holds that lock for its
+whole run, as the distributed run does, so no two calls write a kept
+array at once, and a forked child starts with the store empty. The
+float32 copy of A that ``sgetrf`` factors in place is kept at every
+size, as ``a32``, for the last size solved: 36 MB at 3000 DOF. A solve
+of another size replaces it; at or above the gate the replacement logs
+one DEBUG line, as a first allocation there does. Below the gate the
+distributed run keeps H, G and its sweep buffers beside it; at or above
+the gate they are fresh, as a kept H and G would hold 144 MB at 3000
+DOF. The next request of a size reuses the memory of the last one
+instead of faulting in new pages, which glibc would otherwise hand back
+to the OS after each request. No array returned to a caller refers to a
+kept one. The cast and the column scales are one pass over column
+blocks that stay in L2 (``_CAST_BLOCK_BYTES``), each block cast from
+H's and -G's columns and its scales read from the float32 block just
+written; the timings are in :func:`solve_direct`.
 
 Huge pages, read from the process's own ``/proc/self/smaps`` on that VM
 (transparent huge pages on ``madvise``, which numpy requests for large
@@ -136,7 +146,6 @@ import json
 import logging
 import math
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,8 +195,8 @@ REFINE_STEPS = 10
 # 8 max|b|.
 REFINE_TOL = 16 * np.finfo(float).eps
 # solve_direct solves systems below this many DOFs with one BLAS thread,
-# and a thread keeps the working set of such small systems (see
-# working_array); the measured crossover is in the module docstring
+# and the distributed run keeps the working set of such small systems
+# (see working_array); the measured crossover is in the module docstring
 SINGLE_THREAD_DOFS = 1500
 
 # The float32 copy of A is written, and its column scales taken, one
@@ -203,61 +212,50 @@ _CAST_BLOCK_BYTES = 1 << 19
 
 log = logging.getLogger(__name__)
 
-# the arrays each thread keeps for its small systems, by name
-_kept = threading.local()
-
-# the float32 copy of A of the last solve at or above SINGLE_THREAD_DOFS,
-# owned by _blas's lock (see the module docstring)
-_factor32 = None
+# the arrays tribem keeps between calls, by name; a call reads or writes
+# them only while it holds the lock of tribem._blas, which owns them
+_kept = {}
 
 
-def _factor_buffer(n):
-    """The process's one float32 n x n column-major buffer for the LU of
-    a solve at or above the gate. A solve of another n replaces it; the
-    old buffer is released before the new one is allocated. The caller
-    holds :mod:`tribem._blas`'s lock."""
-    global _factor32
-    if _factor32 is None or _factor32.shape[0] != n:
-        replaced = _factor32 is not None
-        _factor32 = None
-        _factor32 = np.empty((n, n), np.float32, order="F")
-        log.debug(
-            "float32 factor buffer %s for %d DOFs (%.1f MB)",
-            "replaced" if replaced else "allocated", n, _factor32.nbytes / 1e6,
-        )
-    return _factor32
-
-
-def _drop_factor_buffer():
-    global _factor32
-    _factor32 = None
+def _forget_kept():
+    """In a forked child the kept arrays are the parent's: drop them."""
+    _kept.clear()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_factor_buffer)
+    os.register_at_fork(after_in_child=_forget_kept)
+
+
+def _kept_array(name, shape, dtype):
+    """The kept array ``name`` as an uninitialised column-major array of
+    ``shape``, and how it was made: None when the kept one was reused,
+    else "allocated", or "replaced" for one of another size, which is
+    released before its successor is allocated."""
+    kept = _kept.get(name)
+    if kept is not None and kept.size == math.prod(shape):
+        return kept.reshape(shape, order="F"), None
+    made = "allocated" if _kept.pop(name, None) is None else "replaced"
+    kept = _kept[name] = np.empty(shape, dtype, order="F")
+    return kept, made
 
 
 def working_array(name, n_dofs, shape, dtype=np.float64):
     """An uninitialised column-major array of ``shape`` for a system of
     ``n_dofs`` DOFs.
 
-    Below ``SINGLE_THREAD_DOFS`` it is the calling thread's own array
-    kept under ``name``: the thread's next request of the same size gets
-    the same memory back, already paged in, instead of a fresh
-    allocation that glibc hands back to the OS after each request. A
-    request of another size replaces it; a name always has one dtype,
-    and arrays in use at the same time need names of their own. At or
-    above the gate a new array is returned and nothing is kept. No array
-    a caller receives from tribem may alias a kept one.
+    Below ``SINGLE_THREAD_DOFS`` it is the process's array kept under
+    ``name``: the next request of the same size gets the same memory
+    back, already paged in, instead of a fresh allocation that glibc
+    hands back to the OS after each request. A request of another size
+    replaces it; a name always has one dtype, and arrays in use at the
+    same time need names of their own. At or above the gate a new array
+    is returned and nothing is kept. The caller holds the lock of
+    :mod:`tribem._blas`, which owns every kept array. No array a caller
+    receives from tribem may alias a kept one.
     """
-    size = math.prod(shape)
     if n_dofs >= SINGLE_THREAD_DOFS:
         return np.empty(shape, dtype, order="F")
-    kept = vars(_kept)
-    flat = kept.get(name)
-    if flat is None or flat.size != size:
-        flat = kept[name] = np.empty(size, dtype)
-    return flat.reshape(shape, order="F")
+    return _kept_array(name, shape, dtype)[0]
 
 
 @dataclass
@@ -360,12 +358,11 @@ def _refined_single_solve(a: SystemMatrix, b):
     and the reason single precision cannot decide the system.
 
     The float32 copy of A is the one pass over H's and G's columns
-    before the LU (:func:`_cast_with_scales`), into the calling thread's
-    kept array below ``SINGLE_THREAD_DOFS`` and into the process's one
-    factor buffer at or above it: the column scales come from each block
-    of the copy as it is written, and a scale that is not finite (a NaN
-    or inf in A, or a finite entry beyond float32's range) leaves the
-    system to the double LU and its checks. A pivot within n * eps32 of
+    before the LU (:func:`_cast_with_scales`), into the kept ``a32``:
+    the column scales come from each block of the copy as it is
+    written, and a scale that is not finite (a NaN or inf in A, or a
+    finite entry beyond float32's range) leaves the system to the double
+    LU and its checks. A pivot within n * eps32 of
     its column's largest entry means A is singular to single precision,
     and then a small residual would not show whether it is singular in
     double; the test is per column because A's columns mix the scales of
@@ -376,13 +373,12 @@ def _refined_single_solve(a: SystemMatrix, b):
     of A (:meth:`SystemMatrix.matvec`), a ``dgemv`` in numpy's OpenBLAS,
     the library whose LAPACK factors A (:mod:`tribem._blas`), on
     column-major slabs of H and G that reach it uncopied, or on the
-    transpose of a row-major A.
+    transpose of a row-major ndarray A.
     """
     n = a.shape[0]
-    if n >= SINGLE_THREAD_DOFS:
-        a32 = _factor_buffer(n)
-    else:
-        a32 = working_array("a32", n, (n, n), np.float32)
+    a32, made = _kept_array("a32", (n, n), np.float32)
+    if made and n >= SINGLE_THREAD_DOFS:  # large buffers only: 9 MB at the gate
+        log.debug("float32 factor buffer %s for %d DOFs (%.1f MB)", made, n, a32.nbytes / 1e6)
     scales = _cast_with_scales(a, a32)
     if not np.isfinite(scales).all():
         return None, "A has entries that are not finite in single precision"
@@ -441,19 +437,17 @@ def solve_direct(system: LinearSystem):
     passes: 16.0 ms for the cast (14.7 ms from a dense A) and 3.5 ms for
     a residual (3.1 ms as one ``dgemv`` on a dense A), against ~130-150
     ms for ``sgetrf`` and ~3-4 ms for each float32 solve; building the
-    dense A these replace took 22.8 ms. H and G are expected
-    column-major, as assembly leaves them: LAPACK reads that layout, so
-    the float32 copy is a straight conversion. Another layout is
-    transposed on the way, which at 3000 DOF took 65-100 ms; the
-    residual reads a row-major ndarray A through its transpose, with no
-    copy, while each ``dgemv`` copies its run of row-major H or G.
+    dense A these replace took 22.8 ms. H and G are column-major
+    (:class:`~tribem.assembly.InfluenceMatrices`): LAPACK reads that
+    layout, so the float32 copy is a straight conversion. A row-major
+    ndarray A is transposed on the way, which at 3000 DOF took 65-100
+    ms, and the residual reads it through its transpose, with no copy.
 
     Below ``SINGLE_THREAD_DOFS`` the whole solve, fallback included,
-    runs with one BLAS thread, and the float32 copy is the calling
-    thread's kept array (:func:`working_array`); above it, at the
-    library's own count, holding the lock the pins hold
-    (:mod:`tribem._blas`), in the process's one factor buffer, which
-    that lock owns. x is always a new array."""
+    runs with one BLAS thread; above it, at the library's own count.
+    Either way it holds the lock the pins hold (:mod:`tribem._blas`),
+    which owns the kept float32 copy (:func:`working_array`). x is
+    always a new array."""
     a = _system_matrix(system.a)
     b = np.asarray(system.b, dtype=float)
     small = a.shape[0] < SINGLE_THREAD_DOFS

@@ -706,8 +706,9 @@ class TestStridedRuns:
     @pytest.mark.parametrize("step", [1, 3])
     def test_b_of_every_step_th_dof_does_not_depend_on_layout(self, hg, step):
         # one-axis loads make progressions of every third column, read in
-        # place from column-major H and G and copied from row-major ones,
-        # so that b comes out the same bit for bit
+        # place from column-major H and G, which row-major ones become
+        # when InfluenceMatrices takes them, so b comes out the same bit
+        # for bit
         n = hg.n_dofs
         disp = np.zeros(n, dtype=bool)
         disp[: n // 4] = True
@@ -794,6 +795,25 @@ class TestColumnMajorLayout:
         bc = BoundarySpec(rng.random(n) < 0.3, rng.standard_normal(n))
         for m in (hg.h, hg.g, apply_boundary_conditions(hg, bc).a.dense(), rhs_matrix(hg, bc)):
             assert m.flags.f_contiguous
+
+    def test_assembled_matrices_pass_through_uncopied(self, monkeypatch):
+        made = []
+
+        def allocate(n_dofs):
+            made.extend(allocate_influence(n_dofs))
+            return tuple(made)
+
+        monkeypatch.setattr(assembly, "allocate_influence", allocate)
+        hg = assemble(generate_cube(4, 1), MAT, RULE)
+        assert hg.h is made[0] and hg.g is made[1]
+
+    def test_other_layouts_converted_once(self):
+        h = np.arange(36.0).reshape(6, 6)
+        g = np.arange(36, dtype=np.float32).reshape(6, 6).T
+        hg = InfluenceMatrices(h, g, 2)
+        for got, given in ((hg.h, h), (hg.g, g)):
+            assert got.flags.f_contiguous and got.dtype == np.float64
+            assert np.array_equal(got, given)
 
     def test_c_ordered_output_rejected(self):
         mesh = generate_cube(4, 1)

@@ -163,15 +163,17 @@ def test_a_side_with_only_failed_runs(records):
     assert "cube-graphics" not in out["paired"]
 
 
-# A stub level probe: the n-th call reports n ms for the LU and 2n for
-# the product, counting its calls in a file.
+# A stub level probe: the n-th call reports n ms for the LU's median, 4n
+# for its first call and 2n for the product, counting its calls in a file.
 _PROBE = """
 import json
 from pathlib import Path
 count = Path({path!r})
 n = int(count.read_text() or 0) + 1 if count.exists() else 1
 count.write_text(str(n))
-print(json.dumps({{"sgetrf_1600_ms": float(n), "dgemv_3000_ms": 2.0 * n}}))
+print(json.dumps({{
+    "sgetrf_1600_ms": float(n), "sgetrf_1600_first_ms": 4.0 * n, "dgemv_3000_ms": 2.0 * n
+}}))
 """
 
 
@@ -198,15 +200,17 @@ def test_level_probe_logged_and_summarized(tmp_path, monkeypatch):
     parent, change = (summary[side]["probe"] for side in ("parent", "change"))
     assert parent["sgetrf_1600_ms"]["median"] == 2.5 and change["sgetrf_1600_ms"]["median"] == 2.5
     assert parent["dgemv_3000_ms"]["median"] == 5.0
+    assert parent["sgetrf_1600_first_ms"]["median"] == 10.0
+    assert change["sgetrf_1600_first_ms"]["median"] == 10.0
     assert out["probe_ratios"]["cube-graphics"] == [
-        {"seed": 1, "sgetrf_1600_ms": 2.0, "dgemv_3000_ms": 2.0},
-        {"seed": 2, "sgetrf_1600_ms": 0.75, "dgemv_3000_ms": 0.75},
+        {"seed": 1, "sgetrf_1600_ms": 2.0, "sgetrf_1600_first_ms": 2.0, "dgemv_3000_ms": 2.0},
+        {"seed": 2, "sgetrf_1600_ms": 0.75, "sgetrf_1600_first_ms": 0.75, "dgemv_3000_ms": 0.75},
     ]
 
 
 def test_the_level_probe_runs():
     level = benchjson.probe()
-    assert set(level) == {"sgetrf_1600_ms", "dgemv_3000_ms"}
+    assert set(level) == {"sgetrf_1600_ms", "sgetrf_1600_first_ms", "dgemv_3000_ms"}
     assert all(v > 0 for v in level.values())
 
 

@@ -21,10 +21,10 @@ SRC = TESTS.parent / "src"
 
 @pytest.fixture
 def found():
-    libs = _blas.libraries()
-    if not libs:
+    lib = _blas.library()
+    if lib is None:
         pytest.skip("no OpenBLAS of numpy found")
-    return libs
+    return lib
 
 
 def counts():
@@ -51,7 +51,7 @@ class TestSingleThreaded:
     def test_pins_and_restores(self, found):
         before = counts()
         with _blas.single_threaded():
-            assert counts() == {lib.package: 1 for lib in found}
+            assert counts() == {"numpy": 1}
         assert counts() == before
 
     def test_restores_after_an_exception(self, found):
@@ -62,17 +62,15 @@ class TestSingleThreaded:
         assert counts() == before
 
     def test_restores_the_count_it_found(self, found):
-        # not the libraries' default count, which is the core count
+        # not the library's default count, which is the core count
         before = counts()
         try:
-            for lib in found:
-                lib.set_threads(1)
+            found.set_threads(1)
             with _blas.single_threaded():
                 pass
-            assert counts() == {lib.package: 1 for lib in found}
+            assert counts() == {"numpy": 1}
         finally:
-            for lib in found:
-                lib.set_threads(before[lib.package])
+            found.set_threads(before["numpy"])
 
     @pytest.mark.parametrize("first_out", ["first in", "second in"])
     def test_overlapping_callers(self, found, caller, first_out):
@@ -80,7 +78,7 @@ class TestSingleThreaded:
         # is released first, and sees one thread once inside; the count is
         # process-wide, so a bystander sees the pin too
         before = counts()
-        pinned = {lib.package: 1 for lib in found}
+        pinned = {"numpy": 1}
         first = caller("pin")
         assert first.inside.wait(10)
         second = caller("pin")
@@ -130,7 +128,7 @@ class Caller:
 
 
 class TestGate:
-    """Pins and calls at the libraries' own count hold one lock: no two
+    """Pins and calls at the library's own count hold one lock: no two
     threads' calls overlap, and a thread inside enters again at once."""
 
     @pytest.mark.parametrize("first", ["pin", "own"])
@@ -144,7 +142,7 @@ class TestGate:
         assert rival.inside.wait(10)
         rival.finish()
         seen = {held.kind: held.seen, rival.kind: rival.seen}
-        assert seen == {"pin": {lib.package: 1 for lib in found}, "own": before}
+        assert seen == {"pin": {"numpy": 1}, "own": before}
         assert counts() == before
 
     @pytest.mark.parametrize("outer", ["pin", "own"])
@@ -153,7 +151,7 @@ class TestGate:
         # inside library_threads pins and restores, and library_threads
         # inside a pin runs at one thread
         before = counts()
-        pinned = {lib.package: 1 for lib in found}
+        pinned = {"numpy": 1}
         ready, go, done, seen = threading.Event(), threading.Event(), threading.Event(), []
 
         def nested():
@@ -183,7 +181,7 @@ class TestGate:
         # with frequent thread switches: the kinds never overlap, each
         # sees its count, and the lock ends free at the count it started
         before = counts()
-        pinned = {lib.package: 1 for lib in found}
+        pinned = {"numpy": 1}
         lock, inside, errors = threading.Lock(), {"pin": 0, "own": 0}, []
 
         def enter(kind):
@@ -229,10 +227,10 @@ class TestGate:
 class TestNothingFound:
     @pytest.fixture
     def nothing(self, monkeypatch):
-        monkeypatch.setattr(_blas, "_discover", lambda: ((), "no OpenBLAS here"))
-        _blas.libraries.cache_clear()
+        monkeypatch.setattr(_blas, "_discover", lambda: (None, "no OpenBLAS here"))
+        _blas.library.cache_clear()
         yield
-        _blas.libraries.cache_clear()
+        _blas.library.cache_clear()
 
     def test_no_op_with_one_info_line(self, nothing, caplog):
         with caplog.at_level(logging.INFO, logger="tribem.blas"):
@@ -247,7 +245,7 @@ class TestNothingFound:
 def test_discovery_loads_nothing_new(found):
     # RTLD_NOLOAD: what is found is what numpy has loaded, and the LU
     # routines come from the same library
-    assert [lib.package for lib in found] == ["numpy"]
+    assert list(_blas.thread_counts()) == ["numpy"]
     assert os.path.dirname(_blas._LAPACK.path) == os.path.dirname(np.__file__) + ".libs"
 
 
@@ -358,7 +356,7 @@ def test_fork_inside_a_pin(found, holder):
     )
     before, seen, code = json.loads(result.stdout.strip().splitlines()[-1])
     assert code == 0, "the child's solve did not finish within 20 s"
-    assert seen == (before if holder == "another thread" else {lib.package: 1 for lib in found})
+    assert seen == (before if holder == "another thread" else {"numpy": 1})
 
 
 class _FakePool:
@@ -392,78 +390,68 @@ class _FakePool:
         return [call for call in self.calls if call[0] != "joined"]
 
 
-class TestQuiet:
-    """A pin keeps a joined pool quiet: it writes the count in place, and
+class TestPoolControls:
+    """A pin keeps a joined pool joined: it writes the count in place, and
     sets a live pool's through ``set_num_threads``, as it does on a
-    library without pool controls. Nothing else touches the pools."""
+    library without pool controls. Nothing else touches the pool."""
 
     @pytest.fixture
-    def fakes(self, monkeypatch):
-        """Install two fake libraries, numpy and another, so that one pin
-        meets a joined pool and a live one; ``fakes(without=...)``
-        leaves those without pool controls."""
+    def fake(self, monkeypatch):
+        """Install one fake library in place of numpy's;
+        ``fake(controls=False)`` leaves it without pool controls."""
 
-        def install(without=()):
-            pools = {package: _FakePool() for package in ("numpy", "other")}
-            libs = tuple(
-                _blas._Library(
-                    package,
-                    lambda pool=pool: pool.count,
-                    pool.set_threads,
-                    None if package in without else pool.controls(),
-                )
-                for package, pool in pools.items()
+        def install(controls=True):
+            pool = _FakePool()
+            lib = _blas._Library(
+                lambda: pool.count, pool.set_threads, pool.controls() if controls else None
             )
-            monkeypatch.setattr(_blas, "_discover", lambda: (libs, None))
-            _blas.libraries.cache_clear()
-            return pools
+            monkeypatch.setattr(_blas, "_discover", lambda: (lib, None))
+            _blas.library.cache_clear()
+            return pool
 
         yield install
-        _blas.libraries.cache_clear()
+        _blas.library.cache_clear()
 
-    def test_pin_keeps_a_joined_pool_joined(self, fakes, caplog):
+    def test_pin_keeps_a_joined_pool_joined(self, fake, caplog):
         # set_num_threads would start the joined pool, so its count is
-        # written in place; a live pool is set as before
-        pools = fakes()
-        pools["numpy"].joined = True
+        # written in place
+        pool = fake()
+        pool.joined = True
         with caplog.at_level(logging.DEBUG, logger="tribem.blas"):
             with _blas.single_threaded():
                 with _blas.single_threaded():
-                    inside = {p: pool.joined for p, pool in pools.items()}
-        assert inside == {"numpy": True, "other": False}
-        assert pools["numpy"].joined
-        assert pools["numpy"].writes() == [("set_count", 1), ("set_count", 2)]
-        assert pools["other"].writes() == [("set_threads", 1), ("set_threads", 2)]
+                    inside = pool.joined
+        assert inside
+        assert pool.joined
+        assert pool.writes() == [("set_count", 1), ("set_count", 2)]
         assert caplog.records == []
 
     @pytest.mark.parametrize("large", [False, True])
-    def test_apply_boundary_conditions_leaves_the_pools_alone(self, fakes, monkeypatch, large):
+    def test_apply_boundary_conditions_leaves_the_pools_alone(self, fake, monkeypatch, large):
         # on both sides of the solver's gate: no control called, no count
-        # written, and the counts stay as they were
+        # written, and the count stays as it was
         prob = tribem.cube_problem()
         hg = tribem.assemble(prob.mesh, prob.material, tribem.gauss_rule(4))
         if large:
             monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", hg.n_dofs)
-        pools = fakes()
+        pool = fake()
         before = counts()
         tribem.apply_boundary_conditions(hg, prob.bc)
-        assert {p: pool.calls for p, pool in pools.items()} == {"numpy": [], "other": []}
+        assert pool.calls == []
         assert counts() == before
 
-    def test_pin_leaves_live_pools_alone(self, fakes):
-        pools = fakes()
+    def test_pin_leaves_live_pools_alone(self, fake):
+        pool = fake()
         with _blas.single_threaded():
             pass
-        assert {p: pool.joined for p, pool in pools.items()} == {"numpy": False, "other": False}
-        assert {p: pool.writes() for p, pool in pools.items()} == {
-            p: [("set_threads", 1), ("set_threads", 2)] for p in pools
-        }
+        assert not pool.joined
+        assert pool.writes() == [("set_threads", 1), ("set_threads", 2)]
 
-    def test_library_without_the_symbol_skipped(self, fakes, caplog):
+    def test_library_without_the_symbol_skipped(self, fake, caplog):
         # one INFO line; a pin there goes through set_num_threads, which
         # starts its joined pool again, and writes nothing in place
-        pools = fakes(without=("numpy",))
-        pools["numpy"].joined = True
+        pool = fake(controls=False)
+        pool.joined = True
         with caplog.at_level(logging.DEBUG, logger="tribem.blas"):
             for _ in range(2):
                 with _blas.library_threads():
@@ -477,12 +465,12 @@ class TestQuiet:
                 " set_num_threads, which restarts a joined pool",
             )
         ]
-        assert pools["numpy"].calls == [("set_threads", 1), ("set_threads", 2)]
-        assert not pools["numpy"].joined
+        assert pool.calls == [("set_threads", 1), ("set_threads", 2)]
+        assert not pool.joined
 
 
 def test_discovery_finds_the_pools(found):
-    assert all(lib.pool is not None for lib in found)
+    assert found.pool is not None
 
 
 # After a threaded numpy product, or with argv[1] == "alone" without
@@ -666,7 +654,7 @@ tribem.apply_precomputed(tribem.PrecomputedOperator.build(hg, prob.bc), prob.bc)
 tribem.distributed_assemble_solve(prob.mesh, prob.material, prob.bc, rule, workers=2)
 print(json.dumps([
     sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
-    [lib.package for lib in _blas.libraries()],
+    list(_blas.thread_counts()),
     _blas._LAPACK.path,
 ]))
 """

@@ -17,9 +17,11 @@ import tribem
 from tribem import distribution, solver
 from tribem._blas import thread_counts
 from tribem.assembly import (
+    LinearSystem,
     apply_boundary_conditions,
     assemble,
     assemble_columns,
+    reject_degenerate,
     sweep_buffer_size,
 )
 from tribem.bench import solution_hash
@@ -377,8 +379,8 @@ class TestDistributedAssembleSolve:
 
 
 def in_new_thread(fn, *args):
-    """fn(*args) on a thread of its own, which starts with nothing kept;
-    returns its result or raises its exception."""
+    """fn(*args) on a thread of its own; returns its result or raises its
+    exception."""
     outcome = []
 
     def run():
@@ -398,13 +400,13 @@ def in_new_thread(fn, *args):
 
 
 def kept_arrays():
-    """The calling thread's kept arrays, by name."""
-    return dict(vars(solver._kept))
+    """The process's kept arrays, by name."""
+    return dict(solver._kept)
 
 
 class TestWorkingSet:
-    """Below SINGLE_THREAD_DOFS a calling thread keeps H, G, the
-    float32 copy and the sweep buffers, and reuses them on its next call."""
+    """Below SINGLE_THREAD_DOFS the process keeps H, G, the float32 copy
+    and the sweep buffers, and reuses them on its next call."""
 
     @staticmethod
     def run(prob, rule, workers=2):
@@ -475,20 +477,20 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         # the caller holds the process's float32 factor buffer when it
         # forks the worker; the worker process starts without it
         monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
-        monkeypatch.setattr(solver, "_factor32", None)
+        monkeypatch.setattr(solver, "_kept", {})
         rule = gauss_rule(4)
         caller, record = os.getpid(), tmp_path / "held"
 
         def recorded(*args):
             assemble_columns(*args)
             if os.getpid() != caller:
-                record.write_text(repr(solver._factor32))
+                record.write_text(repr(sorted(solver._kept)))
 
         monkeypatch.setattr("tribem.distribution.assemble_columns", recorded)
         solve(assemble(prob.mesh, prob.material, rule), prob.bc)
-        assert solver._factor32 is not None
+        assert "a32" in solver._kept
         self.run(prob, rule)  # forks the worker
-        assert record.read_text() == "None"
+        assert record.read_text() == "[]"
 
     def test_nothing_returned_aliases_a_kept_array(self, prob):
         rule = gauss_rule(8)
@@ -518,11 +520,10 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         for n, w in calls:
             assert solution_hash(self.run(probs[n], rule, w)) == lone[n, w]
 
-    def test_concurrent_callers_keep_their_own(self):
-        rule = gauss_rule(8)
-        jobs = [(cube_problem(), 2), (cube_problem(traction=-3.0, load_axis="z"), 3)]
-        want = [self.lone_hash(p, rule, w) for p, w in jobs]
-        got = [[], []]
+    def hashes_in_threads(self, jobs, rule):
+        """The hashes of four runs of each (problem, workers) job, each job
+        looped on a thread of its own, with frequent thread switches."""
+        got = [[] for _ in jobs]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -542,7 +543,64 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
+        return got
+
+    def test_concurrent_callers_keep_their_own(self):
+        rule = gauss_rule(8)
+        jobs = [(cube_problem(), 2), (cube_problem(traction=-3.0, load_axis="z"), 3)]
+        want = [self.lone_hash(p, rule, w) for p, w in jobs]
+        assert self.hashes_in_threads(jobs, rule) == [[want[0]] * 4, [want[1]] * 4]
+
+    def test_concurrent_runs_take_turns(self, prob, monkeypatch):
+        # each run holds the BLAS lock for its whole body, which owns the
+        # kept arrays and the worker pool: two threads' runs never overlap
+        rule = gauss_rule(8)
+        jobs = [prob, cube_problem(traction=-3.0, load_axis="z")]
+        want = [self.lone_hash(p, rule) for p in jobs]
+        self.run(prob, rule)  # forks the worker while this thread is alone
+        events = []
+
+        def entering(mesh, elements):
+            events.append(("in", threading.get_ident()))
+            return reject_degenerate(mesh, elements)
+
+        def leaving(hg, bc):
+            sol = solve(hg, bc)
+            events.append(("out", threading.get_ident()))
+            return sol
+
+        monkeypatch.setattr(distribution, "reject_degenerate", entering)
+        monkeypatch.setattr(distribution, "solve", leaving)
+        got = self.hashes_in_threads([(p, 2) for p in jobs], rule)
         assert got == [[want[0]] * 4, [want[1]] * 4]
+        assert len(events) == 16
+        for (entry, who), (exit_, whose) in zip(events[::2], events[1::2]):
+            assert (entry, exit_, whose) == ("in", "out", who)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_keeps_nothing(self, prob):
+        # a cube run keeps H, G and the sweep buffer, a 1600-DOF solve
+        # the float32 copy of its A; a child forked after them keeps none
+        self.run(prob, gauss_rule(4))
+        rng = np.random.default_rng(19)
+        a = np.asfortranarray(rng.standard_normal((1600, 1600)) + 1600 * np.eye(1600))
+        solve_direct(LinearSystem(a, rng.standard_normal(1600), np.zeros(1600, dtype=bool)))
+        assert kept_arrays().keys() == {"h", "g", "sweep", "a32"}
+        assert kept_arrays()["a32"].shape == (1600, 1600)
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                os.close(read)
+                os.write(write, repr(sorted(solver._kept)).encode())
+            finally:
+                os._exit(0)
+        os.close(write)
+        with os.fdopen(read) as f:
+            seen = f.read()
+        os.waitpid(pid, 0)
+        assert seen == "[]"
+        assert kept_arrays().keys() == {"h", "g", "sweep", "a32"}
 
     @needs_workers
     def test_call_after_worker_error(self, prob, monkeypatch, fresh_workers):
@@ -569,13 +627,15 @@ print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 10)
         assert worker_pids() == pids
 
     def test_nothing_kept_at_the_gate(self, prob, monkeypatch):
+        # at or above the gate only the float32 factor buffer is kept
         monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
+        monkeypatch.setattr(solver, "_kept", {})
 
         def kept_after_call():
             self.run(prob, gauss_rule(4))
             return kept_arrays()
 
-        assert in_new_thread(kept_after_call) == {}
+        assert in_new_thread(kept_after_call).keys() == {"a32"}
 
 
 @needs_workers
@@ -675,18 +735,15 @@ if sys.argv[1] != "exit":
             release.set()
             other.join()
 
-    @pytest.mark.parametrize("reason", ["another thread alive", "pool busy"])
+    @pytest.mark.parametrize("reason", ["another thread alive"])
     def test_caller_alone(self, prob, caplog, monkeypatch, fresh_workers, reason):
-        # with another Python thread alive nothing is forked; with the pool
-        # held by another call the caller does not wait for it. Either way
-        # it sweeps every range itself, as a lone call would
+        # with another Python thread alive nothing is forked: the caller
+        # sweeps every range itself, as a lone call would
         rule = gauss_rule(8)
         want = self.run(prob, rule, workers=1)
         monkeypatch.setattr(distribution, "_told", set())
-        alive = reason == "another thread alive"
-        hold = self.another_thread() if alive else distribution._pool_lock
         with caplog.at_level(logging.DEBUG, logger="tribem.distribution"):
-            with hold:
+            with self.another_thread():
                 got = [self.run(prob, rule) for _ in range(2)]
         assert got == [want, want]
         assert distribution._pool == []

@@ -166,10 +166,10 @@ def small_blocks(monkeypatch):
 
 @pytest.fixture
 def low_gate(monkeypatch):
-    """Systems from 300 DOFs on take the process's factor buffer; the test
-    starts with none and leaves the one it found."""
+    """Systems from 300 DOFs on solve at the library's own thread count;
+    the test starts with nothing kept and leaves the store it found."""
     monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 300)
-    monkeypatch.setattr(solver, "_factor32", None)
+    monkeypatch.setattr(solver, "_kept", {})
 
 
 class TestMixedPrecision:
@@ -472,35 +472,28 @@ class TestCastWithScales:
 
 
 class TestFactorBuffer:
-    """At or above SINGLE_THREAD_DOFS the float32 copy of A goes into the
-    process's one buffer, which the BLAS lock owns."""
+    """The float32 copy of A goes into the process's one kept buffer,
+    ``a32``, at every size; the BLAS lock owns it."""
 
     def test_fresh_and_reused_buffer_solve_alike(self, low_gate):
         one = random_system(np.random.default_rng(90), 300)
         other = random_system(np.random.default_rng(91), 300)
         fresh = digest(solve_direct(one))
-        buffer = solver._factor32
+        buffer = solver._kept["a32"]
         assert buffer.shape == (300, 300) and buffer.dtype == np.float32
         solve_direct(other)  # leaves its own factors in the buffer
         assert digest(solve_direct(one)) == fresh
-        assert solver._factor32 is buffer
-
-    def test_below_the_gate_leaves_it_alone(self, low_gate):
-        solve_direct(random_system(np.random.default_rng(92), 300))
-        buffer = solver._factor32
-        solve_direct(random_system(np.random.default_rng(93), 200))
-        assert solver._factor32 is buffer
+        assert solver._kept["a32"] is buffer
 
     def test_one_buffer_of_the_last_size(self, low_gate):
-        # after any sequence of solves: at most one buffer, of the last
-        # size solved at or above the gate, and none of the earlier alive
+        # after any sequence of solves, on either side of the gate: one
+        # buffer, of the last size solved, and none of the earlier alive
         made = []
         for n in (300, 400, 400, 200, 300, 250, 500):
             solve_direct(random_system(np.random.default_rng(n), n))
-            if n >= 300:
-                assert solver._factor32.shape == (n, n)
-                made.append(weakref.ref(solver._factor32))
-            assert all(r() is None or r() is solver._factor32 for r in made)
+            assert solver._kept["a32"].shape == (n, n)
+            made.append(weakref.ref(solver._kept["a32"]))
+            assert all(r() is None or r() is solver._kept["a32"] for r in made)
 
     def test_allocation_and_replacement_logged(self, low_gate, caplog):
         with caplog.at_level(logging.DEBUG, logger="tribem.solver"):
@@ -518,7 +511,7 @@ class TestFactorBuffer:
         system = apply_boundary_conditions(hg, prob.bc)
         x = solve_direct(system)
         sol = solve(hg, prob.bc)
-        buffer = solver._factor32
+        buffer = solver._kept["a32"]
         assert buffer.shape == (hg.n_dofs, hg.n_dofs)
         for array in (system.a, system.b, x, sol.u, sol.t, sol.displacement_known):
             assert not np.shares_memory(array, buffer)
@@ -553,19 +546,19 @@ class TestFactorBuffer:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_drops_it(self, low_gate):
         solve_direct(random_system(np.random.default_rng(98), 300))
-        assert solver._factor32 is not None
+        assert "a32" in solver._kept
         pid = os.fork()
         if pid == 0:
-            os._exit(0 if solver._factor32 is None else 1)
+            os._exit(0 if not solver._kept else 1)
         _, status = os.waitpid(pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
-        assert solver._factor32 is not None
+        assert "a32" in solver._kept
 
 
 class TestSolveFromTheView:
     """solve_direct reads A from H and G: the float32 copy is cast run by
-    run into the kept array or the factor buffer, and no float64 n x n
-    array is made unless the double LU is needed."""
+    run into the kept buffer, and no float64 n x n array is made unless
+    the double LU is needed."""
 
     @staticmethod
     def kinds(prob, name):
@@ -577,7 +570,7 @@ class TestSolveFromTheView:
     @pytest.mark.parametrize("gate", ["kept array", "factor buffer"])
     def test_no_float64_n_by_n_array(self, cube_setup, monkeypatch, gate):
         prob, hg, _ = cube_setup
-        monkeypatch.setattr(solver, "_factor32", None)
+        monkeypatch.setattr(solver, "_kept", {})
         if gate == "factor buffer":
             monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
         n = hg.n_dofs
@@ -588,7 +581,7 @@ class TestSolveFromTheView:
         finally:
             tracemalloc.stop()
         assert peak < 8 * n * n
-        assert (solver._factor32 is None) == (gate == "kept array")
+        assert solver._kept["a32"].shape == (n, n)
 
     @pytest.mark.parametrize("kinds", ["problem", "random"])
     def test_factor_buffer_is_the_lu_of_a_cast_of_dense(
@@ -596,7 +589,7 @@ class TestSolveFromTheView:
     ):
         # blocks of 16 columns, so runs of either kind cross block edges
         prob, hg, _ = cube_setup
-        monkeypatch.setattr(solver, "_factor32", None)
+        monkeypatch.setattr(solver, "_kept", {})
         monkeypatch.setattr(solver, "SINGLE_THREAD_DOFS", 200)
         system = apply_boundary_conditions(hg, self.kinds(prob, kinds))
         cast = system.a.dense().astype(np.float32, order="F")
@@ -605,7 +598,7 @@ class TestSolveFromTheView:
         assert digest(a32) == digest(cast)
         solve_direct(system)
         _blas.getrf(cast)
-        assert digest(solver._factor32) == digest(cast)
+        assert digest(solver._kept["a32"]) == digest(cast)
 
     @pytest.mark.parametrize("kinds", ["problem", "random"])
     def test_view_and_its_dense_array_refine_alike(self, cube_setup, kinds):

@@ -9,7 +9,8 @@ change (by default the checkout holding this script), once each per
 seed, alternating which side runs first. Before each run it times a
 fixed probe of the machine's level in a fresh interpreter: a seeded
 1600 x 1600 float32 ``sgetrf`` and a 3000 x 3000 ``dgemv``, 5 calls
-each, medians in ms. It appends one line per run to the log: the side,
+each, medians in ms, and the first ``sgetrf`` call alone, which shows a
+slow start that the median hides. It appends one line per run to the log: the side,
 workload, seed, trace flag, which side ran first, the checkout's git
 revision and a digest of its ``src/``, the probe, the environment line
 the run printed, and the run's result (the last line of its standard
@@ -46,9 +47,10 @@ SIDES = ("parent", "change")
 ENVIRONMENT = "environment: "
 STDERR_LINES = 20  # of a failed run, kept in the log
 
-# The level probe: prints {"sgetrf_1600_ms": ..., "dgemv_3000_ms": ...},
-# the medians of 5 calls each on seeded inputs. The LU factors a fresh
-# copy each call, made outside the timing. It runs on scipy's OpenBLAS,
+# The level probe: prints {"sgetrf_1600_ms": ..., "sgetrf_1600_first_ms":
+# ..., "dgemv_3000_ms": ...}, the medians of 5 calls each on seeded
+# inputs and the time of the first LU call. The LU factors a fresh copy
+# each call, made outside the timing. It runs on scipy's OpenBLAS,
 # although tribem itself uses only numpy's: the probe is the same for
 # both sides of a pair whatever either side's code imports, and its
 # readings stay comparable with the earlier BENCH_*.json files.
@@ -57,21 +59,26 @@ import json, time
 import numpy as np
 from scipy.linalg import blas, lapack
 
-def median_ms(calls):
+def times_ms(calls):
     times = []
     for call in calls:
         t0 = time.perf_counter()
         call()
-        times.append(time.perf_counter() - t0)
-    return 1e3 * sorted(times)[len(times) // 2]
+        times.append(1e3 * (time.perf_counter() - t0))
+    return times
+
+def median(times):
+    return sorted(times)[len(times) // 2]
 
 rng = np.random.default_rng(0)
 a = np.asfortranarray(rng.standard_normal((1600, 1600)) + 1600 * np.eye(1600), np.float32)
 copies = [a.copy(order="F") for _ in range(5)]
 m, x = np.asfortranarray(rng.standard_normal((3000, 3000))), rng.standard_normal(3000)
+lu = times_ms([lambda c=c: lapack.sgetrf(c, overwrite_a=True) for c in copies])
 print(json.dumps({
-    "sgetrf_1600_ms": median_ms([lambda c=c: lapack.sgetrf(c, overwrite_a=True) for c in copies]),
-    "dgemv_3000_ms": median_ms([lambda: blas.dgemv(1.0, m, x)] * 5),
+    "sgetrf_1600_ms": median(lu),
+    "sgetrf_1600_first_ms": lu[0],
+    "dgemv_3000_ms": median(times_ms([lambda: blas.dgemv(1.0, m, x)] * 5)),
 }))
 """
 
